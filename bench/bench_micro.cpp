@@ -22,6 +22,7 @@
 #include "sim/experiment_driver.h"
 #include "tomography/inference.h"
 #include "tomography/probing.h"
+#include "util/arena.h"
 #include "util/rng.h"
 
 namespace {
@@ -193,7 +194,9 @@ void BM_MincInference(benchmark::State& state) {
         }
     }
     const net::PathOracle oracle(topo);
-    const tomography::ProbeTree tree(root, oracle.paths_from(root, hosts));
+    util::Arena arena;
+    const tomography::ProbeTree tree(root,
+                                     oracle.paths_into(root, hosts, arena));
     util::Rng rng(7);
     const auto pass = [](net::LinkId l, util::SimTime) {
         return l % 5 == 0 ? 0.85 : 1.0;

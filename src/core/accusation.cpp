@@ -63,11 +63,14 @@ BlameEvidence read_evidence(util::ByteReader& r) {
     e.suspect = r.node_id();
     e.message_id = r.u64();
     e.message_time = r.i64();
+    // Counts come off the wire: reserve no more than the bytes left could
+    // hold (every record is at least one byte), so a forged count fails as
+    // a truncated message instead of a huge allocation.
     const std::uint32_t links = r.u32();
-    e.path_links.reserve(links);
+    e.path_links.reserve(std::min<std::size_t>(links, r.remaining()));
     for (std::uint32_t i = 0; i < links; ++i) e.path_links.push_back(r.u32());
     const std::uint32_t snaps = r.u32();
-    e.snapshots.reserve(snaps);
+    e.snapshots.reserve(std::min<std::size_t>(snaps, r.remaining()));
     for (std::uint32_t i = 0; i < snaps; ++i) {
         e.snapshots.push_back(tomography::read_snapshot_wire(r));
     }
@@ -141,7 +144,7 @@ FaultAccusation FaultAccusation::deserialize(
     FaultAccusation acc;
     acc.accuser = r.node_id();
     const std::uint32_t n = r.u32();
-    acc.evidence.reserve(n);
+    acc.evidence.reserve(std::min<std::size_t>(n, r.remaining()));
     for (std::uint32_t i = 0; i < n; ++i) {
         acc.evidence.push_back(read_evidence(r));
     }

@@ -39,9 +39,9 @@ ProbeSharingPlan plan_probe_sharing(const overlay::OverlayNetwork& net,
             for (const overlay::MemberIndex peer : trees.leaf_members(m)) {
                 union_peers.insert(peer);
             }
-            links_sum += trees.tree(m).links().size();
-            union_links.insert(trees.tree(m).links().begin(),
-                               trees.tree(m).links().end());
+            const auto links = trees.tree(m).links();
+            links_sum += links.size();
+            union_links.insert(links.begin(), links.end());
         }
         group.link_redundancy =
             union_links.empty()

@@ -21,7 +21,8 @@ util::metrics::Counter& solver_iterations() {
 
 /// Solves (1 - gamma_k / A) = prod_j (1 - gamma_j / A) for A in (lo, 1].
 /// Returns 1.0 when the data show no shared loss above the branch point.
-double solve_branch(double gamma_self, const std::vector<double>& gamma_children) {
+/// The product runs in the order given, so callers fix the child order.
+double solve_branch(double gamma_self, std::span<const double> gamma_children) {
     static auto& calls =
         util::metrics::Registry::global().counter("tomography.solver_calls");
     calls.add(1);
@@ -64,10 +65,11 @@ double InferenceResult::loss_of(net::LinkId link) const {
 }
 
 InferenceResult infer_link_loss(const ProbeTree& tree,
-                                std::span<const ProbeRecord> probes) {
-    if (probes.empty()) {
+                                const ProbeMatrix& probes) {
+    if (probes.size() == 0) {
         throw std::invalid_argument("infer_link_loss: no probes");
     }
+    probes.require_width(tree.leaves().size(), "infer_link_loss");
     static auto& runs =
         util::metrics::Registry::global().counter("tomography.inference_runs");
     runs.add(1);
@@ -76,56 +78,58 @@ InferenceResult infer_link_loss(const ProbeTree& tree,
     const util::spans::WallSpan span(
         util::spans::SpanType::kMleSolve, /*causal=*/0,
         static_cast<std::int64_t>(probes.size()));
-    const auto& nodes = tree.nodes();
-    const std::size_t n = nodes.size();
+    const auto parent = tree.parent();
+    const auto leaf_slot = tree.leaf_slot();
+    const std::size_t n = tree.node_count();
+    const auto stripes = static_cast<double>(probes.size());
 
-    // gamma_hat[k]: fraction of probes with a (nonce-valid) ack from some
-    // leaf in k's subtree.  One bottom-up pass per probe.
-    std::vector<int> ack_any(n, 0);
-    // Children are always appended after their parent, so iterating node
-    // indices in reverse is a valid post-order for accumulation.
-    std::vector<char> probe_hit(n, 0);
-    for (const ProbeRecord& rec : probes) {
-        std::fill(probe_hit.begin(), probe_hit.end(), 0);
-        for (std::size_t k = n; k-- > 0;) {
-            const auto& node = nodes[k];
-            bool hit = false;
-            if (node.leaf_slot.has_value()) {
-                const auto slot = static_cast<std::size_t>(*node.leaf_slot);
-                hit = rec.acked[slot] && rec.nonce_valid[slot];
-            }
-            for (const int c : node.children) {
-                hit = hit || probe_hit[static_cast<std::size_t>(c)];
-            }
-            probe_hit[k] = hit ? 1 : 0;
-            if (hit) ++ack_any[k];
-        }
-    }
-    std::vector<double> gamma(n);
-    for (std::size_t k = 0; k < n; ++k) {
-        gamma[k] = static_cast<double>(ack_any[k]) /
-                   static_cast<double>(probes.size());
+    // Children in index order, as first-child / next-sibling links.
+    std::vector<int> first_child(n, -1);
+    std::vector<int> next_sibling(n, -1);
+    for (std::size_t c = n; c-- > 1;) {
+        const auto p = static_cast<std::size_t>(parent[c]);
+        next_sibling[c] = first_child[p];
+        first_child[p] = static_cast<int>(c);
     }
 
     // Logical skeleton: the root, branch points (>= 2 children), and probed
     // endpoints are identifiable; single-child pass-through routers collapse
     // into the link chain below their nearest identifiable ancestor.
     const auto is_logical = [&](std::size_t k) {
-        return k == 0 || nodes[k].children.size() >= 2 ||
-               nodes[k].leaf_slot.has_value();
+        const int c = first_child[k];
+        return k == 0 || leaf_slot[k] != ProbeTree::kNoLeaf ||
+               (c >= 0 && next_sibling[static_cast<std::size_t>(c)] >= 0);
     };
+
+    // gamma_hat[k]: fraction of stripes with a (nonce-valid) ack from some
+    // leaf in k's subtree.  A pass-through router's subtree holds exactly
+    // its only child's leaves, so bottom-up it copies the child's gamma.
+    std::vector<double> gamma(n);
+    for (std::size_t k = n; k-- > 0;) {
+        if (!is_logical(k)) {
+            gamma[k] = gamma[static_cast<std::size_t>(first_child[k])];
+            continue;
+        }
+        int hits = 0;
+        for (std::size_t i = 0; i < probes.size(); ++i) {
+            const auto acks = probes.row(ProbePlane::kValidAck, i);
+            hits += rows_meet(acks, tree.subtree_leaves(k)) ? 1 : 0;
+        }
+        gamma[k] = static_cast<double>(hits) / stripes;
+    }
 
     InferenceResult result;
     result.cumulative_pass.assign(n, 1.0);
+    std::vector<double> child_gammas;
 
     // Process logical nodes top-down (index order is parent-before-child).
     for (std::size_t k = 1; k < n; ++k) {
         if (!is_logical(k)) continue;
         // Find the nearest identifiable ancestor and count the chain links.
-        std::size_t anc = static_cast<std::size_t>(nodes[k].parent);
+        auto anc = static_cast<std::size_t>(parent[k]);
         int chain_len = 1;
         while (!is_logical(anc)) {
-            anc = static_cast<std::size_t>(nodes[anc].parent);
+            anc = static_cast<std::size_t>(parent[anc]);
             ++chain_len;
         }
         const double a_parent = result.cumulative_pass[anc];
@@ -139,24 +143,23 @@ InferenceResult infer_link_loss(const ProbeTree& tree,
             // chain itself is demonstrably dead; otherwise it is merely
             // unobservable.
             a_k = kEps;
-        } else if (nodes[k].children.empty()) {
+        } else if (first_child[k] < 0) {
             a_k = gamma[k];  // logical leaf: gamma IS the end-to-end pass rate
         } else {
-            std::vector<double> child_gammas;
-            for (const int c : nodes[k].children) {
+            child_gammas.clear();
+            for (int c = first_child[k]; c >= 0;
+                 c = next_sibling[static_cast<std::size_t>(c)]) {
                 child_gammas.push_back(gamma[static_cast<std::size_t>(c)]);
             }
-            if (nodes[k].leaf_slot.has_value()) {
+            if (leaf_slot[k] != ProbeTree::kNoLeaf) {
                 // A probed interior endpoint: its own acks behave like a
-                // zero-loss virtual child.
-                const auto slot = *nodes[k].leaf_slot;
-                double own = 0.0;
-                for (const ProbeRecord& rec : probes) {
-                    const auto s = static_cast<std::size_t>(slot);
-                    if (rec.acked[s] && rec.nonce_valid[s]) own += 1.0;
+                // zero-loss virtual child, solved last.
+                const auto slot = static_cast<std::size_t>(leaf_slot[k]);
+                int own = 0;
+                for (std::size_t i = 0; i < probes.size(); ++i) {
+                    own += probes.test(ProbePlane::kValidAck, i, slot) ? 1 : 0;
                 }
-                child_gammas.push_back(own /
-                                       static_cast<double>(probes.size()));
+                child_gammas.push_back(static_cast<double>(own) / stripes);
             }
             a_k = child_gammas.size() >= 2
                       ? solve_branch(gamma[k], child_gammas)
@@ -182,13 +185,13 @@ InferenceResult infer_link_loss(const ProbeTree& tree,
         double cum = a_k;
         for (int hop = 0; hop < chain_len; ++hop) {
             result.links.push_back(LinkLossEstimate{
-                nodes[walk].via, chain_loss, chain_len, observable});
-            const auto parent = static_cast<std::size_t>(nodes[walk].parent);
+                tree.via()[walk], chain_loss, chain_len, observable});
+            const auto up = static_cast<std::size_t>(parent[walk]);
             if (hop + 1 < chain_len) {
                 cum /= per_hop;
-                result.cumulative_pass[parent] = std::min(cum, 1.0);
+                result.cumulative_pass[up] = std::min(cum, 1.0);
             }
-            walk = parent;
+            walk = up;
         }
     }
     return result;

@@ -21,7 +21,6 @@
 
 #pragma once
 
-#include <span>
 #include <vector>
 
 #include "net/topology.h"
@@ -55,7 +54,8 @@ struct InferenceResult {
 
 /// Runs the estimator over a probe session.  Probes whose acks carry invalid
 /// nonces are treated as losses (the fabricated-ack defence, Section 3.3).
+/// Throws std::invalid_argument on an empty or wrongly sized session.
 InferenceResult infer_link_loss(const ProbeTree& tree,
-                                std::span<const ProbeRecord> probes);
+                                const ProbeMatrix& probes);
 
 }  // namespace concilium::tomography

@@ -1,7 +1,9 @@
 #include "tomography/probing.h"
 
+#include <algorithm>
+#include <bit>
 #include <stdexcept>
-#include <unordered_map>
+#include <string>
 
 #include "util/metrics.h"
 
@@ -9,109 +11,116 @@ namespace concilium::tomography {
 
 namespace {
 
+using enum ProbePlane;
+
 const LeafBehavior kHonest{};
 
-const LeafBehavior& behavior_of(std::span<const LeafBehavior> behaviors,
-                                std::size_t leaf) {
-    if (behaviors.empty()) return kHonest;
-    return behaviors[leaf];
+/// Publishes the probe counters for freshly sampled stripes.
+void count_probes(const ProbeMatrix& m) {
+    const auto counter = [](const char* name) -> util::metrics::Counter& {
+        return util::metrics::Registry::global().counter(name);
+    };
+    static auto& stripes = counter("tomography.stripes_sampled");
+    static auto& issued = counter("tomography.probes_issued");
+    static auto& lost = counter("tomography.probes_lost");
+    static auto& acks = counter("tomography.probe_acks");
+    static auto& suppressed = counter("tomography.acks_suppressed");
+    static auto& fabricated = counter("tomography.acks_fabricated");
+    std::int64_t ones[3] = {0, 0, 0};  // per plane
+    for (std::size_t i = 0; i < m.size(); ++i) {
+        for (const ProbePlane p : {kReceived, kValidAck, kFabricatedAck}) {
+            for (const std::uint64_t w : m.row(p, i)) {
+                ones[static_cast<int>(p)] += std::popcount(w);
+            }
+        }
+    }
+    const auto probes = static_cast<std::int64_t>(m.size() * m.leaf_count());
+    stripes.add(static_cast<std::int64_t>(m.size()));
+    issued.add(probes);
+    lost.add(probes - ones[0]);
+    acks.add(ones[1]);
+    suppressed.add(ones[0] - ones[1]);
+    fabricated.add(ones[2]);
+}
+
+/// Samples `count` stripes of the tree, `spacing` apart from t0.
+ProbeMatrix sample_stripes(const ProbeTree& tree,
+                           PassProbabilityFn pass_probability,
+                           util::SimTime t0, util::SimTime spacing,
+                           std::size_t count,
+                           std::span<const LeafBehavior> behaviors,
+                           util::Rng& rng, const char* caller) {
+    const std::size_t leaves = tree.leaves().size();
+    if (!behaviors.empty() && behaviors.size() != leaves) {
+        throw std::invalid_argument(std::string(caller) +
+                                    ": behaviors must match leaf count");
+    }
+    const auto parent = tree.parent();
+    const auto via = tree.via();
+    const auto leaf_slot = tree.leaf_slot();
+    ProbeMatrix out(count, leaves);
+    std::vector<char> reached(tree.node_count(), 1);  // the root stays 1
+    for (std::size_t i = 0; i < count; ++i) {
+        const util::SimTime t = t0 + static_cast<util::SimTime>(i) * spacing;
+        const auto received = out.row(kReceived, i);
+        const auto valid = out.row(kValidAck, i);
+        const auto fabricated = out.row(kFabricatedAck, i);
+
+        // One Bernoulli draw per tree link, in links() order, models the
+        // stripe's multicast emulation: packets issued back to back share
+        // interior fate.  Parents precede children, so a node is reached
+        // iff its parent was and its own link passed.
+        for (std::size_t k = 1; k < reached.size(); ++k) {
+            const bool passed = rng.bernoulli(pass_probability(via[k], t));
+            reached[k] = static_cast<char>(
+                passed && reached[static_cast<std::size_t>(parent[k])] != 0);
+            if (reached[k] != 0 && leaf_slot[k] != ProbeTree::kNoLeaf) {
+                const auto slot = static_cast<std::size_t>(leaf_slot[k]);
+                received[slot / 64] |= std::uint64_t{1} << (slot % 64);
+            }
+        }
+
+        // Then the leaves answer, in leaf-slot order.
+        for (std::size_t leaf = 0; leaf < leaves; ++leaf) {
+            const LeafBehavior& b =
+                behaviors.empty() ? kHonest : behaviors[leaf];
+            const std::uint64_t bit = std::uint64_t{1} << (leaf % 64);
+            if (test_bit(received, leaf)) {
+                if (!rng.bernoulli(b.suppress_ack_probability)) {
+                    valid[leaf / 64] |= bit;
+                }
+            } else if (b.fabricate_acks) {
+                // The nonce travelled inside the lost probe; a fabricated
+                // ack cannot echo it (Section 3.3).
+                fabricated[leaf / 64] |= bit;
+            }
+        }
+    }
+    count_probes(out);
+    return out;
 }
 
 }  // namespace
 
-ProbeRecord sample_striped_probe(const ProbeTree& tree,
-                                 const PassProbabilityFn& pass_probability,
+void ProbeMatrix::require_width(std::size_t leaves, const char* caller) const {
+    if (leaves_ != leaves) {
+        throw std::invalid_argument(
+            std::string(caller) + ": session is " + std::to_string(leaves_) +
+            " leaves wide, expected " + std::to_string(leaves));
+    }
+}
+
+ProbeMatrix sample_striped_probe(const ProbeTree& tree,
+                                 PassProbabilityFn pass_probability,
                                  util::SimTime t,
                                  std::span<const LeafBehavior> behaviors,
                                  util::Rng& rng) {
-    if (!behaviors.empty() && behaviors.size() != tree.leaves().size()) {
-        throw std::invalid_argument(
-            "sample_striped_probe: behaviors must match leaf count");
-    }
-    // One Bernoulli draw per tree link models the stripe's multicast
-    // emulation: packets issued back to back share interior fate.
-    std::unordered_map<net::LinkId, bool> link_passed;
-    link_passed.reserve(tree.links().size());
-    for (const net::LinkId l : tree.links()) {
-        link_passed.emplace(l, rng.bernoulli(pass_probability(l, t)));
-    }
-
-    const std::size_t n = tree.leaves().size();
-    ProbeRecord record;
-    record.received.assign(n, false);
-    record.acked.assign(n, false);
-    record.nonce_valid.assign(n, false);
-
-    // Walk the tree once, propagating delivery.
-    std::vector<bool> reached(tree.nodes().size(), false);
-    reached[0] = true;
-    std::vector<int> stack{0};
-    while (!stack.empty()) {
-        const int n_idx = stack.back();
-        stack.pop_back();
-        const auto& node = tree.nodes()[static_cast<std::size_t>(n_idx)];
-        for (const int child : node.children) {
-            const auto& cn = tree.nodes()[static_cast<std::size_t>(child)];
-            if (reached[static_cast<std::size_t>(n_idx)] &&
-                link_passed.at(cn.via)) {
-                reached[static_cast<std::size_t>(child)] = true;
-            }
-            stack.push_back(child);
-        }
-        if (node.leaf_slot.has_value()) {
-            const auto slot = static_cast<std::size_t>(*node.leaf_slot);
-            record.received[slot] = reached[static_cast<std::size_t>(n_idx)];
-        }
-    }
-
-    std::int64_t lost = 0;
-    std::int64_t acks = 0;
-    std::int64_t suppressed_acks = 0;
-    std::int64_t fabricated_acks = 0;
-    for (std::size_t leaf = 0; leaf < n; ++leaf) {
-        const LeafBehavior& b = behavior_of(behaviors, leaf);
-        if (record.received[leaf]) {
-            const bool suppressed = rng.bernoulli(b.suppress_ack_probability);
-            record.acked[leaf] = !suppressed;
-            record.nonce_valid[leaf] = !suppressed;
-            suppressed ? ++suppressed_acks : ++acks;
-        } else {
-            ++lost;
-            if (b.fabricate_acks) {
-                // The nonce travelled inside the lost probe; a fabricated ack
-                // cannot echo it (Section 3.3).
-                record.acked[leaf] = true;
-                record.nonce_valid[leaf] = false;
-                ++fabricated_acks;
-            }
-        }
-    }
-
-    {
-        using util::metrics::Registry;
-        static auto& stripes =
-            Registry::global().counter("tomography.stripes_sampled");
-        static auto& issued =
-            Registry::global().counter("tomography.probes_issued");
-        static auto& lost_c =
-            Registry::global().counter("tomography.probes_lost");
-        static auto& acks_c = Registry::global().counter("tomography.probe_acks");
-        static auto& supp_c =
-            Registry::global().counter("tomography.acks_suppressed");
-        static auto& fab_c =
-            Registry::global().counter("tomography.acks_fabricated");
-        stripes.add(1);
-        issued.add(static_cast<std::int64_t>(n));
-        lost_c.add(lost);
-        acks_c.add(acks);
-        supp_c.add(suppressed_acks);
-        fab_c.add(fabricated_acks);
-    }
-    return record;
+    return sample_stripes(tree, pass_probability, t, 0, 1, behaviors, rng,
+                          "sample_striped_probe");
 }
 
 HeavyweightResult run_heavyweight_session(
-    const ProbeTree& tree, const PassProbabilityFn& pass_probability,
+    const ProbeTree& tree, PassProbabilityFn pass_probability,
     util::SimTime t0, const HeavyweightParams& params,
     std::span<const LeafBehavior> behaviors, util::Rng& rng) {
     if (params.probe_count < 1) {
@@ -122,62 +131,50 @@ HeavyweightResult run_heavyweight_session(
         "tomography.heavyweight_sessions");
     sessions.add(1);
     HeavyweightResult result;
+    result.probes = sample_stripes(
+        tree, pass_probability, t0, params.spacing,
+        static_cast<std::size_t>(params.probe_count), behaviors, rng,
+        "run_heavyweight_session");
     result.started_at = t0;
+    result.finished_at = t0 + params.probe_count * params.spacing;
+
     result.ack_counts.assign(tree.leaves().size(), 0);
-    result.probes.reserve(static_cast<std::size_t>(params.probe_count));
-    util::SimTime t = t0;
-    for (int i = 0; i < params.probe_count; ++i, t += params.spacing) {
-        ProbeRecord rec =
-            sample_striped_probe(tree, pass_probability, t, behaviors, rng);
-        for (std::size_t leaf = 0; leaf < rec.acked.size(); ++leaf) {
-            if (rec.acked[leaf] && rec.nonce_valid[leaf]) {
-                ++result.ack_counts[leaf];
+    for (std::size_t i = 0; i < result.probes.size(); ++i) {
+        const auto acks = result.probes.row(kValidAck, i);
+        for (std::size_t w = 0; w < acks.size(); ++w) {
+            for (auto bits = acks[w]; bits != 0; bits &= bits - 1) {
+                ++result.ack_counts[64 * w + std::countr_zero(bits)];
             }
         }
-        result.probes.push_back(std::move(rec));
     }
-    result.finished_at = t;
     return result;
 }
 
 LightweightResult run_lightweight_probe(
-    const ProbeTree& tree, const PassProbabilityFn& pass_probability,
+    const ProbeTree& tree, PassProbabilityFn pass_probability,
     util::SimTime t, int retries, std::span<const LeafBehavior> behaviors,
     util::Rng& rng) {
     static auto& rounds = util::metrics::Registry::global().counter(
         "tomography.lightweight_rounds");
     rounds.add(1);
-    LightweightResult result;
-    result.first_stripe =
-        sample_striped_probe(tree, pass_probability, t, behaviors, rng);
     // Only nonce-valid acknowledgments count (Section 3.3): a fabricated
-    // ack cannot make a leaf look responsive.
-    result.responsive.assign(tree.leaves().size(), false);
-    for (std::size_t leaf = 0; leaf < result.responsive.size(); ++leaf) {
-        result.responsive[leaf] = result.first_stripe.acked[leaf] &&
-                                  result.first_stripe.nonce_valid[leaf];
-    }
-    // "it sends a few more probes to silent peers to determine if they are
-    // truly offline or situated along a lossy IP link" (Section 3.2)
-    for (int r = 0; r < retries; ++r) {
-        bool any_silent = false;
-        for (const bool ok : result.responsive) {
-            if (!ok) {
-                any_silent = true;
-                break;
-            }
+    // ack cannot make a leaf look responsive.  After the first stripe, "it
+    // sends a few more probes to silent peers to determine if they are
+    // truly offline or situated along a lossy IP link" (Section 3.2).
+    const std::size_t n = tree.leaves().size();
+    std::vector<bool> responsive(n, false);
+    for (int r = 0; r <= std::max(retries, 0); ++r) {
+        if (r > 0 && std::find(responsive.begin(), responsive.end(), false) ==
+                         responsive.end()) {
+            break;
         }
-        if (!any_silent) break;
-        const ProbeRecord again = sample_striped_probe(
-            tree, pass_probability, t + (r + 1) * util::kSecond, behaviors,
-            rng);
-        for (std::size_t leaf = 0; leaf < result.responsive.size(); ++leaf) {
-            if (again.acked[leaf] && again.nonce_valid[leaf]) {
-                result.responsive[leaf] = true;
-            }
+        const auto stripe = sample_striped_probe(
+            tree, pass_probability, t + r * util::kSecond, behaviors, rng);
+        for (std::size_t leaf = 0; leaf < n; ++leaf) {
+            if (stripe.test(kValidAck, 0, leaf)) responsive[leaf] = true;
         }
     }
-    return result;
+    return LightweightResult{std::move(responsive)};
 }
 
 }  // namespace concilium::tomography

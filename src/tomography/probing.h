@@ -11,23 +11,28 @@
 // acknowledgments for received probes or fabricate acknowledgments for lost
 // ones (Section 3.3) -- fabricated acks carry an invalid nonce because the
 // nonce travelled only inside the lost probe.
+//
+// The outcomes of a run of stripes are one bit-packed stripe x leaf matrix
+// (ProbeMatrix), so the feedback checks and MINC read whole 64-leaf words.
 
 #pragma once
 
-#include <functional>
+#include <cstdint>
 #include <span>
 #include <vector>
 
 #include "net/topology.h"
 #include "tomography/tree.h"
+#include "util/function_ref.h"
 #include "util/rng.h"
 #include "util/time.h"
 
 namespace concilium::tomography {
 
-/// Probability that one packet crossing `link` at time t survives.
+/// Probability that one packet crossing `link` at time t survives.  A
+/// non-owning reference: the callable must outlive the call it is passed to.
 using PassProbabilityFn =
-    std::function<double(net::LinkId, util::SimTime)>;
+    util::FunctionRef<double(net::LinkId, util::SimTime)>;
 
 /// Per-leaf misbehaviour during probing (Section 3.3's faulty leaves).
 struct LeafBehavior {
@@ -37,17 +42,76 @@ struct LeafBehavior {
     bool fabricate_acks = false;
 };
 
-/// Outcome of one stripe for every leaf of the tree.
-struct ProbeRecord {
-    std::vector<bool> received;     ///< probe physically reached the leaf
-    std::vector<bool> acked;        ///< root saw an acknowledgment
-    std::vector<bool> nonce_valid;  ///< the ack echoed the probe's nonce
+/// Bit `i` of a row of leaf-slot bits.
+[[nodiscard]] inline bool test_bit(std::span<const std::uint64_t> row,
+                                   std::size_t i) noexcept {
+    return ((row[i / 64] >> (i % 64)) & 1U) != 0;
+}
+
+/// Whether two equally wide rows share a set bit.
+[[nodiscard]] inline bool rows_meet(std::span<const std::uint64_t> a,
+                                    std::span<const std::uint64_t> b) noexcept {
+    for (std::size_t w = 0; w < a.size(); ++w) {
+        if ((a[w] & b[w]) != 0) return true;
+    }
+    return false;
+}
+
+/// The bit planes of a ProbeMatrix.
+enum class ProbePlane : std::uint8_t {
+    kReceived,       ///< the probe physically reached the leaf
+    kValidAck,       ///< the root saw an ack echoing the probe's nonce
+    kFabricatedAck,  ///< the root saw an ack with an invalid nonce
 };
 
-/// Samples one striped (multicast-emulating) probe of the tree at time t.
-/// `behaviors` may be empty (all leaves honest) or one entry per leaf slot.
-ProbeRecord sample_striped_probe(const ProbeTree& tree,
-                                 const PassProbabilityFn& pass_probability,
+/// Outcomes of a run of stripes for every leaf of one tree: per plane, one
+/// row of leaf-slot bits per stripe, ceil(leaves / 64) words per row.  A
+/// leaf's ack is valid or fabricated, never both, and the bits past the
+/// last leaf of a row are always zero.
+class ProbeMatrix {
+  public:
+    ProbeMatrix() = default;
+    ProbeMatrix(std::size_t stripes, std::size_t leaves)
+        : stripes_(stripes), leaves_(leaves), words_((leaves + 63) / 64),
+          bits_(3 * stripes * words_, 0) {}
+
+    /// Number of stripes.
+    [[nodiscard]] std::size_t size() const noexcept { return stripes_; }
+    [[nodiscard]] std::size_t leaf_count() const noexcept { return leaves_; }
+    [[nodiscard]] std::size_t words() const noexcept { return words_; }
+
+    /// One stripe's row of one plane.
+    [[nodiscard]] std::span<const std::uint64_t> row(
+        ProbePlane p, std::size_t stripe) const noexcept {
+        const auto plane = static_cast<std::size_t>(p);
+        return {bits_.data() + (plane * stripes_ + stripe) * words_, words_};
+    }
+    [[nodiscard]] std::span<std::uint64_t> row(ProbePlane p,
+                                               std::size_t stripe) noexcept {
+        const auto plane = static_cast<std::size_t>(p);
+        return {bits_.data() + (plane * stripes_ + stripe) * words_, words_};
+    }
+    [[nodiscard]] bool test(ProbePlane p, std::size_t stripe,
+                            std::size_t leaf) const noexcept {
+        return test_bit(row(p, stripe), leaf);
+    }
+
+    /// Throws std::invalid_argument, naming `caller`, unless the rows are
+    /// `leaves` bits wide.
+    void require_width(std::size_t leaves, const char* caller) const;
+
+  private:
+    std::size_t stripes_ = 0;
+    std::size_t leaves_ = 0;
+    std::size_t words_ = 0;
+    std::vector<std::uint64_t> bits_;  ///< [plane][stripe][word]
+};
+
+/// Samples one striped (multicast-emulating) probe of the tree at time t: a
+/// one-stripe matrix.  `behaviors` may be empty (all leaves honest) or one
+/// entry per leaf slot.
+ProbeMatrix sample_striped_probe(const ProbeTree& tree,
+                                 PassProbabilityFn pass_probability,
                                  util::SimTime t,
                                  std::span<const LeafBehavior> behaviors,
                                  util::Rng& rng);
@@ -59,13 +123,13 @@ struct HeavyweightParams {
 
 /// A heavyweight probing session: many stripes across a short window.
 struct HeavyweightResult {
-    std::vector<ProbeRecord> probes;
+    ProbeMatrix probes;
     std::vector<int> ack_counts;  ///< per leaf slot (nonce-valid acks only)
     util::SimTime started_at = 0;
     util::SimTime finished_at = 0;
 
     [[nodiscard]] double ack_rate(int leaf_slot) const {
-        return probes.empty()
+        return probes.size() == 0
                    ? 0.0
                    : static_cast<double>(ack_counts.at(
                          static_cast<std::size_t>(leaf_slot))) /
@@ -75,7 +139,7 @@ struct HeavyweightResult {
 
 /// Runs a full heavyweight session starting at t0 (Duffield's full scheme).
 HeavyweightResult run_heavyweight_session(
-    const ProbeTree& tree, const PassProbabilityFn& pass_probability,
+    const ProbeTree& tree, PassProbabilityFn pass_probability,
     util::SimTime t0, const HeavyweightParams& params,
     std::span<const LeafBehavior> behaviors, util::Rng& rng);
 
@@ -85,10 +149,9 @@ HeavyweightResult run_heavyweight_session(
 /// through.
 struct LightweightResult {
     std::vector<bool> responsive;  ///< per leaf slot
-    ProbeRecord first_stripe;
 };
 LightweightResult run_lightweight_probe(
-    const ProbeTree& tree, const PassProbabilityFn& pass_probability,
+    const ProbeTree& tree, PassProbabilityFn pass_probability,
     util::SimTime t, int retries, std::span<const LeafBehavior> behaviors,
     util::Rng& rng);
 

@@ -25,21 +25,30 @@ double bucket_loss(LossBucket bucket) {
     throw std::invalid_argument("bucket_loss: bad bucket");
 }
 
-std::vector<std::uint8_t> TomographicSnapshot::signed_payload() const {
-    util::ByteWriter w;
-    w.node_id(origin);
-    w.u64(epoch);
-    w.i64(probed_at);
-    w.u32(static_cast<std::uint32_t>(paths.size()));
-    for (const PathSummary& p : paths) {
+namespace {
+
+/// Everything the signature covers, in wire order.
+void write_signed_fields(util::ByteWriter& w, const TomographicSnapshot& s) {
+    w.node_id(s.origin);
+    w.u64(s.epoch);
+    w.i64(s.probed_at);
+    w.u32(static_cast<std::uint32_t>(s.paths.size()));
+    for (const PathSummary& p : s.paths) {
         w.node_id(p.peer);
         w.u8(static_cast<std::uint8_t>(p.bucket));
     }
-    w.u32(static_cast<std::uint32_t>(links.size()));
-    for (const LinkObservation& l : links) {
+    w.u32(static_cast<std::uint32_t>(s.links.size()));
+    for (const LinkObservation& l : s.links) {
         w.u32(l.link);
         w.u8(l.up ? 1 : 0);
     }
+}
+
+}  // namespace
+
+std::vector<std::uint8_t> TomographicSnapshot::signed_payload() const {
+    util::ByteWriter w;
+    write_signed_fields(w, *this);
     return w.data();
 }
 
@@ -53,19 +62,7 @@ std::size_t TomographicSnapshot::wire_bytes() const {
 }
 
 void write_snapshot_wire(util::ByteWriter& w, const TomographicSnapshot& s) {
-    w.node_id(s.origin);
-    w.u64(s.epoch);
-    w.i64(s.probed_at);
-    w.u32(static_cast<std::uint32_t>(s.paths.size()));
-    for (const auto& p : s.paths) {
-        w.node_id(p.peer);
-        w.u8(static_cast<std::uint8_t>(p.bucket));
-    }
-    w.u32(static_cast<std::uint32_t>(s.links.size()));
-    for (const auto& l : s.links) {
-        w.u32(l.link);
-        w.u8(l.up ? 1 : 0);
-    }
+    write_signed_fields(w, s);
     w.bytes(s.signature.bytes());
 }
 
@@ -75,7 +72,7 @@ TomographicSnapshot read_snapshot_wire(util::ByteReader& r) {
     s.epoch = r.u64();
     s.probed_at = r.i64();
     const std::uint32_t paths = r.u32();
-    s.paths.reserve(paths);
+    s.paths.reserve(std::min<std::size_t>(paths, r.remaining()));
     for (std::uint32_t i = 0; i < paths; ++i) {
         PathSummary p;
         p.peer = r.node_id();
@@ -83,7 +80,7 @@ TomographicSnapshot read_snapshot_wire(util::ByteReader& r) {
         s.paths.push_back(p);
     }
     const std::uint32_t links = r.u32();
-    s.links.reserve(links);
+    s.links.reserve(std::min<std::size_t>(links, r.remaining()));
     for (std::uint32_t i = 0; i < links; ++i) {
         LinkObservation l;
         l.link = r.u32();
@@ -114,12 +111,8 @@ TomographicSnapshot make_snapshot(const util::NodeId& origin,
     snap.origin = origin;
     snap.probed_at = probed_at;
     for (std::size_t slot = 0; slot < leaf_ids.size(); ++slot) {
-        double pass = 1.0;
-        const auto node = tree.node_of(tree.leaves()[slot]);
-        if (node.has_value()) {
-            pass = inference.cumulative_pass.at(
-                static_cast<std::size_t>(*node));
-        }
+        const double pass = inference.cumulative_pass.at(
+            static_cast<std::size_t>(tree.leaf_nodes()[slot]));
         snap.paths.push_back(
             PathSummary{leaf_ids[slot], quantize_loss(1.0 - pass)});
     }

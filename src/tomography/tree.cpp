@@ -2,109 +2,63 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <unordered_map>
+#include <unordered_set>
 
 namespace concilium::tomography {
 
-ProbeTree::ProbeTree(net::RouterId root, std::span<const net::Path> paths)
-    : root_(root) {
-    Node root_node;
-    root_node.router = root;
-    nodes_.push_back(root_node);
-    node_of_[root] = 0;
-
-    std::unordered_set<net::LinkId> seen_links;
-    for (const net::Path& path : paths) {
-        insert_path(path.routers, path.links, seen_links);
-    }
-}
-
 ProbeTree::ProbeTree(net::RouterId root, std::span<const net::PathView> paths)
-    : root_(root) {
-    Node root_node;
-    root_node.router = root;
-    nodes_.push_back(root_node);
-    node_of_[root] = 0;
-
-    std::unordered_set<net::LinkId> seen_links;
+    : root_(root), parent_{-1}, via_{net::kInvalidLink}, leaf_slot_{kNoLeaf} {
+    // Router -> node, to graft each path onto the ones before it.
+    std::unordered_map<net::RouterId, int> node_of{{root, 0}};
     for (const net::PathView& path : paths) {
-        insert_path(path.routers, path.links, seen_links);
-    }
-}
-
-void ProbeTree::insert_path(std::span<const net::RouterId> routers,
-                            std::span<const net::LinkId> links,
-                            std::unordered_set<net::LinkId>& seen_links) {
-    if (links.empty()) return;
-    if (routers.front() != root_) {
-        throw std::invalid_argument("ProbeTree: path does not start at root");
-    }
-    int cur = 0;
-    for (std::size_t hop = 0; hop < links.size(); ++hop) {
-        const net::RouterId router = routers[hop + 1];
-        const net::LinkId link = links[hop];
-        const auto it = node_of_.find(router);
-        if (it != node_of_.end()) {
-            if (nodes_[static_cast<std::size_t>(it->second)].via != link) {
+        if (path.links.empty()) continue;
+        if (path.routers.front() != root_) {
+            throw std::invalid_argument(
+                "ProbeTree: path does not start at root");
+        }
+        int cur = 0;
+        for (std::size_t hop = 0; hop < path.links.size(); ++hop) {
+            const net::LinkId link = path.links[hop];
+            const auto [it, added] = node_of.try_emplace(
+                path.routers[hop + 1], static_cast<int>(parent_.size()));
+            if (added) {
+                parent_.push_back(cur);
+                via_.push_back(link);
+                leaf_slot_.push_back(kNoLeaf);
+            } else if (via_[static_cast<std::size_t>(it->second)] != link) {
                 throw std::invalid_argument(
                     "ProbeTree: paths disagree on a router's parent");
             }
             cur = it->second;
-        } else {
-            Node node;
-            node.router = router;
-            node.via = link;
-            node.parent = cur;
-            const int idx = static_cast<int>(nodes_.size());
-            nodes_[static_cast<std::size_t>(cur)].children.push_back(idx);
-            nodes_.push_back(node);
-            node_of_[router] = idx;
-            cur = idx;
         }
-        if (seen_links.insert(link).second) links_.push_back(link);
+        // Terminal router of this path is a probed leaf endpoint.
+        int& slot = leaf_slot_[static_cast<std::size_t>(cur)];
+        if (slot == kNoLeaf) {
+            slot = static_cast<int>(leaves_.size());
+            leaves_.push_back(path.routers[path.links.size()]);
+            leaf_nodes_.push_back(cur);
+        }
     }
-    // Terminal router of this path is a probed leaf endpoint.
-    Node& endpoint = nodes_[static_cast<std::size_t>(cur)];
-    if (!endpoint.leaf_slot.has_value()) {
-        endpoint.leaf_slot = static_cast<int>(leaves_.size());
-        leaves_.push_back(endpoint.router);
-        leaf_nodes_.push_back(cur);
-    }
-}
 
-std::optional<int> ProbeTree::node_of(net::RouterId router) const {
-    const auto it = node_of_.find(router);
-    if (it == node_of_.end()) return std::nullopt;
-    return it->second;
+    leaf_words_ = (leaves_.size() + 63) / 64;
+    subtree_leaves_.assign(parent_.size() * leaf_words_, 0);
+    for (std::size_t slot = 0; slot < leaf_nodes_.size(); ++slot) {
+        for (int n = leaf_nodes_[slot]; n >= 0;
+             n = parent_[static_cast<std::size_t>(n)]) {
+            subtree_leaves_[static_cast<std::size_t>(n) * leaf_words_ +
+                            slot / 64] |= std::uint64_t{1} << (slot % 64);
+        }
+    }
 }
 
 std::vector<net::LinkId> ProbeTree::path_links(int leaf_slot) const {
-    if (leaf_slot < 0 ||
-        leaf_slot >= static_cast<int>(leaf_nodes_.size())) {
-        throw std::out_of_range("ProbeTree::path_links: bad leaf slot");
-    }
     std::vector<net::LinkId> out;
-    for (int n = leaf_nodes_[static_cast<std::size_t>(leaf_slot)]; n != 0;
-         n = nodes_[static_cast<std::size_t>(n)].parent) {
-        out.push_back(nodes_[static_cast<std::size_t>(n)].via);
+    for (int n = leaf_nodes_.at(static_cast<std::size_t>(leaf_slot)); n != 0;
+         n = parent_[static_cast<std::size_t>(n)]) {
+        out.push_back(via_[static_cast<std::size_t>(n)]);
     }
     std::reverse(out.begin(), out.end());
-    return out;
-}
-
-std::vector<int> ProbeTree::leaf_slots_under(int node) const {
-    if (node < 0 || node >= static_cast<int>(nodes_.size())) {
-        throw std::out_of_range("ProbeTree::leaf_slots_under: bad node");
-    }
-    std::vector<int> out;
-    std::vector<int> stack{node};
-    while (!stack.empty()) {
-        const int n = stack.back();
-        stack.pop_back();
-        const Node& nd = nodes_[static_cast<std::size_t>(n)];
-        if (nd.leaf_slot.has_value()) out.push_back(*nd.leaf_slot);
-        stack.insert(stack.end(), nd.children.begin(), nd.children.end());
-    }
-    std::sort(out.begin(), out.end());
     return out;
 }
 
@@ -124,7 +78,8 @@ double Forest::coverage(std::size_t tree_count) const {
     tree_count = std::min(tree_count, trees_.size());
     std::unordered_set<net::LinkId> covered;
     for (std::size_t i = 0; i < tree_count; ++i) {
-        covered.insert(trees_[i]->links().begin(), trees_[i]->links().end());
+        const auto links = trees_[i]->links();
+        covered.insert(links.begin(), links.end());
     }
     return links_.empty() ? 0.0
                           : static_cast<double>(covered.size()) /

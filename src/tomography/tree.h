@@ -13,10 +13,7 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "net/paths.h"
@@ -27,62 +24,64 @@ namespace concilium::tomography {
 /// The IP-level tree spanning one host and its routing peers.
 class ProbeTree {
   public:
-    struct Node {
-        net::RouterId router = net::kInvalidRouter;
-        net::LinkId via = net::kInvalidLink;  ///< link to parent (none at root)
-        int parent = -1;
-        std::vector<int> children;
-        /// Index into leaves() when this node is a probed leaf endpoint.
-        std::optional<int> leaf_slot;
-    };
+    /// leaf_slot() of a node that is not a probed endpoint.
+    static constexpr int kNoLeaf = -1;
 
-    /// Builds the tree for `root` from its paths to each leaf host.  Paths
+    /// Builds the tree for `root` from its paths to each leaf host
+    /// (PathOracle::paths_into); the tree keeps no reference to them.  Paths
     /// must all start at `root`; empty paths (unreachable leaves) are
     /// skipped.  Paths from one BFS never disagree on a router's parent; a
     /// disagreeing path set throws std::invalid_argument.
-    ProbeTree(net::RouterId root, std::span<const net::Path> paths);
-
-    /// Same contract over arena-backed path views (PathOracle::paths_into).
     ProbeTree(net::RouterId root, std::span<const net::PathView> paths);
 
     [[nodiscard]] net::RouterId root() const noexcept { return root_; }
-    [[nodiscard]] const std::vector<Node>& nodes() const noexcept {
-        return nodes_;
-    }
+
+    /// Flat per-node arrays, in creation order: node 0 is the root and every
+    /// parent precedes its children, so one pass over the indices visits the
+    /// tree top-down (or, reversed, bottom-up).  Per node: the parent's
+    /// index (-1 at the root), the link to the parent (kInvalidLink at the
+    /// root), and the index into leaves() (kNoLeaf unless probed).
+    [[nodiscard]] std::span<const int> parent() const { return parent_; }
+    [[nodiscard]] std::span<const net::LinkId> via() const { return via_; }
+    [[nodiscard]] std::span<const int> leaf_slot() const { return leaf_slot_; }
+    [[nodiscard]] std::size_t node_count() const { return parent_.size(); }
+
     /// Probed leaf routers, in construction order.  (A "leaf" is a probed
     /// endpoint; in degenerate topologies it can be an interior router of
     /// the tree as well.)
     [[nodiscard]] const std::vector<net::RouterId>& leaves() const noexcept {
         return leaves_;
     }
-
-    /// All distinct links in the tree.
-    [[nodiscard]] const std::vector<net::LinkId>& links() const noexcept {
-        return links_;
+    /// Per leaf slot: the node it sits at.
+    [[nodiscard]] std::span<const int> leaf_nodes() const {
+        return leaf_nodes_;
     }
 
-    /// Tree-node index of a router, if present.
-    [[nodiscard]] std::optional<int> node_of(net::RouterId router) const;
+    /// All distinct links in the tree, in node order: links()[i] is
+    /// via()[i + 1].
+    [[nodiscard]] std::span<const net::LinkId> links() const {
+        return std::span<const net::LinkId>(via_).subspan(1);
+    }
 
     /// Links from the root to the given leaf slot, root-side first.
     [[nodiscard]] std::vector<net::LinkId> path_links(int leaf_slot) const;
 
-    /// Leaf slots in the subtree rooted at node index n.
-    [[nodiscard]] std::vector<int> leaf_slots_under(int node) const;
+    /// Leaf-slot bits of the subtree rooted at node n: ceil(leaves / 64)
+    /// words, the width of a ProbeMatrix row.
+    [[nodiscard]] std::span<const std::uint64_t> subtree_leaves(
+        std::size_t n) const {
+        return {subtree_leaves_.data() + n * leaf_words_, leaf_words_};
+    }
 
   private:
-    /// Grafts one root-anchored path into the tree; shared by both
-    /// constructors.
-    void insert_path(std::span<const net::RouterId> routers,
-                     std::span<const net::LinkId> links,
-                     std::unordered_set<net::LinkId>& seen_links);
-
     net::RouterId root_;
-    std::vector<Node> nodes_;
+    std::vector<int> parent_;
+    std::vector<net::LinkId> via_;
+    std::vector<int> leaf_slot_;
     std::vector<net::RouterId> leaves_;
-    std::vector<int> leaf_nodes_;  ///< node index per leaf slot
-    std::vector<net::LinkId> links_;
-    std::unordered_map<net::RouterId, int> node_of_;
+    std::vector<int> leaf_nodes_;
+    std::size_t leaf_words_ = 0;
+    std::vector<std::uint64_t> subtree_leaves_;  ///< node-major rows
 };
 
 /// The union-of-trees view: which links of F_H are covered when H combines
@@ -91,15 +90,6 @@ class Forest {
   public:
     /// trees[0] is H's own tree; the rest belong to H's routing peers.
     explicit Forest(std::vector<const ProbeTree*> trees);
-
-    [[nodiscard]] std::size_t tree_count() const noexcept {
-        return trees_.size();
-    }
-
-    /// All distinct links in the forest.
-    [[nodiscard]] const std::vector<net::LinkId>& links() const noexcept {
-        return links_;
-    }
 
     /// Fraction of forest links present in the union of the first
     /// `tree_count` trees.

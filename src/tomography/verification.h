@@ -18,7 +18,6 @@
 
 #pragma once
 
-#include <span>
 #include <vector>
 
 #include "tomography/probing.h"
@@ -26,10 +25,13 @@
 
 namespace concilium::tomography {
 
+// Each function throws std::invalid_argument when the session's rows are
+// not as wide as the tree's (or the caller's) leaf count.
+
 /// Leaves that acknowledged at least one probe with an invalid nonce.
 /// This is hard evidence of fabrication.
 std::vector<bool> detect_fabricators(std::size_t leaf_count,
-                                     std::span<const ProbeRecord> probes);
+                                     const ProbeMatrix& probes);
 
 struct SuppressionTestParams {
     /// Flag a leaf when its ack rate conditioned on sibling evidence falls
@@ -43,13 +45,13 @@ struct SuppressionTestParams {
 /// sibling subtree acknowledged the same stripe, proving the stripe reached
 /// the shared parent) is implausibly low.
 std::vector<bool> detect_suppressors(const ProbeTree& tree,
-                                     std::span<const ProbeRecord> probes,
+                                     const ProbeMatrix& probes,
                                      const SuppressionTestParams& params);
 
 /// Convenience: probes with either defect masked out per leaf, so inference
 /// can run on trustworthy feedback only.  Flagged leaves' acks are cleared
 /// (treated as silent), matching the exclusion semantics of Section 3.3.
-std::vector<ProbeRecord> exclude_leaves(std::span<const ProbeRecord> probes,
-                                        const std::vector<bool>& excluded);
+ProbeMatrix exclude_leaves(const ProbeMatrix& probes,
+                           const std::vector<bool>& excluded);
 
 }  // namespace concilium::tomography

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <unordered_map>
 
@@ -128,6 +129,11 @@ TEST_F(AccusationFixture, SerializationRoundTrips) {
     longer.push_back(0);
     EXPECT_THROW(FaultAccusation::deserialize(longer),
                  std::invalid_argument);
+    // A forged evidence count is a truncated message, not a request to
+    // reserve four billion records.
+    auto inflated = bytes;
+    std::fill_n(inflated.begin() + util::NodeId::kBytes, 4, 0xff);
+    EXPECT_THROW(FaultAccusation::deserialize(inflated), std::out_of_range);
 }
 
 TEST_F(AccusationFixture, DhtKeyIsStablePerPublicKey) {

@@ -17,6 +17,7 @@
 
 #include "daemon/daemon.h"
 #include "daemon/workload.h"
+#include "scratch_root.h"
 #include "util/time.h"
 
 namespace concilium::daemon {
@@ -58,13 +59,10 @@ DaemonOptions test_options(std::string checkpoint_dir) {
     return opts;
 }
 
-/// A fresh, empty scratch directory under the system temp dir.
+/// A fresh, empty scratch directory under this process's own temp root.
 fs::path scratch_dir(const std::string& name) {
-    const fs::path dir =
-        fs::temp_directory_path() / "concilium_daemon_test" / name;
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    return dir;
+    static const testing::ScratchRoot root("concilium_daemon_test");
+    return root.fresh(name);
 }
 
 std::string slurp(const fs::path& path) {
@@ -156,7 +154,7 @@ TEST(Checkpoint, LatestCheckpointFilePicksTheHighestClock) {
     write_atomic((dir / "notes.txt").string(), "not a checkpoint\n");
 
     EXPECT_EQ(latest_checkpoint_file(dir.string()), name(late));
-    fs::remove_all(dir.parent_path());
+    fs::remove_all(dir);
 }
 
 // The tentpole contract: SIGKILL-shaped interruption (stop mid-run, start
@@ -227,7 +225,8 @@ TEST(DaemonResume, StoppedAndResumedRunMatchesUninterruptedByteForByte) {
         ++compared;
     }
     EXPECT_GT(compared, 0u);
-    fs::remove_all(ref_dir.parent_path());
+    fs::remove_all(ref_dir);
+    fs::remove_all(cut_dir);
 }
 
 TEST(DaemonResume, RefusesGeometryAndTraceMismatches) {
@@ -268,7 +267,7 @@ TEST(DaemonResume, RefusesGeometryAndTraceMismatches) {
                             test_options(dir.string())),
                      std::invalid_argument);
     }
-    fs::remove_all(dir.parent_path());
+    fs::remove_all(dir);
 }
 
 TEST(CheckpointChain, SkipsTmpQuarantinedAndForeignFiles) {
@@ -297,7 +296,7 @@ TEST(CheckpointChain, SkipsTmpQuarantinedAndForeignFiles) {
     EXPECT_EQ(chain[0], newest);
     EXPECT_EQ(chain[1], oldest);
     EXPECT_EQ(latest_checkpoint_file(dir.string()), newest);
-    fs::remove_all(dir.parent_path());
+    fs::remove_all(dir);
 }
 
 TEST(CheckpointChain, PruneKeepsTheNewestAndSparesQuarantine) {
@@ -320,7 +319,7 @@ TEST(CheckpointChain, PruneKeepsTheNewestAndSparesQuarantine) {
     EXPECT_NE(chain[1].find(std::to_string(4 * kMinute)), std::string::npos);
     EXPECT_TRUE(
         fs::exists(dir / "checkpoint-7.ckpt.quarantined-truncated"));
-    fs::remove_all(dir.parent_path());
+    fs::remove_all(dir);
 }
 
 // The self-healing contract (DAEMON.md "Durability under storage faults"):
@@ -340,7 +339,7 @@ class DaemonSelfHeal : public ::testing::Test {
     }
 
     static void TearDownTestSuite() {
-        fs::remove_all(ref_dir_->parent_path());
+        fs::remove_all(*ref_dir_);
         delete ref_dir_;
         delete ref_state_;
         ref_dir_ = nullptr;

@@ -1,21 +1,29 @@
-// Golden seams for the arena/index-addressing refactor.
+// Golden seams for the memory-layout refactors.
 //
-// The memory-architecture refactor (flat storage, calendar queue, interned
-// digests) must be behaviour-preserving: routes, verdicts, and generated
-// topologies are required to come out byte-identical before and after.
-// These checksums were captured against the pre-refactor implementations;
-// any divergence means the refactor changed observable behaviour, not just
+// The memory-architecture refactors (flat storage, calendar queue, interned
+// digests, the flat probe tree and bit-packed probe sessions) must be
+// behaviour-preserving: routes, verdicts, generated topologies and probing
+// results are required to come out byte-identical before and after.  These
+// checksums were captured against the pre-refactor implementations; any
+// divergence means the refactor changed observable behaviour, not just
 // layout.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "core/verdicts.h"
+#include "crypto/certificates.h"
 #include "net/paths.h"
 #include "net/topology_gen.h"
+#include "tomography/inference.h"
+#include "tomography/probing.h"
+#include "tomography/snapshot.h"
+#include "tomography/verification.h"
+#include "util/arena.h"
 #include "util/rng.h"
 #include "util/time.h"
 
@@ -100,6 +108,123 @@ TEST(GoldenRefactor, FullScanTopologyStatsAreByteIdentical) {
     EXPECT_NEAR(s.link_router_ratio, 1.526672, 1e-6);
     EXPECT_NEAR(s.mean_interior_degree, 4.065110, 1e-6);
     EXPECT_TRUE(topo.connected());
+}
+
+std::uint64_t fnv_inference(std::uint64_t h,
+                            const tomography::InferenceResult& r) {
+    for (const double a : r.cumulative_pass) {
+        h = fnv(h, std::bit_cast<std::uint64_t>(a));
+    }
+    for (const auto& e : r.links) {
+        h = fnv(h, e.link);
+        h = fnv(h, std::bit_cast<std::uint64_t>(e.loss));
+        h = fnv(h, static_cast<std::uint64_t>(e.chain_length));
+        h = fnv(h, static_cast<std::uint64_t>(e.observable));
+    }
+    return h;
+}
+
+// The probing pipeline end to end: striped sampling (RNG draw order), the
+// fabricator and suppressor tests, leaf exclusion, MINC, and the snapshot
+// built from it.  Every link's pass probability lies strictly inside (0, 1)
+// so every link draws, every leaf may suppress so every received leaf
+// draws, and the tree has more than 64 leaves (multi-word rows), a probed
+// branch point and a probed single-child router.
+TEST(GoldenRefactor, ProbeSessionsAreByteIdentical) {
+    //   0 - 1 -+- 2 - 4 - 5 -< 40 hosts      (4 and 5 are also probed)
+    //          +- 3 -+-< 30 hosts
+    //                +- 6 -< 10 hosts
+    net::Topology topo;
+    for (int i = 0; i < 7; ++i) topo.add_router(net::RouterTier::kCore);
+    topo.add_link(0, 1);
+    topo.add_link(1, 2);
+    topo.add_link(1, 3);
+    topo.add_link(2, 4);
+    topo.add_link(4, 5);
+    topo.add_link(3, 6);
+    std::vector<net::RouterId> hosts;
+    const auto add_hosts = [&](net::RouterId at, int count) {
+        for (int i = 0; i < count; ++i) {
+            hosts.push_back(topo.add_router(net::RouterTier::kEndHost));
+            topo.add_link(at, hosts.back());
+        }
+    };
+    add_hosts(5, 40);
+    add_hosts(3, 30);
+    add_hosts(6, 10);
+    // Interleave the subtrees across leaf slots, probed routers mid-way.
+    std::vector<net::RouterId> dsts;
+    for (std::size_t i = 0; i < hosts.size(); ++i) {
+        dsts.push_back(hosts[(i * 37) % hosts.size()]);
+        if (i == 20) dsts.push_back(5);
+        if (i == 50) dsts.push_back(4);
+    }
+    const net::PathOracle oracle(topo);
+    util::Arena arena;
+    const tomography::ProbeTree tree(0, oracle.paths_into(0, dsts, arena));
+    ASSERT_EQ(tree.leaves().size(), 82u);
+
+    const auto pass = [](net::LinkId l, util::SimTime t) {
+        const auto k = (static_cast<std::uint64_t>(l) * 7919 +
+                        static_cast<std::uint64_t>(t / util::kMillisecond)) %
+                       97;
+        return 0.80 + 0.19 * static_cast<double>(k) / 97.0;
+    };
+    std::vector<tomography::LeafBehavior> behaviors(tree.leaves().size());
+    for (auto& b : behaviors) b.suppress_ack_probability = 0.02;
+    behaviors[3].suppress_ack_probability = 0.9;
+    behaviors[70].fabricate_acks = true;
+
+    crypto::CertificateAuthority ca(17);
+    const auto origin = ca.admit(0);
+    std::vector<util::NodeId> leaf_ids;
+    util::Rng id_rng(19);
+    for (std::size_t i = 0; i < tree.leaves().size(); ++i) {
+        leaf_ids.push_back(util::NodeId::random(id_rng));
+    }
+
+    std::uint64_t h = kFnvOffset;
+    for (const std::uint64_t seed : {1, 2, 3}) {
+        util::Rng rng(seed);
+        const util::SimTime t0 = static_cast<util::SimTime>(seed) * 7 *
+                                 util::kSecond;
+        const auto session = tomography::run_heavyweight_session(
+            tree, pass, t0, tomography::HeavyweightParams{.probe_count = 100},
+            behaviors, rng);
+        h = fnv(h, static_cast<std::uint64_t>(session.finished_at));
+        for (const int c : session.ack_counts) {
+            h = fnv(h, static_cast<std::uint64_t>(c));
+        }
+        const auto fabricators = tomography::detect_fabricators(
+            tree.leaves().size(), session.probes);
+        const auto suppressors = tomography::detect_suppressors(
+            tree, session.probes, tomography::SuppressionTestParams{});
+        EXPECT_TRUE(fabricators[70]);
+        EXPECT_TRUE(suppressors[3]);
+        std::vector<bool> excluded(tree.leaves().size(), false);
+        for (std::size_t leaf = 0; leaf < excluded.size(); ++leaf) {
+            excluded[leaf] = fabricators[leaf] || suppressors[leaf];
+            h = fnv(h, (fabricators[leaf] ? 1u : 0u) |
+                           (suppressors[leaf] ? 2u : 0u));
+        }
+        h = fnv_inference(h,
+                          tomography::infer_link_loss(tree, session.probes));
+        const auto cleaned =
+            tomography::exclude_leaves(session.probes, excluded);
+        const auto inference = tomography::infer_link_loss(tree, cleaned);
+        h = fnv_inference(h, inference);
+        const auto snapshot = tomography::make_snapshot(
+            origin.certificate.node_id, origin.keys, t0, tree, inference,
+            tomography::SnapshotParams{}, leaf_ids);
+        for (const std::uint8_t b : snapshot.signed_payload()) h = fnv(h, b);
+
+        const auto light = tomography::run_lightweight_probe(
+            tree, pass, t0, 2, behaviors, rng);
+        for (const bool r : light.responsive) h = fnv(h, r ? 1u : 0u);
+        // The stream position after the chain pins the number of draws.
+        h = fnv(h, static_cast<std::uint64_t>(rng.uniform_int(0, 1'000'000)));
+    }
+    EXPECT_EQ(h, 0x6006a9aae9cc70e9ULL);
 }
 
 }  // namespace

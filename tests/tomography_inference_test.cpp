@@ -5,6 +5,7 @@
 #include "net/paths.h"
 #include "tomography/inference.h"
 #include "tomography/probing.h"
+#include "util/arena.h"
 #include "util/rng.h"
 
 namespace concilium::tomography {
@@ -23,7 +24,8 @@ struct InferenceFixture : ::testing::Test {
         links[5] = topo.add_link(3, 6);
         const net::PathOracle oracle(topo);
         const std::vector<net::RouterId> dsts{4, 5, 6};
-        tree.emplace(0, oracle.paths_from(0, dsts));
+        util::Arena arena;
+        tree.emplace(0, oracle.paths_into(0, dsts, arena));
     }
 
     InferenceResult infer(std::unordered_map<net::LinkId, double> loss,
@@ -103,9 +105,8 @@ TEST_F(InferenceFixture, ChainLossAttributedWithChainLength) {
 
 TEST_F(InferenceFixture, CumulativePassesAreMonotoneDownTree) {
     const auto result = infer({{links[1], 0.2}, {links[3], 0.2}});
-    const auto& nodes = tree->nodes();
-    for (std::size_t k = 1; k < nodes.size(); ++k) {
-        const auto parent = static_cast<std::size_t>(nodes[k].parent);
+    for (std::size_t k = 1; k < tree->node_count(); ++k) {
+        const auto parent = static_cast<std::size_t>(tree->parent()[k]);
         EXPECT_LE(result.cumulative_pass[k],
                   result.cumulative_pass[parent] + 1e-9);
     }
@@ -113,6 +114,20 @@ TEST_F(InferenceFixture, CumulativePassesAreMonotoneDownTree) {
 
 TEST_F(InferenceFixture, RejectsEmptyProbeSet) {
     EXPECT_THROW(infer_link_loss(*tree, {}), std::invalid_argument);
+}
+
+TEST_F(InferenceFixture, RejectsSessionOfAnotherTreeWidth) {
+    // A session probed on a two-leaf tree is too narrow for this tree.
+    const net::PathOracle oracle(topo);
+    const std::vector<net::RouterId> dsts{4, 5};
+    util::Arena arena;
+    const ProbeTree narrow(0, oracle.paths_into(0, dsts, arena));
+    util::Rng rng(3);
+    const auto session = run_heavyweight_session(
+        narrow, [](net::LinkId, util::SimTime) { return 1.0; }, 0,
+        HeavyweightParams{.probe_count = 20}, {}, rng);
+    EXPECT_THROW(infer_link_loss(*tree, session.probes),
+                 std::invalid_argument);
 }
 
 TEST(InferenceChain, MultiLinkChainSharesAggregateLoss) {
@@ -128,7 +143,8 @@ TEST(InferenceChain, MultiLinkChainSharesAggregateLoss) {
     const auto l4 = topo.add_link(3, 5);
     const net::PathOracle oracle(topo);
     const std::vector<net::RouterId> dsts{4, 5};
-    const ProbeTree tree(0, oracle.paths_from(0, dsts));
+    util::Arena arena;
+    const ProbeTree tree(0, oracle.paths_into(0, dsts, arena));
 
     util::Rng rng(2);
     const auto pass = [&](net::LinkId l, util::SimTime) {

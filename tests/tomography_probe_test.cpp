@@ -1,13 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <unordered_map>
+
 #include "net/paths.h"
 #include "tomography/probing.h"
 #include "tomography/tree.h"
 #include "tomography/verification.h"
+#include "util/arena.h"
 #include "util/rng.h"
 
 namespace concilium::tomography {
 namespace {
+
+using enum ProbePlane;
 
 struct ProbeFixture : ::testing::Test {
     ProbeFixture() {
@@ -20,11 +25,12 @@ struct ProbeFixture : ::testing::Test {
         links[5] = topo.add_link(3, 6);
         const net::PathOracle oracle(topo);
         const std::vector<net::RouterId> dsts{4, 5, 6};
-        tree.emplace(0, oracle.paths_from(0, dsts));
+        util::Arena arena;
+        tree.emplace(0, oracle.paths_into(0, dsts, arena));
     }
 
     /// Pass-probability function: perfect except for listed lossy links.
-    PassProbabilityFn make_pass_fn(
+    static auto make_pass_fn(
         std::unordered_map<net::LinkId, double> loss = {}) {
         return [loss](net::LinkId l, util::SimTime) {
             const auto it = loss.find(l);
@@ -41,10 +47,11 @@ TEST_F(ProbeFixture, PerfectNetworkAllLeavesAck) {
     util::Rng rng(1);
     const auto rec =
         sample_striped_probe(*tree, make_pass_fn(), 0, {}, rng);
+    ASSERT_EQ(rec.size(), 1u);
     for (std::size_t leaf = 0; leaf < 3; ++leaf) {
-        EXPECT_TRUE(rec.received[leaf]);
-        EXPECT_TRUE(rec.acked[leaf]);
-        EXPECT_TRUE(rec.nonce_valid[leaf]);
+        EXPECT_TRUE(rec.test(kReceived, 0, leaf));
+        EXPECT_TRUE(rec.test(kValidAck, 0, leaf));
+        EXPECT_FALSE(rec.test(kFabricatedAck, 0, leaf));
     }
 }
 
@@ -53,8 +60,9 @@ TEST_F(ProbeFixture, DeadRootLinkSilencesEveryLeaf) {
     const auto rec = sample_striped_probe(
         *tree, make_pass_fn({{links[0], 1.0}}), 0, {}, rng);
     for (std::size_t leaf = 0; leaf < 3; ++leaf) {
-        EXPECT_FALSE(rec.received[leaf]);
-        EXPECT_FALSE(rec.acked[leaf]);
+        EXPECT_FALSE(rec.test(kReceived, 0, leaf));
+        EXPECT_FALSE(rec.test(kValidAck, 0, leaf));
+        EXPECT_FALSE(rec.test(kFabricatedAck, 0, leaf));
     }
 }
 
@@ -65,8 +73,9 @@ TEST_F(ProbeFixture, SharedLinkLossIsCorrelatedAcrossLeaves) {
     for (int trial = 0; trial < 200; ++trial) {
         const auto rec = sample_striped_probe(
             *tree, make_pass_fn({{links[1], 0.5}}), 0, {}, rng);
-        EXPECT_EQ(rec.received[0], rec.received[1]) << "trial " << trial;
-        EXPECT_TRUE(rec.received[2]);  // leaf 6 unaffected
+        EXPECT_EQ(rec.test(kReceived, 0, 0), rec.test(kReceived, 0, 1))
+            << "trial " << trial;
+        EXPECT_TRUE(rec.test(kReceived, 0, 2));  // leaf 6 unaffected
     }
 }
 
@@ -77,9 +86,9 @@ TEST_F(ProbeFixture, LastMileLossAffectsOneLeafOnly) {
     for (int trial = 0; trial < n; ++trial) {
         const auto rec = sample_striped_probe(
             *tree, make_pass_fn({{links[3], 0.3}}), 0, {}, rng);
-        if (!rec.received[0]) ++lost4;
-        EXPECT_TRUE(rec.received[1]);
-        EXPECT_TRUE(rec.received[2]);
+        if (!rec.test(kReceived, 0, 0)) ++lost4;
+        EXPECT_TRUE(rec.test(kReceived, 0, 1));
+        EXPECT_TRUE(rec.test(kReceived, 0, 2));
     }
     EXPECT_NEAR(lost4, 150, 45);
 }
@@ -90,8 +99,9 @@ TEST_F(ProbeFixture, SuppressorDropsAcksButReceives) {
     behaviors[1].suppress_ack_probability = 1.0;
     const auto rec =
         sample_striped_probe(*tree, make_pass_fn(), 0, behaviors, rng);
-    EXPECT_TRUE(rec.received[1]);
-    EXPECT_FALSE(rec.acked[1]);
+    EXPECT_TRUE(rec.test(kReceived, 0, 1));
+    EXPECT_FALSE(rec.test(kValidAck, 0, 1));
+    EXPECT_FALSE(rec.test(kFabricatedAck, 0, 1));
 }
 
 TEST_F(ProbeFixture, FabricatorAcksWithInvalidNonce) {
@@ -100,9 +110,9 @@ TEST_F(ProbeFixture, FabricatorAcksWithInvalidNonce) {
     behaviors[2].fabricate_acks = true;
     const auto rec = sample_striped_probe(
         *tree, make_pass_fn({{links[5], 1.0}}), 0, behaviors, rng);
-    EXPECT_FALSE(rec.received[2]);
-    EXPECT_TRUE(rec.acked[2]);
-    EXPECT_FALSE(rec.nonce_valid[2]);  // cannot echo an unseen nonce
+    EXPECT_FALSE(rec.test(kReceived, 0, 2));
+    EXPECT_TRUE(rec.test(kFabricatedAck, 0, 2));
+    EXPECT_FALSE(rec.test(kValidAck, 0, 2));  // cannot echo an unseen nonce
 }
 
 TEST_F(ProbeFixture, BehaviorSizeMismatchThrows) {
@@ -197,11 +207,35 @@ TEST_F(ProbeFixture, ExcludeLeavesSilencesFlaggedFeedback) {
         rng);
     const auto cleaned =
         exclude_leaves(session.probes, {true, false, false});
-    for (const auto& rec : cleaned) {
-        EXPECT_FALSE(rec.acked[0]);
-        EXPECT_TRUE(rec.acked[1]);
+    ASSERT_EQ(cleaned.size(), 10u);
+    for (std::size_t i = 0; i < cleaned.size(); ++i) {
+        EXPECT_TRUE(cleaned.test(kReceived, i, 0));  // only feedback goes
+        EXPECT_FALSE(cleaned.test(kValidAck, i, 0));
+        EXPECT_TRUE(cleaned.test(kValidAck, i, 1));
     }
     EXPECT_THROW(exclude_leaves(session.probes, {true}),
+                 std::invalid_argument);
+}
+
+TEST_F(ProbeFixture, SessionWidthMismatchThrows) {
+    // A session probed on a two-leaf tree is too narrow for the fixture's
+    // three-leaf tree: every consumer refuses it instead of reading past
+    // the rows.
+    const net::PathOracle oracle(topo);
+    const std::vector<net::RouterId> dsts{4, 5};
+    util::Arena arena;
+    const ProbeTree narrow(0, oracle.paths_into(0, dsts, arena));
+    util::Rng rng(15);
+    const auto session = run_heavyweight_session(
+        narrow, make_pass_fn(), 0, HeavyweightParams{.probe_count = 20}, {},
+        rng);
+    EXPECT_THROW((void)detect_fabricators(3, session.probes),
+                 std::invalid_argument);
+    EXPECT_THROW((void)detect_suppressors(*tree, session.probes,
+                                          SuppressionTestParams{}),
+                 std::invalid_argument);
+    EXPECT_THROW((void)exclude_leaves(session.probes,
+                                      std::vector<bool>(3, false)),
                  std::invalid_argument);
 }
 

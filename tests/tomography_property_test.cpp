@@ -11,6 +11,7 @@
 #include "tomography/inference.h"
 #include "tomography/overlay_trees.h"
 #include "tomography/probing.h"
+#include "util/arena.h"
 #include "util/rng.h"
 
 namespace concilium::tomography {
@@ -23,7 +24,8 @@ struct RandomTree {
         root = topo.add_router(net::RouterTier::kCore);
         grow(root, branch, depth, rng);
         const net::PathOracle oracle(topo);
-        tree.emplace(root, oracle.paths_from(root, hosts));
+        util::Arena arena;
+        tree.emplace(root, oracle.paths_into(root, hosts, arena));
     }
 
     void grow(net::RouterId at, int branch, int depth, util::Rng& rng) {

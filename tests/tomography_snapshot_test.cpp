@@ -5,6 +5,7 @@
 #include "tomography/inference.h"
 #include "tomography/probing.h"
 #include "tomography/snapshot.h"
+#include "util/arena.h"
 #include "util/rng.h"
 
 namespace concilium::tomography {
@@ -42,7 +43,8 @@ struct SnapshotFixture : ::testing::Test {
         links[5] = topo.add_link(3, 6);
         const net::PathOracle oracle(topo);
         const std::vector<net::RouterId> dsts{4, 5, 6};
-        tree.emplace(0, oracle.paths_from(0, dsts));
+        util::Arena arena;
+        tree.emplace(0, oracle.paths_into(0, dsts, arena));
         origin = ca.admit(0);
         util::Rng rng(5);
         for (int i = 0; i < 3; ++i) {

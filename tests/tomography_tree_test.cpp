@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 
 #include "net/paths.h"
 #include "net/topology.h"
 #include "net/topology_gen.h"
 #include "tomography/tree.h"
+#include "util/arena.h"
 #include "util/rng.h"
 
 namespace concilium::tomography {
@@ -30,20 +32,26 @@ struct TreeFixture {
         links[5] = topo.add_link(3, 6);
         const net::PathOracle oracle(topo);
         const std::vector<net::RouterId> dsts{4, 5, 6};
-        paths = oracle.paths_from(0, dsts);
+        paths = oracle.paths_into(0, dsts, arena);
     }
 
     net::Topology topo;
     net::LinkId links[6];
-    std::vector<net::Path> paths;
+    util::Arena arena;
+    std::vector<net::PathView> paths;
 };
 
 TEST(ProbeTree, MergesPathsIntoSharedTree) {
     TreeFixture f;
     const ProbeTree tree(0, f.paths);
     EXPECT_EQ(tree.root(), 0u);
-    EXPECT_EQ(tree.nodes().size(), 7u);
-    EXPECT_EQ(tree.links().size(), 6u);
+    EXPECT_EQ(tree.node_count(), 7u);
+    ASSERT_EQ(tree.links().size(), 6u);
+    EXPECT_EQ(tree.parent()[0], -1);
+    for (std::size_t k = 1; k < tree.node_count(); ++k) {
+        EXPECT_LT(tree.parent()[k], static_cast<int>(k));  // parent first
+        EXPECT_EQ(tree.links()[k - 1], tree.via()[k]);
+    }
     ASSERT_EQ(tree.leaves().size(), 3u);
     EXPECT_EQ(tree.leaves()[0], 4u);
     EXPECT_EQ(tree.leaves()[1], 5u);
@@ -64,21 +72,27 @@ TEST(ProbeTree, PathLinksReconstructRootPaths) {
     EXPECT_THROW((void)tree.path_links(3), std::out_of_range);
 }
 
-TEST(ProbeTree, NodeOfAndSubtreeLeaves) {
+TEST(ProbeTree, LeafNodesAndSubtreeLeafMasks) {
     TreeFixture f;
     const ProbeTree tree(0, f.paths);
-    const auto n2 = tree.node_of(2);
-    ASSERT_TRUE(n2.has_value());
-    const auto under2 = tree.leaf_slots_under(*n2);
-    EXPECT_EQ(under2, (std::vector<int>{0, 1}));  // leaves 4 and 5
-    const auto under_root = tree.leaf_slots_under(0);
-    EXPECT_EQ(under_root, (std::vector<int>{0, 1, 2}));
-    EXPECT_FALSE(tree.node_of(99).has_value());
+    ASSERT_EQ(tree.subtree_leaves(0).size(), 1u);  // one word per row
+    for (std::size_t slot = 0; slot < tree.leaves().size(); ++slot) {
+        const auto node = static_cast<std::size_t>(tree.leaf_nodes()[slot]);
+        EXPECT_EQ(tree.leaf_slot()[node], static_cast<int>(slot));
+        EXPECT_EQ(tree.subtree_leaves(node)[0], std::uint64_t{1} << slot);
+    }
+    // Router 2 is the shared parent of leaves 4 and 5 (slots 0 and 1).
+    const int n2 = tree.parent()[tree.leaf_nodes()[0]];
+    EXPECT_EQ(tree.parent()[tree.leaf_nodes()[1]], n2);
+    EXPECT_EQ(tree.leaf_slot()[static_cast<std::size_t>(n2)],
+              ProbeTree::kNoLeaf);
+    EXPECT_EQ(tree.subtree_leaves(static_cast<std::size_t>(n2))[0], 0b011u);
+    EXPECT_EQ(tree.subtree_leaves(0)[0], 0b111u);
 }
 
 TEST(ProbeTree, SkipsEmptyPaths) {
     TreeFixture f;
-    f.paths.push_back(net::Path{});  // unreachable peer
+    f.paths.push_back(net::PathView{});  // unreachable peer
     const ProbeTree tree(0, f.paths);
     EXPECT_EQ(tree.leaves().size(), 3u);
 }
@@ -88,19 +102,23 @@ TEST(ProbeTree, InteriorEndpointGetsLeafSlot) {
     // Also probe router 2, which lies on the way to 4 and 5.
     const net::PathOracle oracle(f.topo);
     const std::vector<net::RouterId> dsts{4, 5, 2};
-    const auto paths = oracle.paths_from(0, dsts);
+    const auto paths = oracle.paths_into(0, dsts, f.arena);
     const ProbeTree tree(0, paths);
     ASSERT_EQ(tree.leaves().size(), 3u);
-    const auto n2 = tree.node_of(2);
-    ASSERT_TRUE(n2.has_value());
-    EXPECT_TRUE(tree.nodes()[static_cast<std::size_t>(*n2)]
-                    .leaf_slot.has_value());
+    EXPECT_EQ(tree.leaves()[2], 2u);
+    // Slot 2 sits at the interior router the other two leaves hang under.
+    const int n2 = tree.leaf_nodes()[2];
+    EXPECT_EQ(tree.leaf_slot()[static_cast<std::size_t>(n2)], 2);
+    EXPECT_EQ(tree.parent()[tree.leaf_nodes()[0]], n2);
+    EXPECT_EQ(tree.parent()[tree.leaf_nodes()[1]], n2);
+    EXPECT_EQ(tree.subtree_leaves(static_cast<std::size_t>(n2))[0], 0b111u);
 }
 
 TEST(ProbeTree, RejectsForeignPaths) {
     TreeFixture f;
     const net::PathOracle oracle(f.topo);
-    std::vector<net::Path> wrong{oracle.path(1, 4)};  // starts at 1, not 0
+    const std::vector<net::RouterId> to4{4};
+    const auto wrong = oracle.paths_into(1, to4, f.arena);  // starts at 1
     EXPECT_THROW(ProbeTree(0, wrong), std::invalid_argument);
 }
 
@@ -108,11 +126,10 @@ TEST(ProbeTree, RejectsInconsistentParents) {
     TreeFixture f;
     // Add a second route to router 4 through 3 to fabricate a disagreement.
     const net::LinkId alt = f.topo.add_link(3, 4);
-    net::Path bogus;
-    bogus.routers = {0, 1, 3, 4};
-    bogus.links = {f.links[0], f.links[2], alt};
+    const std::vector<net::RouterId> routers{0, 1, 3, 4};
+    const std::vector<net::LinkId> hops{f.links[0], f.links[2], alt};
     auto paths = f.paths;
-    paths.push_back(bogus);
+    paths.push_back(net::PathView{routers, hops});
     EXPECT_THROW(ProbeTree(0, paths), std::invalid_argument);
 }
 
@@ -122,10 +139,10 @@ TEST(Forest, CoverageGrowsMonotonically) {
     const ProbeTree t0(0, f.paths);
     // Peer trees rooted at 4 and 6, probing the other hosts.
     const std::vector<net::RouterId> d4{0, 5, 6};
-    const auto p4 = oracle.paths_from(4, d4);
+    const auto p4 = oracle.paths_into(4, d4, f.arena);
     const ProbeTree t4(4, p4);
     const std::vector<net::RouterId> d6{0, 4, 5};
-    const auto p6 = oracle.paths_from(6, d6);
+    const auto p6 = oracle.paths_into(6, d6, f.arena);
     const ProbeTree t6(6, p6);
 
     const Forest forest({&t0, &t4, &t6});
@@ -158,12 +175,14 @@ TEST(Forest, GeneratedTopologyOwnTreeCoversMinority) {
     ASSERT_GE(hosts.size(), 12u);
     // Tree per host: paths to 8 other random hosts.
     std::vector<ProbeTree> trees;
+    util::Arena arena;
     for (std::size_t h = 0; h < 10; ++h) {
         std::vector<net::RouterId> dsts;
         for (std::size_t k = 1; k <= 8; ++k) {
             dsts.push_back(hosts[(h + k * 7) % hosts.size()]);
         }
-        trees.emplace_back(hosts[h], oracle.paths_from(hosts[h], dsts));
+        trees.emplace_back(hosts[h],
+                           oracle.paths_into(hosts[h], dsts, arena));
     }
     std::vector<const ProbeTree*> ptrs;
     for (const auto& t : trees) ptrs.push_back(&t);

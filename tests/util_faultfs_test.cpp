@@ -15,17 +15,17 @@
 #include <fstream>
 #include <string>
 
+#include "scratch_root.h"
+
 namespace concilium::util {
 namespace {
 
 namespace fs = std::filesystem;
 
+/// A fresh, empty scratch directory under this process's own temp root.
 std::string scratch_dir(const char* name) {
-    const fs::path dir = fs::temp_directory_path() /
-                         (std::string("concilium_faultfs_") + name);
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    return dir.string();
+    static const testing::ScratchRoot root("concilium_faultfs_test");
+    return root.fresh(name).string();
 }
 
 std::string slurp(const std::string& path) {
