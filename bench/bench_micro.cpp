@@ -167,9 +167,12 @@ void BM_BfsPathExtraction(benchmark::State& state) {
     const net::PathOracle oracle(topo);
     const auto hosts = topo.end_hosts();
     std::vector<net::RouterId> dsts(hosts.begin(), hosts.begin() + 64);
+    util::Arena arena;
     std::size_t src = 64;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(oracle.paths_from(hosts[src % hosts.size()], dsts));
+        benchmark::DoNotOptimize(
+            oracle.paths_into(hosts[src % hosts.size()], dsts, arena));
+        arena.reset();
         ++src;
     }
 }

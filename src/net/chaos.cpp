@@ -104,7 +104,7 @@ bool FaultPlan::partition_blocks(std::size_t a, std::size_t b,
 }
 
 FaultPlan build_fault_plan(const FaultSpec& spec, util::SimTime duration,
-                           std::span<const Path> candidate_paths,
+                           std::span<const PathView> candidate_paths,
                            std::size_t node_count, util::Rng& rng) {
     auto& registry = util::metrics::Registry::global();
     static auto& plans = registry.counter("chaos.plans_built");
@@ -124,7 +124,7 @@ FaultPlan build_fault_plan(const FaultSpec& spec, util::SimTime duration,
 
     const double minutes = util::to_seconds(duration) / 60.0;
     const auto pick_link = [&](util::Rng& r) -> LinkId {
-        const Path& path = candidate_paths[r.uniform_index(
+        const PathView& path = candidate_paths[r.uniform_index(
             candidate_paths.size())];
         return path.links[r.uniform_index(path.links.size())];
     };
@@ -149,7 +149,7 @@ FaultPlan build_fault_plan(const FaultSpec& spec, util::SimTime duration,
     if (flap_rate > 0.0 && !candidate_paths.empty()) {
         // Expected flap_rate * #links flaps per minute; 5-20 s downtime.
         std::size_t distinct_links = 0;
-        for (const Path& p : candidate_paths) distinct_links += p.hops();
+        for (const PathView& p : candidate_paths) distinct_links += p.hops();
         const double per_minute =
             flap_rate * static_cast<double>(distinct_links) /
             std::max<double>(1.0, static_cast<double>(candidate_paths.size()));
@@ -172,7 +172,7 @@ FaultPlan build_fault_plan(const FaultSpec& spec, util::SimTime duration,
             corr_rate * static_cast<double>(candidate_paths.size()) / 100.0;
         const std::size_t n = event_count(std::min(1.0, per_minute));
         for (std::size_t i = 0; i < n; ++i) {
-            const Path& path = candidate_paths[rng.uniform_index(
+            const PathView& path = candidate_paths[rng.uniform_index(
                 candidate_paths.size())];
             if (path.links.empty()) continue;
             const std::size_t width = std::min<std::size_t>(

@@ -191,10 +191,9 @@ struct FaultPlan {
 /// links along one path, loss spikes pick single links.  `node_count` is
 /// the overlay size the churn process draws from.  Deterministic: the plan
 /// is a pure function of the arguments and the rng's seed.
-[[nodiscard]] FaultPlan build_fault_plan(const FaultSpec& spec,
-                                         util::SimTime duration,
-                                         std::span<const Path> candidate_paths,
-                                         std::size_t node_count,
-                                         util::Rng& rng);
+[[nodiscard]] FaultPlan build_fault_plan(
+    const FaultSpec& spec, util::SimTime duration,
+    std::span<const PathView> candidate_paths, std::size_t node_count,
+    util::Rng& rng);
 
 }  // namespace concilium::net

@@ -93,13 +93,12 @@ const std::vector<DownInterval>& FailureTimeline::intervals(LinkId link) const {
     return link >= down_.size() ? kEmpty : down_[link];
 }
 
-FailureTimeline generate_failure_timeline(const FailureModelParams& params,
-                                          util::SimTime duration,
-                                          std::span<const Path> candidate_paths,
-                                          util::Rng& rng) {
+FailureTimeline generate_failure_timeline(
+    const FailureModelParams& params, util::SimTime duration,
+    std::span<const PathView> candidate_paths, util::Rng& rng) {
     FailureTimeline timeline;
-    std::vector<const Path*> nonempty;
-    for (const Path& p : candidate_paths) {
+    std::vector<const PathView*> nonempty;
+    for (const PathView& p : candidate_paths) {
         if (!p.empty()) nonempty.push_back(&p);
     }
     if (nonempty.empty()) {
@@ -108,7 +107,7 @@ FailureTimeline generate_failure_timeline(const FailureModelParams& params,
     }
 
     std::unordered_set<LinkId> universe;
-    for (const Path* p : nonempty) {
+    for (const PathView* p : nonempty) {
         universe.insert(p->links.begin(), p->links.end());
     }
 
@@ -126,7 +125,7 @@ FailureTimeline generate_failure_timeline(const FailureModelParams& params,
     while (t < horizon) {
         t += rng.exponential(mean_gap_us);
         if (t >= horizon) break;
-        const Path& path = *nonempty[rng.uniform_index(nonempty.size())];
+        const PathView& path = *nonempty[rng.uniform_index(nonempty.size())];
         const double depth =
             rng.beta(params.depth_beta_alpha, params.depth_beta_beta);
         auto index = static_cast<std::size_t>(

@@ -88,6 +88,6 @@ struct FailureModelParams {
 /// are down; a warm-up period before t=0 reaches steady state by the start.
 FailureTimeline generate_failure_timeline(
     const FailureModelParams& params, util::SimTime duration,
-    std::span<const Path> candidate_paths, util::Rng& rng);
+    std::span<const PathView> candidate_paths, util::Rng& rng);
 
 }  // namespace concilium::net

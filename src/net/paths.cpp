@@ -1,73 +1,56 @@
 #include "net/paths.h"
 
-#include <algorithm>
-#include <deque>
+#include <stdexcept>
+#include <string>
 
 namespace concilium::net {
 
-void PathOracle::bfs(RouterId src, std::vector<RouterId>& parent,
-                     std::vector<LinkId>& via) const {
-    parent.assign(topo_->router_count(), kInvalidRouter);
-    via.assign(topo_->router_count(), kInvalidLink);
-    parent[src] = src;
-    std::deque<RouterId> queue{src};
-    while (!queue.empty()) {
-        const RouterId r = queue.front();
-        queue.pop_front();
-        for (const Topology::Edge& e : topo_->neighbors(r)) {
-            if (parent[e.neighbor] == kInvalidRouter) {
-                parent[e.neighbor] = r;
-                via[e.neighbor] = e.link;
-                queue.push_back(e.neighbor);
-            }
-        }
+PathOracle::PathOracle(const Topology& topo) {
+    const std::size_t n = topo.router_count();
+    offsets_.reserve(n + 1);
+    edges_.reserve(2 * topo.link_count());
+    expands_.reserve(n);
+    offsets_.push_back(0);
+    for (RouterId r = 0; r < n; ++r) {
+        const auto edges = topo.neighbors(r);
+        edges_.insert(edges_.end(), edges.begin(), edges.end());
+        offsets_.push_back(static_cast<std::uint32_t>(edges_.size()));
+        expands_.push_back(edges.size() > 1 ? 1 : 0);
     }
-}
-
-namespace {
-
-Path extract(RouterId src, RouterId dst, const std::vector<RouterId>& parent,
-             const std::vector<LinkId>& via) {
-    Path path;
-    if (dst == src || parent[dst] == kInvalidRouter) return path;
-    for (RouterId r = dst; r != src; r = parent[r]) {
-        path.routers.push_back(r);
-        path.links.push_back(via[r]);
-    }
-    path.routers.push_back(src);
-    std::reverse(path.routers.begin(), path.routers.end());
-    std::reverse(path.links.begin(), path.links.end());
-    return path;
-}
-
-}  // namespace
-
-Path PathOracle::path(RouterId src, RouterId dst) const {
-    std::vector<RouterId> parent;
-    std::vector<LinkId> via;
-    bfs(src, parent, via);
-    return extract(src, dst, parent, via);
-}
-
-std::vector<Path> PathOracle::paths_from(RouterId src,
-                                         std::span<const RouterId> dsts) const {
-    std::vector<RouterId> parent;
-    std::vector<LinkId> via;
-    bfs(src, parent, via);
-    std::vector<Path> out;
-    out.reserve(dsts.size());
-    for (const RouterId dst : dsts) {
-        out.push_back(extract(src, dst, parent, via));
-    }
-    return out;
 }
 
 std::vector<PathView> PathOracle::paths_into(RouterId src,
                                              std::span<const RouterId> dsts,
                                              util::Arena& arena) const {
-    std::vector<RouterId> parent;
-    std::vector<LinkId> via;
-    bfs(src, parent, via);
+    const std::size_t n = offsets_.size() - 1;
+    const auto require = [n](RouterId r, const char* role) {
+        if (r >= n) {
+            throw std::out_of_range("PathOracle::paths_into: " +
+                                    std::string(role) + " router " +
+                                    std::to_string(r) + " out of range (" +
+                                    std::to_string(n) + " routers)");
+        }
+    };
+    require(src, "source");
+    for (const RouterId dst : dsts) require(dst, "destination");
+
+    std::vector<RouterId> parent(n, kInvalidRouter);
+    std::vector<LinkId> via(n, kInvalidLink);
+    std::vector<RouterId> queue;
+    queue.reserve(n);
+    parent[src] = src;
+    queue.push_back(src);
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+        const RouterId r = queue[head];
+        for (std::uint32_t e = offsets_[r]; e < offsets_[r + 1]; ++e) {
+            const Topology::Edge& edge = edges_[e];
+            if (parent[edge.neighbor] != kInvalidRouter) continue;
+            parent[edge.neighbor] = r;
+            via[edge.neighbor] = edge.link;
+            if (expands_[edge.neighbor] != 0) queue.push_back(edge.neighbor);
+        }
+    }
+
     std::vector<PathView> out;
     out.reserve(dsts.size());
     for (const RouterId dst : dsts) {

@@ -8,6 +8,7 @@
 
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -45,33 +46,34 @@ struct PathView {
 
 class PathOracle {
   public:
-    explicit PathOracle(const Topology& topo) : topo_(&topo) {}
-
-    /// Shortest path from src to dst.  Deterministic: ties break by
-    /// adjacency-list order, which is fixed by construction order.
-    /// Returns an empty path when dst is unreachable or src == dst.
-    [[nodiscard]] Path path(RouterId src, RouterId dst) const;
-
-    /// One BFS from src, extracting the paths to every destination.
-    /// Unreachable destinations yield empty paths.
-    [[nodiscard]] std::vector<Path> paths_from(
-        RouterId src, std::span<const RouterId> dsts) const;
+    /// Copies the topology's adjacency into CSR form -- one flat edge array
+    /// plus per-router offsets, each router's edges in adjacency-list order
+    /// -- so the oracle keeps no reference to `topo`.
+    explicit PathOracle(const Topology& topo);
 
     /// One BFS from src; every extracted path is carved out of `arena`
     /// (two pointer bumps per path, no per-path heap traffic) and returned
     /// as spans.  The spans stay valid until the arena is reset or
     /// destroyed.  At full-SCAN scale this is the difference between two
     /// heap allocations per (member, peer) pair and none.
+    ///
+    /// Shortest paths, deterministic: ties break by adjacency-list order,
+    /// which is fixed by construction order.  A destination that is
+    /// unreachable or equal to src yields an empty view.  Throws
+    /// std::out_of_range naming the router when src or a destination is
+    /// not a router of the topology.
     [[nodiscard]] std::vector<PathView> paths_into(
         RouterId src, std::span<const RouterId> dsts,
         util::Arena& arena) const;
 
   private:
-    /// Runs BFS from src; fills parent-link arrays sized to the topology.
-    void bfs(RouterId src, std::vector<RouterId>& parent,
-             std::vector<LinkId>& via) const;
-
-    const Topology* topo_;
+    /// Router r's edges are edges_[offsets_[r] .. offsets_[r + 1]).
+    std::vector<std::uint32_t> offsets_;
+    std::vector<Topology::Edge> edges_;
+    /// Per router: 1 when it has more than one link.  A degree-1 router's
+    /// only link leads back to the router that reached it, so BFS marks it
+    /// but never expands it.
+    std::vector<std::uint8_t> expands_;
 };
 
 }  // namespace concilium::net

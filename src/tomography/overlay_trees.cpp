@@ -1,39 +1,127 @@
 #include "tomography/overlay_trees.h"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
+#include <iterator>
 #include <stdexcept>
+#include <system_error>
+#include <thread>
 
 namespace concilium::tomography {
+
+namespace {
+
+/// Sources per build chunk.  Fixed, so the chunk boundaries -- and with
+/// them every arena's contents and the concatenation order -- never depend
+/// on the worker count.
+constexpr std::size_t kChunkMembers = 64;
+/// A chunk of full-SCAN paths fills a few hundred KiB; small blocks keep
+/// the unused tail of each chunk's arena small.
+constexpr std::size_t kChunkArenaBlockBytes = std::size_t{64} << 10;
+/// BFS router visits (sources x routers) that pay for one more worker.
+constexpr std::size_t kVisitsPerWorker = 4'000'000;
+
+/// One chunk's share of every per-member table, plus the arena its paths
+/// live in.
+struct Chunk {
+    util::Arena arena{kChunkArenaBlockBytes};
+    std::vector<ProbeTree> trees;
+    std::vector<std::vector<std::pair<overlay::MemberIndex, int>>> leaf_slots;
+    std::vector<net::PathView> paths;
+    std::vector<std::vector<util::NodeId>> leaf_ids;
+    std::vector<std::vector<overlay::MemberIndex>> leaf_members;
+};
+
+void build_chunk(const overlay::OverlayNetwork& net,
+                 const net::PathOracle& oracle, std::size_t begin,
+                 std::size_t end, Chunk& out) {
+    out.trees.reserve(end - begin);
+    std::vector<net::RouterId> dsts;
+    for (std::size_t i = begin; i < end; ++i) {
+        const auto m = static_cast<overlay::MemberIndex>(i);
+        const auto& peers = net.routing_peers(m);
+        dsts.clear();
+        for (const overlay::MemberIndex p : peers) {
+            dsts.push_back(net.member(p).ip());
+        }
+        const std::vector<net::PathView> paths =
+            oracle.paths_into(net.member(m).ip(), dsts, out.arena);
+        out.trees.emplace_back(net.member(m).ip(), paths);
+        auto& slots = out.leaf_slots.emplace_back();
+        auto& ids = out.leaf_ids.emplace_back();
+        auto& members = out.leaf_members.emplace_back();
+        int slot = 0;
+        for (std::size_t k = 0; k < peers.size(); ++k) {
+            if (paths[k].empty()) continue;
+            slots.emplace_back(peers[k], slot++);
+            ids.push_back(net.member(peers[k]).id());
+            members.push_back(peers[k]);
+            out.paths.push_back(paths[k]);
+        }
+        std::sort(slots.begin(), slots.end());
+    }
+}
+
+template <typename T>
+void append(std::vector<T>& to, std::vector<T>& from) {
+    to.insert(to.end(), std::make_move_iterator(from.begin()),
+              std::make_move_iterator(from.end()));
+}
+
+}  // namespace
 
 OverlayTrees::OverlayTrees(const overlay::OverlayNetwork& net,
                            const net::Topology& topology) {
     const net::PathOracle oracle(topology);
     const std::size_t n = net.size();
+    const std::size_t chunk_count = (n + kChunkMembers - 1) / kChunkMembers;
+    std::vector<Chunk> chunks(chunk_count);
+    std::vector<std::exception_ptr> errors(chunk_count);
+    std::atomic<std::size_t> next{0};
+    const auto work = [&] {
+        for (std::size_t c; (c = next.fetch_add(1)) < chunk_count;) {
+            try {
+                build_chunk(net, oracle, c * kChunkMembers,
+                            std::min(n, (c + 1) * kChunkMembers), chunks[c]);
+            } catch (...) {
+                errors[c] = std::current_exception();
+            }
+        }
+    };
+    const std::size_t workers = std::min<std::size_t>(
+        {std::max(1u, std::thread::hardware_concurrency()), chunk_count,
+         std::max<std::size_t>(1, n * topology.router_count() /
+                                      kVisitsPerWorker)});
+    {
+        std::vector<std::jthread> helpers;
+        try {
+            for (std::size_t w = 1; w < workers; ++w) {
+                helpers.emplace_back(work);
+            }
+        } catch (const std::system_error&) {
+            // Out of threads: the workers already running take every chunk.
+        }
+        work();
+    }
+    for (const std::exception_ptr& e : errors) {
+        if (e) std::rethrow_exception(e);
+    }
+
+    arenas_.reserve(chunk_count);
     trees_.reserve(n);
-    leaf_slots_.resize(n);
-    leaf_paths_.resize(n);
-    leaf_ids_.resize(n);
-    leaf_members_.resize(n);
-    for (overlay::MemberIndex m = 0; m < n; ++m) {
-        const auto& peers = net.routing_peers(m);
-        std::vector<net::RouterId> dsts;
-        dsts.reserve(peers.size());
-        for (const overlay::MemberIndex p : peers) {
-            dsts.push_back(net.member(p).ip());
+    first_path_.reserve(n + 1);
+    first_path_.push_back(0);
+    for (Chunk& chunk : chunks) {
+        arenas_.push_back(std::move(chunk.arena));
+        append(trees_, chunk.trees);
+        append(leaf_slots_, chunk.leaf_slots);
+        append(paths_, chunk.paths);
+        append(leaf_ids_, chunk.leaf_ids);
+        for (auto& members : chunk.leaf_members) {
+            first_path_.push_back(first_path_.back() + members.size());
+            leaf_members_.push_back(std::move(members));
         }
-        const std::vector<net::PathView> paths =
-            oracle.paths_into(net.member(m).ip(), dsts, arena_);
-        trees_.emplace_back(net.member(m).ip(), paths);
-        int slot = 0;
-        for (std::size_t i = 0; i < peers.size(); ++i) {
-            if (paths[i].empty()) continue;
-            leaf_slots_[m].emplace_back(peers[i], slot++);
-            leaf_paths_[m].push_back(paths[i].links);
-            leaf_ids_[m].push_back(net.member(peers[i]).id());
-            leaf_members_[m].push_back(peers[i]);
-            member_peer_paths_.push_back(paths[i].to_path());
-        }
-        std::sort(leaf_slots_[m].begin(), leaf_slots_[m].end());
     }
 }
 
@@ -55,7 +143,22 @@ std::span<const net::LinkId> OverlayTrees::path_links(
     if (!slot.has_value()) {
         throw std::invalid_argument("OverlayTrees::path_links: no path");
     }
-    return leaf_paths_.at(m)[static_cast<std::size_t>(*slot)];
+    return paths_[first_path_[m] + static_cast<std::size_t>(*slot)].links;
+}
+
+std::span<const net::LinkId> OverlayTrees::slot_path_links(
+    overlay::MemberIndex m, int slot) const {
+    const auto s = static_cast<std::size_t>(slot);
+    if (slot < 0 || s >= leaf_members_.at(m).size()) {
+        throw std::out_of_range("OverlayTrees::slot_path_links: no such slot");
+    }
+    return paths_[first_path_[m] + s].links;
+}
+
+std::size_t OverlayTrees::path_bytes() const noexcept {
+    std::size_t bytes = 0;
+    for (const util::Arena& arena : arenas_) bytes += arena.bytes_used();
+    return bytes;
 }
 
 }  // namespace concilium::tomography

@@ -5,11 +5,16 @@
 // and the flat list of (host, routing peer) IP paths -- the candidate set
 // that the failure model of Section 4.2 draws from.
 //
-// Every per-(member, peer) link path produced by the per-member BFS is
-// carved out of one shared arena (PathOracle::paths_into) and served as a
-// span.  The hot query path_links() -- hit once per packet transmission and
-// once per judgment -- is therefore a bounds-checked table read with zero
-// allocation, instead of rebuilding a vector by walking tree parents.
+// Every per-(member, peer) path produced by the per-member BFS is carved out
+// of an arena (PathOracle::paths_into) and served as a view.  The hot query
+// path_links() -- hit once per packet transmission and once per judgment --
+// is therefore a bounds-checked table read with zero allocation, instead of
+// rebuilding a vector by walking tree parents.
+//
+// The build splits the members into fixed chunks of consecutive sources,
+// each with its own arena and outputs, and concatenates the chunks in
+// order.  Chunks run on as many cores as the world is worth (see the
+// constructor); the result is byte-identical at any worker count.
 
 #pragma once
 
@@ -28,6 +33,11 @@ namespace concilium::tomography {
 
 class OverlayTrees {
   public:
+    /// Builds every member's tree.  Members go in chunks of 64 consecutive
+    /// sources to up to min(hardware threads, chunks, BFS router visits /
+    /// 4M) workers, the calling thread being one of them, so a small world
+    /// builds inline without starting a thread.  An exception in a chunk is
+    /// rethrown here, the first in chunk order.
     OverlayTrees(const overlay::OverlayNetwork& net,
                  const net::Topology& topology);
 
@@ -40,19 +50,17 @@ class OverlayTrees {
     [[nodiscard]] std::optional<int> leaf_slot(
         overlay::MemberIndex m, overlay::MemberIndex peer) const;
 
-    /// IP links of the path m -> peer, as a span into shared arena storage
-    /// (valid for the lifetime of this OverlayTrees).  Throws when no path
-    /// exists.
+    /// IP links of the path m -> peer, as a span into arena storage (valid
+    /// for the lifetime of this OverlayTrees).  Throws when no path exists.
     [[nodiscard]] std::span<const net::LinkId> path_links(
         overlay::MemberIndex m, overlay::MemberIndex peer) const;
 
     /// IP links of m's path to leaf slot `slot` (span into the arena).
     /// The per-round probe loops index leaves directly, skipping even the
-    /// peer -> slot resolution.
+    /// peer -> slot resolution.  Throws std::out_of_range for a slot m's
+    /// tree does not have.
     [[nodiscard]] std::span<const net::LinkId> slot_path_links(
-        overlay::MemberIndex m, int slot) const {
-        return leaf_paths_.at(m).at(static_cast<std::size_t>(slot));
-    }
+        overlay::MemberIndex m, int slot) const;
 
     /// Overlay identifiers of `m`'s tree leaves, in leaf-slot order (the
     /// argument make_snapshot() wants).
@@ -67,32 +75,32 @@ class OverlayTrees {
         return leaf_members_.at(m);
     }
 
-    /// All (member, routing peer) paths with at least one hop; the failure
-    /// model's candidate set.
-    [[nodiscard]] const std::vector<net::Path>& member_peer_paths() const {
-        return member_peer_paths_;
+    /// All (member, routing peer) paths with at least one hop, member-major
+    /// and in leaf-slot order: the failure model's candidate set.
+    [[nodiscard]] std::span<const net::PathView> member_peer_paths() const {
+        return paths_;
     }
 
     /// Bytes of arena-backed path storage (diagnostics / bench reporting).
-    [[nodiscard]] std::size_t path_bytes() const noexcept {
-        return arena_.bytes_used();
-    }
+    [[nodiscard]] std::size_t path_bytes() const noexcept;
 
   private:
-    /// Backs every per-(member, peer) router/link sequence.  Declared first
-    /// so the spans below die before the storage they point into.
-    util::Arena arena_;
+    /// One arena per build chunk backs every per-(member, peer) router/link
+    /// sequence.  Declared first so the views below die before the storage
+    /// they point into.
+    std::vector<util::Arena> arenas_;
     std::vector<ProbeTree> trees_;
     /// Per member: (peer, leaf slot) sorted by peer for binary search.  A
     /// member has a few dozen routing peers, so a sorted probe beats a hash
     /// map on both locality and determinism.
     std::vector<std::vector<std::pair<overlay::MemberIndex, int>>>
         leaf_slots_;
-    /// Per member, per leaf slot: the m -> peer link path in the arena.
-    std::vector<std::vector<std::span<const net::LinkId>>> leaf_paths_;
+    /// Every m -> peer path with a hop, member-major in leaf-slot order:
+    /// member m's slot s is paths_[first_path_[m] + s].
+    std::vector<net::PathView> paths_;
+    std::vector<std::size_t> first_path_;
     std::vector<std::vector<util::NodeId>> leaf_ids_;
     std::vector<std::vector<overlay::MemberIndex>> leaf_members_;
-    std::vector<net::Path> member_peer_paths_;
 };
 
 }  // namespace concilium::tomography

@@ -62,40 +62,39 @@ std::vector<net::LinkId> ProbeTree::path_links(int leaf_slot) const {
     return out;
 }
 
-Forest::Forest(std::vector<const ProbeTree*> trees) : trees_(std::move(trees)) {
-    if (trees_.empty()) {
+Forest::Forest(std::span<const ProbeTree* const> trees)
+    : distinct_{0}, total_{0} {
+    if (trees.empty()) {
         throw std::invalid_argument("Forest: no trees");
     }
+    distinct_.reserve(trees.size() + 1);
+    total_.reserve(trees.size() + 1);
     std::unordered_set<net::LinkId> seen;
-    for (const ProbeTree* t : trees_) {
+    for (const ProbeTree* t : trees) {
+        std::size_t added = 0;
         for (const net::LinkId l : t->links()) {
-            if (seen.insert(l).second) links_.push_back(l);
+            if (seen.insert(l).second) ++added;
         }
+        distinct_.push_back(distinct_.back() + added);
+        total_.push_back(total_.back() + t->links().size());
     }
 }
 
 double Forest::coverage(std::size_t tree_count) const {
-    tree_count = std::min(tree_count, trees_.size());
-    std::unordered_set<net::LinkId> covered;
-    for (std::size_t i = 0; i < tree_count; ++i) {
-        const auto links = trees_[i]->links();
-        covered.insert(links.begin(), links.end());
-    }
-    return links_.empty() ? 0.0
-                          : static_cast<double>(covered.size()) /
-                                static_cast<double>(links_.size());
+    const std::size_t k = std::min(tree_count, distinct_.size() - 1);
+    return distinct_.back() == 0
+               ? 0.0
+               : static_cast<double>(distinct_[k]) /
+                     static_cast<double>(distinct_.back());
 }
 
 double Forest::mean_vouchers(std::size_t tree_count) const {
-    tree_count = std::min(tree_count, trees_.size());
-    std::unordered_map<net::LinkId, int> vouchers;
-    for (std::size_t i = 0; i < tree_count; ++i) {
-        for (const net::LinkId l : trees_[i]->links()) ++vouchers[l];
-    }
-    if (vouchers.empty()) return 0.0;
-    double sum = 0.0;
-    for (const auto& [link, n] : vouchers) sum += n;
-    return sum / static_cast<double>(vouchers.size());
+    // Each covered link counts once per tree holding it, so the voucher
+    // total is the prefix's link count; integer sums are exact in double.
+    const std::size_t k = std::min(tree_count, distinct_.size() - 1);
+    return distinct_[k] == 0 ? 0.0
+                             : static_cast<double>(total_[k]) /
+                                   static_cast<double>(distinct_[k]);
 }
 
 }  // namespace concilium::tomography

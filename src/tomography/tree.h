@@ -88,8 +88,10 @@ class ProbeTree {
 /// its own tree with some of its peers' trees (Figure 4).
 class Forest {
   public:
-    /// trees[0] is H's own tree; the rest belong to H's routing peers.
-    explicit Forest(std::vector<const ProbeTree*> trees);
+    /// trees[0] is H's own tree; the rest belong to H's routing peers.  The
+    /// forest counts their links once, up front, and keeps no reference to
+    /// them.
+    explicit Forest(std::span<const ProbeTree* const> trees);
 
     /// Fraction of forest links present in the union of the first
     /// `tree_count` trees.
@@ -100,8 +102,11 @@ class Forest {
     [[nodiscard]] double mean_vouchers(std::size_t tree_count) const;
 
   private:
-    std::vector<const ProbeTree*> trees_;
-    std::vector<net::LinkId> links_;
+    /// Per prefix of the trees (index k covers the first k): the number of
+    /// distinct links, and the number of links counted once per tree that
+    /// holds them.
+    std::vector<std::size_t> distinct_;
+    std::vector<std::size_t> total_;
 };
 
 }  // namespace concilium::tomography

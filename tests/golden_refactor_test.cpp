@@ -1,9 +1,10 @@
 // Golden seams for the memory-layout refactors.
 //
 // The memory-architecture refactors (flat storage, calendar queue, interned
-// digests, the flat probe tree and bit-packed probe sessions) must be
-// behaviour-preserving: routes, verdicts, generated topologies and probing
-// results are required to come out byte-identical before and after.  These
+// digests, the flat probe tree and bit-packed probe sessions, the CSR
+// oracle and the chunked parallel tree build) must be behaviour-preserving:
+// routes, overlay trees, verdicts, generated topologies and probing results
+// are required to come out byte-identical before and after.  These
 // checksums were captured against the pre-refactor implementations; any
 // divergence means the refactor changed observable behaviour, not just
 // layout.
@@ -19,7 +20,9 @@
 #include "crypto/certificates.h"
 #include "net/paths.h"
 #include "net/topology_gen.h"
+#include "overlay/network.h"
 #include "tomography/inference.h"
+#include "tomography/overlay_trees.h"
 #include "tomography/probing.h"
 #include "tomography/snapshot.h"
 #include "tomography/verification.h"
@@ -45,14 +48,15 @@ TEST(GoldenRefactor, PathOracleRoutesAreByteIdentical) {
     ASSERT_EQ(topo.router_count(), 204u);
     ASSERT_EQ(topo.link_count(), 241u);
 
-    net::PathOracle oracle(topo);
+    const net::PathOracle oracle(topo);
     std::vector<net::RouterId> dsts;
     for (net::RouterId r = 0; r < topo.router_count(); r += 17) {
         dsts.push_back(r);
     }
     std::uint64_t h = kFnvOffset;
+    util::Arena arena;
     for (net::RouterId src = 0; src < topo.router_count(); src += 41) {
-        const auto paths = oracle.paths_from(src, dsts);
+        const auto paths = oracle.paths_into(src, dsts, arena);
         for (const auto& p : paths) {
             h = fnv(h, p.routers.size());
             for (const auto r : p.routers) h = fnv(h, r);
@@ -60,6 +64,48 @@ TEST(GoldenRefactor, PathOracleRoutesAreByteIdentical) {
         }
     }
     EXPECT_EQ(h, 0xe41f4298f8a83b96ULL);
+}
+
+TEST(GoldenRefactor, OverlayTreesAreByteIdentical) {
+    // 600 members on the medium preset: ten build chunks and enough BFS
+    // visits for two workers, so on a multi-core machine the chunks are
+    // built concurrently and concatenated in order.
+    util::Rng rng(21);
+    const auto topo = net::generate_topology(net::medium_params(), rng);
+    crypto::CertificateAuthority ca(22);
+    const auto net = overlay::build_overlay_from_hosts(
+        topo.end_hosts(), 600, ca, overlay::OverlayParams{}, rng);
+    ASSERT_GE(net.size() * topo.router_count(), 8'000'000u);
+    const tomography::OverlayTrees trees(net, topo);
+    ASSERT_EQ(trees.size(), net.size());
+
+    std::uint64_t h = kFnvOffset;
+    const auto mix = [&h](const auto& values) {
+        h = fnv(h, values.size());
+        for (const auto v : values) h = fnv(h, static_cast<std::uint64_t>(v));
+    };
+    for (overlay::MemberIndex m = 0; m < trees.size(); ++m) {
+        const auto& tree = trees.tree(m);
+        mix(tree.parent());
+        mix(tree.via());
+        mix(tree.leaf_slot());
+        mix(trees.leaf_members(m));
+        for (const util::NodeId& id : trees.leaf_ids(m)) mix(id.bytes());
+        for (const overlay::MemberIndex p : net.routing_peers(m)) {
+            const auto slot = trees.leaf_slot(m, p);
+            h = fnv(h, slot.has_value() ? static_cast<std::uint64_t>(*slot)
+                                        : ~std::uint64_t{0});
+        }
+        for (std::size_t s = 0; s < tree.leaves().size(); ++s) {
+            mix(trees.slot_path_links(m, static_cast<int>(s)));
+        }
+    }
+    for (const auto& path : trees.member_peer_paths()) {
+        mix(path.routers);
+        mix(path.links);
+    }
+    h = fnv(h, trees.path_bytes());
+    EXPECT_EQ(h, 0x7b817d5ea55290d9ULL);
 }
 
 TEST(GoldenRefactor, VerdictOutcomesAreByteIdentical) {

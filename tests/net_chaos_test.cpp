@@ -113,13 +113,14 @@ TEST(FaultSpec, ScaledMultipliesAndClamps) {
 
 /// Hand-built candidate paths: three disjoint 3-link paths over links
 /// 0..8, enough structure for every fault process to draw from.
-std::vector<Path> test_paths() {
-    std::vector<Path> paths;
-    for (LinkId base = 0; base < 9; base += 3) {
-        Path p;
-        p.routers = {base + 100, base + 101, base + 102, base + 103};
-        p.links = {base, base + 1, base + 2};
-        paths.push_back(p);
+std::vector<PathView> test_paths() {
+    static constexpr RouterId kRouters[] = {100, 101, 102, 103, 103, 104,
+                                            105, 106, 106, 107, 108, 109};
+    static constexpr LinkId kLinks[] = {0, 1, 2, 3, 4, 5, 6, 7, 8};
+    std::vector<PathView> paths;
+    for (std::size_t p = 0; p < 3; ++p) {
+        paths.push_back(PathView{std::span(kRouters).subspan(4 * p, 4),
+                                 std::span(kLinks).subspan(3 * p, 3)});
     }
     return paths;
 }

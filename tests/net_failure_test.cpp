@@ -6,6 +6,7 @@
 #include "util/stats.h"
 #include "net/topology_gen.h"
 #include "net/transport.h"
+#include "util/arena.h"
 #include "util/rng.h"
 
 namespace concilium::net {
@@ -90,12 +91,15 @@ class GeneratedTimelineTest : public ::testing::Test {
         const auto hosts = topo_.end_hosts();
         // Paths between random host pairs play the (host, peer) role.
         for (std::size_t i = 0; i + 1 < hosts.size() && i < 60; i += 2) {
-            paths_.push_back(oracle.path(hosts[i], hosts[i + 1]));
+            const RouterId dst = hosts[i + 1];
+            paths_.push_back(
+                oracle.paths_into(hosts[i], {&dst, 1}, arena_).front());
         }
     }
 
     Topology topo_;
-    std::vector<Path> paths_;
+    util::Arena arena_;
+    std::vector<PathView> paths_;
 };
 
 TEST_F(GeneratedTimelineTest, SteadyStateFractionNearTarget) {
@@ -109,7 +113,7 @@ TEST_F(GeneratedTimelineTest, SteadyStateFractionNearTarget) {
     std::vector<LinkId> universe;
     {
         std::unordered_set<LinkId> seen;
-        for (const Path& p : paths_) {
+        for (const PathView& p : paths_) {
             for (const LinkId l : p.links) {
                 if (seen.insert(l).second) universe.push_back(l);
             }
@@ -133,7 +137,7 @@ TEST_F(GeneratedTimelineTest, DowntimesHavePaperScale) {
         params, 2 * util::kHour, paths_, rng);
     util::OnlineMoments durations;
     std::unordered_set<LinkId> seen;
-    for (const Path& p : paths_) {
+    for (const PathView& p : paths_) {
         for (const LinkId l : p.links) {
             if (!seen.insert(l).second) continue;
             for (const DownInterval& iv : timeline.intervals(l)) {
@@ -173,8 +177,9 @@ TEST(Transport, SendDeliversOverHealthyPath) {
     topo.add_router(RouterTier::kEndHost);
     topo.add_link(0, 1);
     topo.add_link(1, 2);
-    const PathOracle oracle(topo);
-    const Path path = oracle.path(0, 2);
+    util::Arena arena;
+    const std::vector<RouterId> dst{2};
+    const Path path = PathOracle(topo).paths_into(0, dst, arena)[0].to_path();
 
     FailureTimeline timeline;
     timeline.finalize();
@@ -194,8 +199,9 @@ TEST(Transport, SendDropsWhenLinkDown) {
     topo.add_router(RouterTier::kEndHost);
     topo.add_router(RouterTier::kEndHost);
     const LinkId l = topo.add_link(0, 1);
-    const PathOracle oracle(topo);
-    const Path path = oracle.path(0, 1);
+    util::Arena arena;
+    const std::vector<RouterId> dst{1};
+    const Path path = PathOracle(topo).paths_into(0, dst, arena)[0].to_path();
 
     FailureTimeline timeline;
     timeline.add_down(l, DownInterval{0, util::kHour});
@@ -215,7 +221,9 @@ TEST(Transport, ResidualLossDropsSomePackets) {
     topo.add_router(RouterTier::kEndHost);
     topo.add_router(RouterTier::kEndHost);
     topo.add_link(0, 1);
-    const Path path = PathOracle(topo).path(0, 1);
+    util::Arena arena;
+    const std::vector<RouterId> dst{1};
+    const Path path = PathOracle(topo).paths_into(0, dst, arena)[0].to_path();
 
     FailureTimeline timeline;
     timeline.finalize();

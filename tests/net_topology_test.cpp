@@ -1,8 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <stdexcept>
+#include <string>
+#include <unordered_map>
+
 #include "net/paths.h"
 #include "net/topology.h"
 #include "net/topology_gen.h"
+#include "util/arena.h"
 #include "util/rng.h"
 
 namespace concilium::net {
@@ -111,6 +118,33 @@ TEST(TopologyGen, RejectsDegenerateParams) {
     EXPECT_THROW(generate_topology(p, rng), std::invalid_argument);
 }
 
+/// One destination through the batch API.
+PathView route(const PathOracle& oracle, RouterId src, RouterId dst,
+               util::Arena& arena) {
+    return oracle.paths_into(src, {&dst, 1}, arena).front();
+}
+
+/// The plain BFS the oracle must reproduce: a deque over the topology's own
+/// adjacency lists, every router expanded.  Returns each router's link to
+/// its parent (kInvalidLink at src and at unreached routers).
+std::vector<LinkId> reference_via(const Topology& topo, RouterId src) {
+    std::vector<RouterId> parent(topo.router_count(), kInvalidRouter);
+    std::vector<LinkId> via(topo.router_count(), kInvalidLink);
+    parent[src] = src;
+    std::deque<RouterId> queue{src};
+    while (!queue.empty()) {
+        const RouterId r = queue.front();
+        queue.pop_front();
+        for (const Topology::Edge& e : topo.neighbors(r)) {
+            if (parent[e.neighbor] != kInvalidRouter) continue;
+            parent[e.neighbor] = r;
+            via[e.neighbor] = e.link;
+            queue.push_back(e.neighbor);
+        }
+    }
+    return via;
+}
+
 TEST(PathOracle, FindsShortestPath) {
     // Line: 0 - 1 - 2 - 3 plus shortcut 0 - 3.
     Topology topo;
@@ -121,7 +155,8 @@ TEST(PathOracle, FindsShortestPath) {
     const LinkId shortcut = topo.add_link(0, 3);
 
     const PathOracle oracle(topo);
-    const Path p = oracle.path(0, 3);
+    util::Arena arena;
+    const PathView p = route(oracle, 0, 3, arena);
     ASSERT_EQ(p.hops(), 1u);
     EXPECT_EQ(p.links[0], shortcut);
     EXPECT_EQ(p.routers.front(), 0u);
@@ -134,7 +169,8 @@ TEST(PathOracle, PathInvariants) {
     const PathOracle oracle(topo);
     const auto hosts = topo.end_hosts();
     ASSERT_GE(hosts.size(), 2u);
-    const Path p = oracle.path(hosts[0], hosts[1]);
+    util::Arena arena;
+    const PathView p = route(oracle, hosts[0], hosts[1], arena);
     ASSERT_FALSE(p.empty());
     EXPECT_EQ(p.routers.size(), p.links.size() + 1);
     for (std::size_t i = 0; i < p.links.size(); ++i) {
@@ -147,7 +183,9 @@ TEST(PathOracle, SelfPathIsEmpty) {
     Topology topo;
     topo.add_router(RouterTier::kCore);
     const PathOracle oracle(topo);
-    EXPECT_TRUE(oracle.path(0, 0).empty());
+    util::Arena arena;
+    EXPECT_TRUE(route(oracle, 0, 0, arena).empty());
+    EXPECT_EQ(arena.bytes_used(), 0u);
 }
 
 TEST(PathOracle, UnreachableYieldsEmpty) {
@@ -155,48 +193,85 @@ TEST(PathOracle, UnreachableYieldsEmpty) {
     topo.add_router(RouterTier::kCore);
     topo.add_router(RouterTier::kCore);
     const PathOracle oracle(topo);
-    EXPECT_TRUE(oracle.path(0, 1).empty());
+    util::Arena arena;
+    EXPECT_TRUE(route(oracle, 0, 1, arena).empty());
 }
 
-TEST(PathOracle, PathsFromMatchesSinglePathQueries) {
+TEST(PathOracle, PathsIntoMatchesSinglePathQueries) {
     util::Rng rng(6);
     const Topology topo = generate_topology(small_params(), rng);
     const PathOracle oracle(topo);
     const auto hosts = topo.end_hosts();
     ASSERT_GE(hosts.size(), 5u);
     const std::vector<RouterId> dsts(hosts.begin() + 1, hosts.begin() + 5);
-    const auto batch = oracle.paths_from(hosts[0], dsts);
+    util::Arena arena;
+    const auto batch = oracle.paths_into(hosts[0], dsts, arena);
     ASSERT_EQ(batch.size(), 4u);
     for (std::size_t i = 0; i < dsts.size(); ++i) {
-        const Path single = oracle.path(hosts[0], dsts[i]);
-        EXPECT_EQ(batch[i].links, single.links);
+        const PathView single = route(oracle, hosts[0], dsts[i], arena);
+        EXPECT_TRUE(std::ranges::equal(batch[i].routers, single.routers));
+        EXPECT_TRUE(std::ranges::equal(batch[i].links, single.links));
     }
 }
 
-TEST(PathOracle, PathsIntoMatchesPathsFrom) {
-    // The arena-backed batch API is byte-for-byte the heap-backed one.
+TEST(PathOracle, PathsIntoMatchesReferenceBfs) {
+    // The CSR sweep skips expanding degree-1 routers; every parent link
+    // must still be the one a plain BFS picks.  Sources include end hosts
+    // (degree 1) and core routers; destinations include the source itself
+    // and a router no link reaches.
     util::Rng rng(6);
-    const Topology topo = generate_topology(small_params(), rng);
+    Topology topo = generate_topology(small_params(), rng);
+    const RouterId isolated = topo.add_router(RouterTier::kCore);
     const PathOracle oracle(topo);
     const auto hosts = topo.end_hosts();
-    ASSERT_GE(hosts.size(), 6u);
-    std::vector<RouterId> dsts(hosts.begin() + 1, hosts.begin() + 5);
-    dsts.push_back(hosts[0]);  // src itself -> empty path
-    const auto heap = oracle.paths_from(hosts[0], dsts);
+    std::vector<RouterId> dsts;
+    for (RouterId r = 0; r < topo.router_count(); r += 3) dsts.push_back(r);
+    dsts.push_back(isolated);
     util::Arena arena;
-    const auto views = oracle.paths_into(hosts[0], dsts, arena);
-    ASSERT_EQ(views.size(), heap.size());
-    for (std::size_t i = 0; i < heap.size(); ++i) {
-        EXPECT_EQ(views[i].empty(), heap[i].empty());
-        EXPECT_EQ(std::vector<RouterId>(views[i].routers.begin(),
-                                        views[i].routers.end()),
-                  heap[i].routers);
-        EXPECT_EQ(std::vector<LinkId>(views[i].links.begin(),
-                                      views[i].links.end()),
-                  heap[i].links);
+    for (const RouterId src : {hosts[0], hosts[7], RouterId{0}, RouterId{5}}) {
+        const auto via = reference_via(topo, src);
+        const auto views = oracle.paths_into(src, dsts, arena);
+        ASSERT_EQ(views.size(), dsts.size());
+        for (std::size_t i = 0; i < dsts.size(); ++i) {
+            const PathView& p = views[i];
+            if (dsts[i] == src || via[dsts[i]] == kInvalidLink) {
+                EXPECT_TRUE(p.empty());
+                EXPECT_TRUE(p.routers.empty());
+                continue;
+            }
+            ASSERT_EQ(p.routers.size(), p.links.size() + 1);
+            EXPECT_EQ(p.routers.front(), src);
+            EXPECT_EQ(p.routers.back(), dsts[i]);
+            for (std::size_t hop = 0; hop < p.links.size(); ++hop) {
+                EXPECT_EQ(p.links[hop], via[p.routers[hop + 1]]);
+            }
+        }
+        EXPECT_TRUE(views.back().empty());
     }
-    EXPECT_TRUE(views.back().empty());
     EXPECT_GT(arena.bytes_used(), 0u);
+}
+
+TEST(PathOracle, RejectsOutOfRangeRouters) {
+    Topology topo;
+    topo.add_router(RouterTier::kCore);
+    topo.add_router(RouterTier::kEndHost);
+    topo.add_link(0, 1);
+    const PathOracle oracle(topo);
+    util::Arena arena;
+    const std::vector<RouterId> good{1};
+    const std::vector<RouterId> bad{1, 2};
+    EXPECT_THROW((void)oracle.paths_into(2, good, arena), std::out_of_range);
+    EXPECT_THROW((void)oracle.paths_into(kInvalidRouter, good, arena),
+                 std::out_of_range);
+    EXPECT_THROW((void)oracle.paths_into(0, bad, arena), std::out_of_range);
+    try {
+        (void)oracle.paths_into(0, bad, arena);
+    } catch (const std::out_of_range& e) {
+        EXPECT_NE(std::string(e.what()).find("destination router 2"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(arena.bytes_used(), 0u);
 }
 
 TEST(PathOracle, PathsFromOneSourceFormATree) {
@@ -207,13 +282,16 @@ TEST(PathOracle, PathsFromOneSourceFormATree) {
     const PathOracle oracle(topo);
     const auto hosts = topo.end_hosts();
     const std::vector<RouterId> dsts(hosts.begin() + 1, hosts.end());
-    const auto paths = oracle.paths_from(hosts[0], dsts);
+    util::Arena arena;
+    const auto paths = oracle.paths_into(hosts[0], dsts, arena);
     std::unordered_map<RouterId, LinkId> parent;
-    for (const Path& p : paths) {
+    for (const PathView& p : paths) {
         for (std::size_t i = 0; i < p.links.size(); ++i) {
             const RouterId child = p.routers[i + 1];
             const auto [it, inserted] = parent.emplace(child, p.links[i]);
-            if (!inserted) EXPECT_EQ(it->second, p.links[i]);
+            if (!inserted) {
+                EXPECT_EQ(it->second, p.links[i]);
+            }
         }
     }
 }

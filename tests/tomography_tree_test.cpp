@@ -2,10 +2,17 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
+#include <unordered_map>
+#include <unordered_set>
 
+#include "crypto/certificates.h"
 #include "net/paths.h"
 #include "net/topology.h"
 #include "net/topology_gen.h"
+#include "overlay/network.h"
+#include "tomography/overlay_trees.h"
 #include "tomography/tree.h"
 #include "util/arena.h"
 #include "util/rng.h"
@@ -145,7 +152,8 @@ TEST(Forest, CoverageGrowsMonotonically) {
     const auto p6 = oracle.paths_into(6, d6, f.arena);
     const ProbeTree t6(6, p6);
 
-    const Forest forest({&t0, &t4, &t6});
+    const ProbeTree* const trees[] = {&t0, &t4, &t6};
+    const Forest forest(trees);
     double prev = 0.0;
     for (std::size_t k = 1; k <= 3; ++k) {
         const double c = forest.coverage(k);
@@ -159,7 +167,8 @@ TEST(Forest, CoverageGrowsMonotonically) {
 TEST(Forest, SingleTreeCoversItself) {
     TreeFixture f;
     const ProbeTree t0(0, f.paths);
-    const Forest forest({&t0});
+    const ProbeTree* const own[] = {&t0};
+    const Forest forest(own);
     EXPECT_DOUBLE_EQ(forest.coverage(1), 1.0);
     EXPECT_DOUBLE_EQ(forest.mean_vouchers(1), 1.0);
     EXPECT_THROW(Forest({}), std::invalid_argument);
@@ -190,6 +199,76 @@ TEST(Forest, GeneratedTopologyOwnTreeCoversMinority) {
     EXPECT_LT(forest.coverage(1), 0.9);
     EXPECT_GT(forest.coverage(1), 0.05);
     EXPECT_DOUBLE_EQ(forest.coverage(10), 1.0);
+}
+
+TEST(Forest, PrefixCountsMatchASetRecountForEveryPrefix) {
+    // coverage(k) and mean_vouchers(k) are prefix-count reads; they must
+    // return exactly the doubles a recount over the first k trees gives.
+    util::Rng rng(9);
+    const net::Topology topo = net::generate_topology(net::small_params(), rng);
+    const net::PathOracle oracle(topo);
+    const auto hosts = topo.end_hosts();
+    ASSERT_GE(hosts.size(), 40u);
+    std::vector<ProbeTree> trees;
+    util::Arena arena;
+    for (std::size_t h = 0; h < 24; ++h) {
+        std::vector<net::RouterId> dsts;
+        for (std::size_t k = 1; k <= 12; ++k) {
+            dsts.push_back(hosts[(h * 5 + k * 11) % hosts.size()]);
+        }
+        trees.emplace_back(hosts[h],
+                           oracle.paths_into(hosts[h], dsts, arena));
+    }
+    std::vector<const ProbeTree*> ptrs;
+    for (const auto& t : trees) ptrs.push_back(&t);
+    const Forest forest(ptrs);
+
+    std::unordered_set<net::LinkId> all;
+    for (const auto& t : trees) all.insert(t.links().begin(), t.links().end());
+    for (std::size_t k = 0; k <= trees.size() + 2; ++k) {
+        std::unordered_map<net::LinkId, int> vouchers;
+        for (std::size_t i = 0; i < std::min(k, trees.size()); ++i) {
+            for (const net::LinkId l : trees[i].links()) ++vouchers[l];
+        }
+        double sum = 0.0;
+        for (const auto& [link, n] : vouchers) sum += n;
+        const double coverage = static_cast<double>(vouchers.size()) /
+                                static_cast<double>(all.size());
+        const double mean =
+            vouchers.empty() ? 0.0
+                             : sum / static_cast<double>(vouchers.size());
+        EXPECT_EQ(forest.coverage(k), coverage) << "k = " << k;
+        EXPECT_EQ(forest.mean_vouchers(k), mean) << "k = " << k;
+    }
+    EXPECT_GT(forest.mean_vouchers(trees.size()), 1.0);
+}
+
+TEST(OverlayTrees, MemberOutsideTheTopologyFailsTheBuild) {
+    // 100k unlinked routers and 130 members make three build chunks and
+    // enough BFS visits for three workers.  The last member's address is
+    // no router, so every chunk whose members route to it throws; the
+    // constructor rethrows on the caller instead of indexing past the
+    // BFS arrays.
+    net::Topology topo;
+    for (int i = 0; i < 100'000; ++i) topo.add_router(net::RouterTier::kCore);
+    crypto::CertificateAuthority ca(5);
+    std::vector<overlay::Member> members;
+    for (std::uint32_t i = 0; i < 130; ++i) {
+        auto admission = ca.admit(i < 129 ? i : 4'000'000'000u);
+        members.push_back(overlay::Member{std::move(admission.certificate),
+                                          std::move(admission.keys)});
+    }
+    util::Rng rng(6);
+    const overlay::OverlayNetwork net(std::move(members),
+                                      overlay::OverlayParams{}, rng);
+    try {
+        const OverlayTrees trees(net, topo);
+        ADD_FAILURE() << "built trees for a member outside the topology";
+    } catch (const std::out_of_range& e) {
+        EXPECT_NE(std::string(e.what()).find("router 4000000000"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 }  // namespace
