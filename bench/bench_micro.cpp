@@ -4,7 +4,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -142,24 +141,6 @@ void BM_EventSimPodDispatch(benchmark::State& state) {
     benchmark::DoNotOptimize(chain.fired);
 }
 BENCHMARK(BM_EventSimPodDispatch);
-
-void BM_EventSimCallbackDispatch(benchmark::State& state) {
-    // The legacy std::function slab path, for comparison with POD dispatch.
-    net::EventSim sim;
-    std::uint64_t fired = 0;
-    std::function<void()> chain;
-    chain = [&] {
-        ++fired;
-        sim.schedule_after(100, chain);
-    };
-    for (int i = 0; i < 64; ++i) sim.schedule_after(i, chain);
-    for (auto _ : state) {
-        sim.run_until(sim.now() + 10000);
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(fired));
-    benchmark::DoNotOptimize(fired);
-}
-BENCHMARK(BM_EventSimCallbackDispatch);
 
 void BM_BfsPathExtraction(benchmark::State& state) {
     util::Rng rng(6);

@@ -238,6 +238,7 @@ Daemon::Daemon(Workload workload, DaemonOptions options)
     ins.fault_downs.add(static_cast<std::int64_t>(fault_downs_applied));
     ins.attack_roles.add(static_cast<std::int64_t>(wl_.attacks));
 
+    feed_handler_ = sim_.register_handler(this, &Daemon::feed_event);
     cluster_ = std::make_unique<runtime::Cluster>(
         sim_, world_->timeline(), world_->overlay_net(), world_->trees(),
         opts_.params, behaviors_,
@@ -316,29 +317,33 @@ std::optional<Checkpoint> Daemon::load_resume_checkpoint() {
 }
 
 void Daemon::feed_until(util::SimTime t) {
-    auto& ins = instruments();
     while (next_record_ < wl_.records.size() &&
            wl_.records[next_record_].at < t) {
-        const WorkloadRecord& rec = wl_.records[next_record_++];
+        const std::size_t index = next_record_++;
+        const WorkloadRecord& rec = wl_.records[index];
         if (rec.kind != RecordKind::kMessage) continue;
-        const auto from = static_cast<overlay::MemberIndex>(rec.a);
-        const std::uint64_t key = rec.key;
-        sim_.schedule_at(rec.at, [this, &ins, from, key] {
-            // The destination is a pure function of the trace's key64, so
-            // every incarnation routes the message identically.
-            util::Rng key_rng(key);
-            const util::NodeId dest = util::NodeId::random(key_rng);
-            ++messages_fed_;
-            ++score_.fed;
-            ins.messages_fed.add(1);
-            ins.fed_by_hour.observe(sim_.now());
-            health_fed_.store(messages_fed_, std::memory_order_relaxed);
-            cluster_->send(from, dest,
-                           [this](const runtime::Cluster::MessageOutcome& o) {
-                               complete_message(o);
-                           });
-        });
+        sim_.post_at(rec.at, feed_handler_, 0, index);
     }
+}
+
+void Daemon::feed_event(void* ctx, std::uint32_t, std::uint64_t record,
+                        std::uint64_t) {
+    auto* self = static_cast<Daemon*>(ctx);
+    auto& ins = instruments();
+    const WorkloadRecord& rec = self->wl_.records[record];
+    // The destination is a pure function of the trace's key64, so every
+    // incarnation routes the message identically.
+    util::Rng key_rng(rec.key);
+    const util::NodeId dest = util::NodeId::random(key_rng);
+    ++self->messages_fed_;
+    ++self->score_.fed;
+    ins.messages_fed.add(1);
+    ins.fed_by_hour.observe(self->sim_.now());
+    self->health_fed_.store(self->messages_fed_, std::memory_order_relaxed);
+    self->cluster_->send(static_cast<overlay::MemberIndex>(rec.a), dest,
+                         [self](const runtime::Cluster::MessageOutcome& o) {
+                             self->complete_message(o);
+                         });
 }
 
 void Daemon::complete_message(const runtime::Cluster::MessageOutcome& res) {

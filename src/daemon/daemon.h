@@ -148,7 +148,11 @@ class Daemon {
     /// corrupt ones it walks past.  Returns nullopt when no readable
     /// checkpoint remains (fresh start).
     [[nodiscard]] std::optional<Checkpoint> load_resume_checkpoint();
+    /// Posts every trace message before t as an event carrying its record
+    /// index; feed_event() sends it when the sim clock reaches it.
     void feed_until(util::SimTime t);
+    static void feed_event(void* ctx, std::uint32_t, std::uint64_t record,
+                           std::uint64_t);
     void complete_message(const runtime::Cluster::MessageOutcome& outcome);
 
     Workload wl_;
@@ -157,6 +161,7 @@ class Daemon {
     std::vector<runtime::NodeBehavior> behaviors_;
     net::FaultPlan plan_;
     net::EventSim sim_;
+    net::EventSim::HandlerId feed_handler_ = 0;
     std::unique_ptr<runtime::Cluster> cluster_;
 
     util::SimTime end_ = 0;          ///< duration + settle

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
-#include <utility>
 
 #include "util/metrics.h"
 
@@ -57,11 +56,6 @@ util::metrics::SeriesMetric& queue_depth_by_minute() {
 
 }  // namespace
 
-EventSim::EventSim() {
-    // HandlerId 0 is reserved for the legacy std::function path.
-    handlers_.push_back(Handler{this, &EventSim::run_callback_slot});
-}
-
 EventSim::HandlerId EventSim::register_handler(void* ctx, HandlerFn fn) {
     if (handlers_.size() > std::numeric_limits<HandlerId>::max()) {
         throw std::length_error("EventSim: handler table full");
@@ -101,34 +95,6 @@ void EventSim::post_at(util::SimTime t, HandlerId handler, std::uint32_t a,
 void EventSim::post_after(util::SimTime delay, HandlerId handler,
                           std::uint32_t a, std::uint64_t b, std::uint64_t c) {
     post_at(now_ + delay, handler, a, b, c);
-}
-
-void EventSim::schedule_at(util::SimTime t, Callback fn) {
-    std::uint32_t slot;
-    if (free_slots_.empty()) {
-        slot = static_cast<std::uint32_t>(callbacks_.size());
-        callbacks_.push_back(std::move(fn));
-    } else {
-        slot = free_slots_.back();
-        free_slots_.pop_back();
-        callbacks_[slot] = std::move(fn);
-    }
-    post_at(t, HandlerId{0}, slot);
-}
-
-void EventSim::schedule_after(util::SimTime delay, Callback fn) {
-    schedule_at(now_ + delay, std::move(fn));
-}
-
-void EventSim::run_callback_slot(void* ctx, std::uint32_t slot, std::uint64_t,
-                                 std::uint64_t) {
-    auto* self = static_cast<EventSim*>(ctx);
-    // Move the callback out before invoking; the callback may schedule more
-    // events (which may grow the slab).
-    Callback fn = std::move(self->callbacks_[slot]);
-    self->callbacks_[slot] = nullptr;
-    self->free_slots_.push_back(slot);
-    fn();
 }
 
 void EventSim::drain_overflow() {

@@ -13,22 +13,25 @@
 // migrate into the wheel as the cursor advances.  Each bucket is a small
 // binary heap ordered by (time, sequence), which preserves the global
 // deterministic ordering while keeping per-operation cost near O(1) at
-// full-SCAN queue depths.  Events are 40-byte POD records — a registered
-// handler id plus three integer operands — so the hot path never allocates.
-// The legacy std::function API remains for setup-time and test convenience;
-// callbacks park in an internal slab and ride a reserved handler.
+// full-SCAN queue depths.
 //
-// Determinism contract: for any schedule of post/schedule calls, dispatch
-// order is a pure function of the (time, sequence) pairs — bucket placement
-// and overflow migration are invisible to observers.  Equal-time events fire
-// in schedule order regardless of which side of the wheel horizon they were
+// There is one scheduling API: a component registers a handler once, then
+// posts events to it.  Events are 40-byte POD records — a handler id plus
+// three integer operands — so scheduling never allocates once the buckets
+// have warmed up.  A component whose event needs more than three integers
+// keeps that payload itself and posts an index to it (runtime::Cluster
+// parks snapshots, evidence and signed notices in a slot table).
+//
+// Determinism contract: for any sequence of post calls, dispatch order is a
+// pure function of the (time, sequence) pairs — bucket placement and
+// overflow migration are invisible to observers.  Equal-time events fire in
+// post order regardless of which side of the wheel horizon they were
 // inserted on.
 
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "util/time.h"
@@ -37,8 +40,6 @@ namespace concilium::net {
 
 class EventSim {
   public:
-    using Callback = std::function<void()>;
-
     /// Dispatch target registered by a component: a plain function pointer
     /// plus its context.  Operands a/b/c carry the event's payload (indices,
     /// ids, times) so records stay POD.
@@ -50,7 +51,6 @@ class EventSim {
     /// fails loudly (std::length_error) instead of OOMing a --full run.
     static constexpr std::size_t kDefaultMaxPending = std::size_t{1} << 26;
 
-    EventSim();
     ~EventSim();  // flushes the open queue-depth window to the series
 
     [[nodiscard]] util::SimTime now() const noexcept { return now_; }
@@ -67,13 +67,6 @@ class EventSim {
     /// Schedules a POD event at now() + delay.
     void post_after(util::SimTime delay, HandlerId handler, std::uint32_t a = 0,
                     std::uint64_t b = 0, std::uint64_t c = 0);
-
-    /// Schedules fn at absolute time t (>= now, else it fires immediately at
-    /// the current time).
-    void schedule_at(util::SimTime t, Callback fn);
-
-    /// Schedules fn at now() + delay.
-    void schedule_after(util::SimTime delay, Callback fn);
 
     /// Runs events with time <= t, then advances the clock to t.
     void run_until(util::SimTime t);
@@ -150,17 +143,12 @@ class EventSim {
     /// compares against depth_window_end_.
     void flush_depth_window() noexcept;
 
-    static void run_callback_slot(void* ctx, std::uint32_t slot, std::uint64_t,
-                                  std::uint64_t);
-
     std::array<std::vector<Record>, kBuckets> wheel_;  // per-bucket min-heaps
     std::vector<Record> overflow_;                     // min-heap, at >= wheel_end
     std::size_t wheel_count_ = 0;
     std::uint64_t cur_slot_ = 0;  // monotonic bucket number (time >> shift)
 
     std::vector<Handler> handlers_;
-    std::vector<Callback> callbacks_;        // slab for the legacy API
-    std::vector<std::uint32_t> free_slots_;  // recycled slab entries
 
     util::SimTime now_ = 0;
     std::uint64_t seq_ = 0;

@@ -17,31 +17,16 @@
 
 namespace concilium::net {
 
-/// A route through the IP network.  routers.size() == links.size() + 1;
-/// routers.front() is the source and routers.back() the destination.
-struct Path {
-    std::vector<RouterId> routers;
-    std::vector<LinkId> links;
-
-    [[nodiscard]] bool empty() const noexcept { return links.empty(); }
-    [[nodiscard]] std::size_t hops() const noexcept { return links.size(); }
-};
-
-/// A route viewed as spans into arena storage (see PathOracle::paths_into).
-/// Same shape contract as Path: routers.size() == links.size() + 1 for a
-/// non-empty route, both empty when unreachable or src == dst.
+/// A route through the IP network, viewed as spans into arena storage (see
+/// PathOracle::paths_into).  routers.size() == links.size() + 1 for a
+/// non-empty route, routers.front() being the source and routers.back() the
+/// destination; both are empty when unreachable or src == dst.
 struct PathView {
     std::span<const RouterId> routers;
     std::span<const LinkId> links;
 
     [[nodiscard]] bool empty() const noexcept { return links.empty(); }
     [[nodiscard]] std::size_t hops() const noexcept { return links.size(); }
-
-    /// Owning copy, for the few cold consumers that outlive the arena.
-    [[nodiscard]] Path to_path() const {
-        return Path{{routers.begin(), routers.end()},
-                    {links.begin(), links.end()}};
-    }
 };
 
 class PathOracle {

@@ -8,13 +8,10 @@
 
 #pragma once
 
-#include <functional>
 #include <span>
 
 #include "net/chaos.h"
-#include "net/event_sim.h"
 #include "net/link_state.h"
-#include "net/paths.h"
 #include "util/rng.h"
 
 namespace concilium::net {
@@ -26,30 +23,21 @@ struct TransportParams {
 
 class Transport {
   public:
-    Transport(const FailureTimeline& timeline, EventSim& sim,
-              util::Rng rng, TransportParams params = {})
-        : timeline_(&timeline), sim_(&sim), rng_(rng), params_(params) {}
+    Transport(const FailureTimeline& timeline, util::Rng rng,
+              TransportParams params = {})
+        : timeline_(&timeline), rng_(rng), params_(params) {}
 
     /// Probability that one packet crossing `link` at time t survives.
     [[nodiscard]] double pass_probability(LinkId link, util::SimTime t) const;
 
-    /// Samples a single packet traversal of `path` starting at time t.
+    /// Samples a single packet traversal of `links` starting at time t.
     /// Each link is crossed per_hop_latency later than the previous one.
     /// Returns true when the packet reaches the end of the path.
-    bool sample_traversal(const Path& path, util::SimTime t);
     bool sample_traversal(std::span<const LinkId> links, util::SimTime t);
 
     [[nodiscard]] util::SimTime latency(std::size_t hops) const noexcept {
         return static_cast<util::SimTime>(hops) * params_.per_hop_latency;
     }
-    [[nodiscard]] util::SimTime latency(const Path& path) const noexcept {
-        return latency(path.hops());
-    }
-
-    /// Sends a packet now; exactly one of on_deliver / on_drop fires, at the
-    /// simulated arrival (or would-be arrival) time.
-    void send(const Path& path, std::function<void()> on_deliver,
-              std::function<void()> on_drop);
 
     [[nodiscard]] const TransportParams& params() const noexcept {
         return params_;
@@ -60,11 +48,9 @@ class Transport {
     /// application traffic alike -- sees the injected faults.  The plan
     /// must outlive the transport; pass nullptr to detach.
     void set_chaos(const FaultPlan* plan) noexcept { chaos_ = plan; }
-    [[nodiscard]] const FaultPlan* chaos() const noexcept { return chaos_; }
 
   private:
     const FailureTimeline* timeline_;
-    EventSim* sim_;
     util::Rng rng_;
     TransportParams params_;
     const FaultPlan* chaos_ = nullptr;

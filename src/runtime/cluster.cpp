@@ -27,6 +27,17 @@ util::metrics::SeriesMetric& minute_series(const char* name) {
         name, util::kMinute, 240, util::metrics::SeriesMetric::Mode::kSum);
 }
 
+// Inverts every link observation and path bucket of a snapshot: the
+// report of a node lying about its own probes.
+void invert_report(tomography::TomographicSnapshot& snapshot) {
+    for (auto& obs : snapshot.links) obs.up = !obs.up;
+    for (auto& path : snapshot.paths) {
+        path.bucket = path.bucket == tomography::LossBucket::kClean
+                          ? tomography::LossBucket::kDown
+                          : tomography::LossBucket::kClean;
+    }
+}
+
 }  // namespace
 
 Cluster::Cluster(net::EventSim& sim, const net::FailureTimeline& timeline,
@@ -35,7 +46,7 @@ Cluster::Cluster(net::EventSim& sim, const net::FailureTimeline& timeline,
                  std::vector<NodeBehavior> behaviors, util::Rng rng)
     : sim_(&sim), timeline_(&timeline), net_(&net), trees_(&trees),
       params_(params), behaviors_(std::move(behaviors)), rng_(rng),
-      transport_(timeline, sim, rng_.fork(), params.transport),
+      transport_(timeline, rng_.fork(), params.transport),
       dht_(net, params.dht_replication, params.dht_per_writer_quota),
       reputation_(params.reputation_vote_expiry) {
     if (!behaviors_.empty() && behaviors_.size() != net.size()) {
@@ -53,11 +64,10 @@ Cluster::Cluster(net::EventSim& sim, const net::FailureTimeline& timeline,
         registry_.register_key(net.member(m).keys);
         member_of_.emplace(net.member(m).id(), m);
         nodes_.push_back(NodeState{
-            SnapshotArchive(params_.blame.delta + 5 * util::kMinute,
-                            params_.snapshot_max_transit,
-                            params_.archive_max_per_origin),
-            core::VerdictLedger(params_.verdicts),
-            -(1LL << 60)});
+            .archive = SnapshotArchive(params_.blame.delta + 5 * util::kMinute,
+                                       params_.snapshot_max_transit,
+                                       params_.archive_max_per_origin),
+            .ledger = core::VerdictLedger(params_.verdicts)});
         nodes_.back().archive.bind_interner(&interner_);
     }
 }
@@ -66,45 +76,120 @@ void Cluster::set_online(overlay::MemberIndex m, bool online) {
     online_.at(m) = online;
 }
 
+void Cluster::post_parked(util::SimTime delay, Op op, std::uint64_t b,
+                          Parked payload, std::uint64_t hi) {
+    std::uint64_t slot;
+    if (free_parked_.empty()) {
+        slot = parked_.size();
+        parked_.push_back(std::move(payload));
+    } else {
+        slot = free_parked_.back();
+        free_parked_.pop_back();
+        parked_[slot] = std::move(payload);
+    }
+    post(delay, op, b, (hi << 32) | slot);
+}
+
+template <class T>
+T Cluster::unpark(std::uint64_t c) {
+    const auto slot = static_cast<std::uint32_t>(c);
+    free_parked_.push_back(slot);
+    return std::get<T>(std::move(parked_[slot]));
+}
+
 void Cluster::dispatch_event(void* ctx, std::uint32_t a, std::uint64_t b,
                              std::uint64_t c) {
-    auto* self = static_cast<Cluster*>(ctx);
-    switch (static_cast<Op>(a)) {
+    static_cast<Cluster*>(ctx)->run_event(static_cast<Op>(a), b, c);
+}
+
+void Cluster::run_event(Op op, std::uint64_t b, std::uint64_t c) {
+    const auto member = static_cast<overlay::MemberIndex>(b);
+    const auto hi = static_cast<std::size_t>(c >> 32);  // a hop or attempt
+    switch (op) {
         case Op::kProbeRound:
-            self->run_probe_round(static_cast<overlay::MemberIndex>(b));
+            run_probe_round(member);
             break;
         case Op::kSlanderRound:
-            self->run_slander_round(static_cast<overlay::MemberIndex>(b));
+            run_slander_round(member);
             break;
         case Op::kSpamRound:
-            self->run_spam_round(static_cast<overlay::MemberIndex>(b));
+            run_spam_round(member);
             break;
-        case Op::kPeerRefresh: {
-            const auto peer = static_cast<overlay::MemberIndex>(b);
-            if (self->sim_->now() - self->nodes_[peer].last_heavyweight >=
-                self->params_.heavyweight_min_gap) {
-                self->run_heavyweight(peer);
+        case Op::kPeerRefresh:
+            if (sim_->now() - nodes_[member].last_heavyweight >=
+                params_.heavyweight_min_gap) {
+                run_heavyweight(member);
             }
             break;
-        }
         case Op::kDeliverToHop:
-            self->deliver_to_hop(b, static_cast<std::size_t>(c));
+            deliver_to_hop(b, static_cast<std::size_t>(c));
             break;
         case Op::kDeliverAck:
-            self->deliver_ack_to_hop(b, static_cast<std::size_t>(c));
+            deliver_ack_to_hop(b, static_cast<std::size_t>(c));
             break;
         case Op::kAckTimeout:
-            self->on_ack_timeout(b, static_cast<std::size_t>(c));
+            on_ack_timeout(b, static_cast<std::size_t>(c));
             break;
         case Op::kJudge:
-            self->judge_next_hop(b, static_cast<std::size_t>(c));
+            judge_next_hop(b, static_cast<std::size_t>(c));
             break;
         case Op::kForwardRetry:
-            self->forward_retry(b, static_cast<std::size_t>(c >> 32),
-                                static_cast<int>(c & 0xffffffffu));
+            forward_retry(b, hi, static_cast<int>(c & 0xffffffffu));
             break;
         case Op::kMaybeComplete:
-            self->maybe_complete(b);
+            maybe_complete(b);
+            break;
+        case Op::kFabricatedRevision:
+            push_fabricated_revision(b, static_cast<std::size_t>(c));
+            break;
+        case Op::kRelayRevision:
+            relay_revision(b, unpark<core::BlameEvidence>(c), hi);
+            break;
+        case Op::kHandoff:
+            deliver_handoff(b, hi, unpark<StewardHandoff>(c));
+            break;
+        case Op::kDeliverSnapshot: {
+            const SnapshotRef published = unpark<SnapshotRef>(c);
+            deliver_snapshot(member, *published);
+            break;
+        }
+        case Op::kSnapshotRetry:
+            send_snapshot(member, unpark<SnapshotRef>(c),
+                          static_cast<int>(hi));
+            break;
+        case Op::kAnnouncement:
+            accept_recovery_announcement(member,
+                                         unpark<RecoveryAnnouncement>(c));
+            break;
+        case Op::kResync:
+            if (!online_[member]) break;
+            ++stats_.resync_rounds;
+            bump("partition.resync_rounds");
+            probe_round_once(member);
+            break;
+        case Op::kChurnLeave:
+            ++stats_.churn_leaves;
+            bump("runtime.churn_leaves");
+            set_online(member, false);
+            break;
+        case Op::kChurnRejoin:
+            ++stats_.churn_rejoins;
+            bump("runtime.churn_rejoins");
+            // A crashed node stays down until restart_node brings it back.
+            if (!crashed_[member]) set_online(member, true);
+            break;
+        case Op::kCrash:
+            crash_node(member);
+            break;
+        case Op::kRestart:
+            restart_node(member);
+            break;
+        case Op::kPartitionStart:
+            ++stats_.partition_activations;
+            bump("partition.activations");
+            break;
+        case Op::kPartitionHeal:
+            heal_partition();
             break;
     }
 }
@@ -112,17 +197,8 @@ void Cluster::dispatch_event(void* ctx, std::uint32_t a, std::uint64_t b,
 void Cluster::schedule_churn() {
     for (const net::ChurnEvent& ev : chaos_->churn) {
         if (ev.node >= net_->size()) continue;
-        const auto node = static_cast<overlay::MemberIndex>(ev.node);
-        sim_->schedule_at(ev.leave, [this, node] {
-            ++stats_.churn_leaves;
-            bump("runtime.churn_leaves");
-            set_online(node, false);
-        });
-        sim_->schedule_at(ev.rejoin, [this, node] {
-            ++stats_.churn_rejoins;
-            bump("runtime.churn_rejoins");
-            set_online(node, true);
-        });
+        post_at(ev.leave, Op::kChurnLeave, ev.node);
+        post_at(ev.rejoin, Op::kChurnRejoin, ev.node);
     }
 }
 
@@ -141,16 +217,12 @@ util::SimTime Cluster::chaos_extra_delay(double rate,
 void Cluster::schedule_recovery_faults() {
     for (const net::CrashEvent& ev : chaos_->crashes) {
         if (ev.node >= net_->size()) continue;
-        const auto node = static_cast<overlay::MemberIndex>(ev.node);
-        sim_->schedule_at(ev.crash, [this, node] { crash_node(node); });
-        sim_->schedule_at(ev.restart, [this, node] { restart_node(node); });
+        post_at(ev.crash, Op::kCrash, ev.node);
+        post_at(ev.restart, Op::kRestart, ev.node);
     }
     for (const net::PartitionEvent& ev : chaos_->partitions) {
-        sim_->schedule_at(ev.start, [this] {
-            ++stats_.partition_activations;
-            bump("partition.activations");
-        });
-        sim_->schedule_at(ev.heal, [this] { heal_partition(); });
+        post_at(ev.start, Op::kPartitionStart);
+        post_at(ev.heal, Op::kPartitionHeal);
     }
 }
 
@@ -226,27 +298,15 @@ void Cluster::recovery_handshake(
     // density), so a forged "repair" advertisement fails exactly like any
     // other forged advertisement.
     const auto key_fn = [this](const util::NodeId& id) { return key_of(id); };
-    auto ad = overlay::make_advertisement(
-        *net_, m, now, [this](overlay::MemberIndex) {
-            return std::max<util::SimTime>(
-                0, sim_->now() - params_.probe_interval_max / 2);
-        });
-    const double fraction = behavior(m).advertised_table_fraction;
-    if (fraction < 1.0) {
-        ad.entries.resize(static_cast<std::size_t>(
-            fraction * static_cast<double>(ad.entries.size())));
-        ad.signature = net_->member(m).keys.sign(ad.signed_payload());
-    }
+    const auto ad = routing_advertisement(m);
     for (const overlay::MemberIndex peer : net_->routing_peers(m)) {
         if (!online_[peer]) continue;
         if (partition_blocks(m, peer)) {
             bump("partition.control_blocked");
             continue;
         }
-        sim_->schedule_after(
-            params_.control_latency, [this, peer, announcement] {
-                accept_recovery_announcement(peer, announcement);
-            });
+        post_parked(params_.control_latency, Op::kAnnouncement, peer,
+                    announcement);
         const auto verdict = core::validate_advertisement(
             ad, net_->secure_table(peer).density(), now, params_.validation,
             key_fn, registry_);
@@ -293,11 +353,8 @@ void Cluster::recovery_handshake(
                     const StewardHandoff handoff = make_steward_handoff(
                         net_->member(m).id(), s.message_id, s.hop,
                         crashed_at_[m], now, net_->member(m).keys);
-                    sim_->schedule_after(
-                        params_.control_latency,
-                        [this, id = s.message_id, hop, handoff] {
-                            deliver_handoff(id, hop - 1, handoff);
-                        });
+                    post_parked(params_.control_latency, Op::kHandoff,
+                                s.message_id, handoff, hop - 1);
                 } else if (online_[up]) {
                     bump("partition.control_blocked");
                 }
@@ -362,12 +419,7 @@ void Cluster::heal_partition() {
         if (!online_[m]) continue;
         const auto stagger = static_cast<util::SimTime>(m % 64) *
                              (25 * util::kMillisecond);
-        sim_->schedule_after(stagger, [this, m] {
-            if (!online_[m]) return;
-            ++stats_.resync_rounds;
-            bump("partition.resync_rounds");
-            probe_round_once(m);
-        });
+        post(stagger, Op::kResync, m);
     }
 }
 
@@ -477,9 +529,9 @@ void Cluster::start() {
         schedule_recovery_faults();
     }
     for (overlay::MemberIndex m = 0; m < net_->size(); ++m) {
-        schedule_probe_round(m);
-        if (behavior(m).slander) schedule_slander_round(m);
-        if (behavior(m).spam_accusations) schedule_spam_round(m);
+        schedule_round(Op::kProbeRound, m);
+        if (behavior(m).slander) schedule_round(Op::kSlanderRound, m);
+        if (behavior(m).spam_accusations) schedule_round(Op::kSpamRound, m);
     }
 }
 
@@ -494,19 +546,7 @@ void Cluster::exchange_routing_state() {
     };
     for (overlay::MemberIndex m = 0; m < net_->size(); ++m) {
         if (!online_[m]) continue;
-        auto ad = overlay::make_advertisement(
-            *net_, m, sim_->now(), [this](overlay::MemberIndex) {
-                // Entries were last vouched for within one probe period.
-                return std::max<util::SimTime>(
-                    0, sim_->now() - params_.probe_interval_max / 2);
-            });
-        const double fraction = behavior(m).advertised_table_fraction;
-        if (fraction < 1.0) {
-            // Suppression attack: hide a share of the honest entries.
-            ad.entries.resize(static_cast<std::size_t>(
-                fraction * static_cast<double>(ad.entries.size())));
-            ad.signature = net_->member(m).keys.sign(ad.signed_payload());
-        }
+        const auto ad = routing_advertisement(m);
         for (const overlay::MemberIndex peer : net_->routing_peers(m)) {
             if (!online_[peer]) continue;
             const auto verdict = core::validate_advertisement(
@@ -522,19 +562,33 @@ void Cluster::exchange_routing_state() {
     }
 }
 
-void Cluster::schedule_probe_round(overlay::MemberIndex m) {
+overlay::JumpTableAdvertisement Cluster::routing_advertisement(
+    overlay::MemberIndex m) const {
+    auto ad = overlay::make_advertisement(
+        *net_, m, sim_->now(), [this](overlay::MemberIndex) {
+            // Entries were last vouched for within one probe period.
+            return std::max<util::SimTime>(
+                0, sim_->now() - params_.probe_interval_max / 2);
+        });
+    const double fraction = behavior(m).advertised_table_fraction;
+    if (fraction < 1.0) {
+        // Suppression attack: hide a share of the honest entries.
+        ad.entries.resize(static_cast<std::size_t>(
+            fraction * static_cast<double>(ad.entries.size())));
+        ad.signature = net_->member(m).keys.sign(ad.signed_payload());
+    }
+    return ad;
+}
+
+void Cluster::schedule_round(Op op, overlay::MemberIndex m) {
     const auto delay = static_cast<util::SimTime>(rng_.uniform(
         0.0, static_cast<double>(params_.probe_interval_max)));
-    post(delay, Op::kProbeRound, m);
+    post(delay, op, m);
 }
 
 void Cluster::run_probe_round(overlay::MemberIndex m) {
-    if (!online_[m]) {
-        schedule_probe_round(m);
-        return;
-    }
-    probe_round_once(m);
-    schedule_probe_round(m);
+    probe_round_once(m);  // a no-op while m is offline
+    schedule_round(Op::kProbeRound, m);
 }
 
 void Cluster::probe_round_once(overlay::MemberIndex m) {
@@ -647,8 +701,8 @@ void Cluster::run_heavyweight(overlay::MemberIndex m) {
     publish_snapshot(m, std::move(snapshot));
 }
 
-std::shared_ptr<const Cluster::PublishedSnapshot> Cluster::seal(
-    overlay::MemberIndex m, tomography::TomographicSnapshot snapshot) {
+Cluster::SnapshotRef Cluster::seal(overlay::MemberIndex m,
+                                   tomography::TomographicSnapshot snapshot) {
     auto pub = std::make_shared<PublishedSnapshot>();
     pub->snapshot = std::move(snapshot);
     pub->origin_m = m;
@@ -671,19 +725,14 @@ void Cluster::publish_snapshot(overlay::MemberIndex m,
         ++stats_.replays_published;
         bump("attack.replays_published");
         for (const overlay::MemberIndex peer : net_->routing_peers(m)) {
-            send_snapshot(m, peer, nodes_[m].replay_stash, 1);
+            send_snapshot(peer, nodes_[m].replay_stash, 1);
         }
         return;
     }
     if (b.flip_probe_reports) {
         // Section 3.3's worst-case leaf: answer others' probes correctly but
         // misreport one's own results.  The liar signs its lie.
-        for (auto& obs : snapshot.links) obs.up = !obs.up;
-        for (auto& path : snapshot.paths) {
-            path.bucket = path.bucket == tomography::LossBucket::kClean
-                              ? tomography::LossBucket::kDown
-                              : tomography::LossBucket::kClean;
-        }
+        invert_report(snapshot);
     }
     snapshot.epoch = nodes_[m].next_epoch++;
     // Journal the epoch advance *before* the snapshot leaves: a crash
@@ -715,7 +764,7 @@ void Cluster::publish_snapshot(overlay::MemberIndex m,
         for (const overlay::MemberIndex peer : net_->routing_peers(m)) {
             const std::size_t r = rank++;
             send_snapshot(
-                m, peer,
+                peer,
                 r % 2 == 0
                     ? pub
                     : seal(m, equivocation_variant(m, pub->snapshot, r)),
@@ -724,7 +773,7 @@ void Cluster::publish_snapshot(overlay::MemberIndex m,
         return;
     }
     for (const overlay::MemberIndex peer : net_->routing_peers(m)) {
-        send_snapshot(m, peer, pub, 1);
+        send_snapshot(peer, pub, 1);
     }
 }
 
@@ -733,12 +782,7 @@ tomography::TomographicSnapshot Cluster::equivocation_variant(
     std::size_t peer_rank) const {
     if (peer_rank % 2 == 0) return base;
     tomography::TomographicSnapshot variant = base;
-    for (auto& obs : variant.links) obs.up = !obs.up;
-    for (auto& path : variant.paths) {
-        path.bucket = path.bucket == tomography::LossBucket::kClean
-                          ? tomography::LossBucket::kDown
-                          : tomography::LossBucket::kClean;
-    }
+    invert_report(variant);
     variant.signature = net_->member(m).keys.sign(variant.signed_payload());
     return variant;
 }
@@ -784,40 +828,12 @@ void Cluster::detect_equivocation(overlay::MemberIndex holder,
     }
 }
 
-void Cluster::send_snapshot(overlay::MemberIndex m,
-                            overlay::MemberIndex peer,
-                            std::shared_ptr<const PublishedSnapshot> snapshot,
+void Cluster::send_snapshot(overlay::MemberIndex peer, SnapshotRef snapshot,
                             int attempt) {
-    const auto deliver = [this, peer, pub = snapshot] {
-        // Same check as tomography::verify_snapshot, memoized on the sealed
-        // payload digest: the identical (key, digest, signature) triple
-        // arrives at every routing peer of the origin.
-        const crypto::PublicKey key =
-            net_->member(pub->origin_m).keys.public_key();
-        if (!verify_cache_.verify(key, pub->digest, pub->payload,
-                                  pub->snapshot.signature)) {
-            ++stats_.snapshots_rejected;
-            bump("runtime.snapshots_rejected");
-            return;
-        }
-        switch (nodes_[peer].archive.add(pub->snapshot, sim_->now(),
-                                         pub->digest_id)) {
-            case ArchiveAdd::kArchived:
-                detect_equivocation(peer, *pub);
-                break;
-            case ArchiveAdd::kRejectedStale:
-                ++stats_.snapshots_rejected_stale;
-                bump("defense.snapshots_rejected_stale");
-                break;
-            case ArchiveAdd::kRejectedEpoch:
-                ++stats_.snapshots_rejected_epoch;
-                bump("defense.snapshots_rejected_epoch");
-                break;
-        }
-    };
     if (chaos_ == nullptr) {
         // Lossless control plane (the paper's assumption).
-        sim_->schedule_after(params_.control_latency, deliver);
+        post_parked(params_.control_latency, Op::kDeliverSnapshot, peer,
+                    std::move(snapshot));
         return;
     }
     // Under chaos the control plane shares the faulty IP network: the
@@ -825,6 +841,7 @@ void Cluster::send_snapshot(overlay::MemberIndex m,
     // exponential backoff, and abandoned once the budget is spent -- the
     // peer then simply lacks this snapshot, so the blame evidence it can
     // contribute degrades instead of the diagnosis wedging on it.
+    const overlay::MemberIndex m = snapshot->origin_m;
     if (!online_[m]) return;  // an offline origin stops retrying
     bump("runtime.retry.snapshot_attempts");
     util::SimTime latency = params_.control_latency;
@@ -840,7 +857,7 @@ void Cluster::send_snapshot(overlay::MemberIndex m,
         latency = std::max(latency, transport_.latency(path.size()));
     }
     if (delivered) {
-        sim_->schedule_after(latency, deliver);
+        post_parked(latency, Op::kDeliverSnapshot, peer, std::move(snapshot));
         return;
     }
     const int next = attempt + 1;
@@ -852,9 +869,37 @@ void Cluster::send_snapshot(overlay::MemberIndex m,
     ++stats_.snapshot_retries;
     bump("runtime.retry.snapshot_retries");
     const auto backoff = params_.snapshot_retry.delay_before(next, rng_);
-    sim_->schedule_after(backoff, [this, m, peer, snapshot, next] {
-        send_snapshot(m, peer, snapshot, next);
-    });
+    post_parked(backoff, Op::kSnapshotRetry, peer, std::move(snapshot),
+                static_cast<std::uint64_t>(next));
+}
+
+void Cluster::deliver_snapshot(overlay::MemberIndex peer,
+                               const PublishedSnapshot& published) {
+    // Same check as tomography::verify_snapshot, memoized on the sealed
+    // payload digest: the identical (key, digest, signature) triple arrives
+    // at every routing peer of the origin.
+    const crypto::PublicKey key =
+        net_->member(published.origin_m).keys.public_key();
+    if (!verify_cache_.verify(key, published.digest, published.payload,
+                              published.snapshot.signature)) {
+        ++stats_.snapshots_rejected;
+        bump("runtime.snapshots_rejected");
+        return;
+    }
+    switch (nodes_[peer].archive.add(published.snapshot, sim_->now(),
+                                     published.digest_id)) {
+        case ArchiveAdd::kArchived:
+            detect_equivocation(peer, published);
+            break;
+        case ArchiveAdd::kRejectedStale:
+            ++stats_.snapshots_rejected_stale;
+            bump("defense.snapshots_rejected_stale");
+            break;
+        case ArchiveAdd::kRejectedEpoch:
+            ++stats_.snapshots_rejected_epoch;
+            bump("defense.snapshots_rejected_epoch");
+            break;
+    }
 }
 
 // -------------------------------------------------------------- messaging
@@ -946,11 +991,8 @@ void Cluster::forward_from_hop(std::uint64_t msg_id, std::size_t hop) {
             // The colluder waits out the upstream timeout, then pushes a
             // fabricated guilty revision framing its next hop for the drop
             // it just committed.
-            sim_->schedule_after(
-                params_.ack_timeout + params_.judgment_grace,
-                [this, msg_id, hop] {
-                    push_fabricated_revision(msg_id, hop);
-                });
+            post(params_.ack_timeout + params_.judgment_grace,
+                 Op::kFabricatedRevision, msg_id, hop);
         }
         return;  // upstream stewards will time out
     }
@@ -1255,15 +1297,12 @@ void Cluster::push_revision_upstream(std::uint64_t msg_id, std::size_t hop) {
     bump("runtime.revisions_pushed");
     // Each steward presents the verdict to its upstream neighbor, which
     // relays it further unless it withholds revisions itself (Section 3.5).
-    const core::BlameEvidence evidence = *ctx.stewards[hop].judgment;
-    sim_->schedule_after(params_.control_latency, [this, msg_id, evidence,
-                                                   hop] {
-        relay_revision(msg_id, evidence, hop - 1);
-    });
+    post_parked(params_.control_latency, Op::kRelayRevision, msg_id,
+                *ctx.stewards[hop].judgment, hop - 1);
 }
 
 void Cluster::relay_revision(std::uint64_t msg_id,
-                             const core::BlameEvidence& evidence,
+                             core::BlameEvidence evidence,
                              std::size_t to_hop) {
     auto& ctx = messages_.at(msg_id);
     ctx.stewards[to_hop].pushed.push_back(evidence);
@@ -1271,10 +1310,8 @@ void Cluster::relay_revision(std::uint64_t msg_id,
     bump("runtime.revisions_applied");
     if (to_hop == 0) return;
     if (behavior(ctx.route[to_hop]).refuse_revisions) return;
-    sim_->schedule_after(params_.control_latency,
-                         [this, msg_id, evidence, to_hop] {
-                             relay_revision(msg_id, evidence, to_hop - 1);
-                         });
+    post_parked(params_.control_latency, Op::kRelayRevision, msg_id,
+                std::move(evidence), to_hop - 1);
 }
 
 // ------------------------------------------- attack campaign behaviours
@@ -1303,21 +1340,13 @@ void Cluster::push_fabricated_revision(std::uint64_t msg_id,
     ev.judge_signature = net_->member(m).keys.sign(ev.signed_payload());
     ++stats_.collusions_pushed;
     bump("attack.collusions_pushed");
-    sim_->schedule_after(params_.control_latency,
-                         [this, msg_id, ev, hop] {
-                             relay_revision(msg_id, ev, hop - 1);
-                         });
-}
-
-void Cluster::schedule_slander_round(overlay::MemberIndex m) {
-    const auto delay = static_cast<util::SimTime>(rng_.uniform(
-        0.0, static_cast<double>(params_.probe_interval_max)));
-    post(delay, Op::kSlanderRound, m);
+    post_parked(params_.control_latency, Op::kRelayRevision, msg_id,
+                std::move(ev), hop - 1);
 }
 
 void Cluster::run_slander_round(overlay::MemberIndex m) {
     if (!online_[m]) {
-        schedule_slander_round(m);
+        schedule_round(Op::kSlanderRound, m);
         return;
     }
     const auto& peers = net_->routing_peers(m);
@@ -1389,18 +1418,12 @@ void Cluster::run_slander_round(overlay::MemberIndex m) {
         ++stats_.slanders_filed;
         bump("attack.slanders_filed");
     }
-    schedule_slander_round(m);
-}
-
-void Cluster::schedule_spam_round(overlay::MemberIndex m) {
-    const auto delay = static_cast<util::SimTime>(rng_.uniform(
-        0.0, static_cast<double>(params_.probe_interval_max)));
-    post(delay, Op::kSpamRound, m);
+    schedule_round(Op::kSlanderRound, m);
 }
 
 void Cluster::run_spam_round(overlay::MemberIndex m) {
     if (!online_[m]) {
-        schedule_spam_round(m);
+        schedule_round(Op::kSpamRound, m);
         return;
     }
     const auto& peers = net_->routing_peers(m);
@@ -1424,7 +1447,7 @@ void Cluster::run_spam_round(overlay::MemberIndex m) {
             }
         }
     }
-    schedule_spam_round(m);
+    schedule_round(Op::kSpamRound, m);
 }
 
 void Cluster::maybe_complete(std::uint64_t msg_id) {

@@ -19,6 +19,13 @@
 // "at their own peril", and the evidence-integrity campaign roles --
 // equivocators, replayers, slanderers, accusation spammers, and verdict
 // colluders -- each paired here with its self-verifying defense.
+//
+// Every event the cluster schedules -- probe rounds, packet deliveries,
+// timers, snapshot deliveries, churn, crashes and partitions -- is a POD
+// record on the EventSim queue, fanned out by one registered handler.  The
+// few payloads that do not fit in an event's integer operands (a sealed
+// snapshot, relayed blame evidence, a recovery announcement, a steward
+// handoff) wait in the cluster's slot table until their event fires.
 
 #pragma once
 
@@ -30,6 +37,7 @@
 #include <set>
 #include <unordered_map>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/accusation.h"
@@ -172,7 +180,10 @@ class Cluster {
         bool true_network_drop = false;
         std::optional<std::size_t> true_network_segment;
     };
-    using CompletionFn = std::function<void(const MessageOutcome&)>;
+    /// The caller-facing completion callback: the one closure the cluster
+    /// stores, per message, never per event.
+    using CompletionFn =
+        std::function<void(const MessageOutcome&)>;  // hot-path-lint: boundary
 
     /// Sends an application message from `from` toward the root of
     /// `dest_key`.  The callback fires when the sender either receives the
@@ -334,19 +345,21 @@ class Cluster {
     /// A snapshot sealed for dissemination: the signed payload is serialized
     /// once at publication, its digest interned once, and every per-peer
     /// delivery (and retry) shares this immutable slab by reference instead
-    /// of copying the snapshot into each deliver closure.
+    /// of copying the snapshot into each delivery event's parked slot.
     struct PublishedSnapshot {
         tomography::TomographicSnapshot snapshot;
-        /// Publisher's member index (snapshots are always self-originated);
-        /// receivers resolve the origin key through it without a NodeId map
-        /// lookup per delivery.
+        /// Publisher's member index (snapshots are always self-originated,
+        /// so it is also the sender of every delivery attempt); receivers
+        /// resolve the origin key through it without a NodeId map lookup
+        /// per delivery.
         overlay::MemberIndex origin_m = 0;
         std::vector<std::uint8_t> payload;  ///< signed_payload(), serialized once
         util::Digest digest{};
         util::DigestInterner::Id digest_id = util::DigestInterner::kInvalidId;
     };
-    [[nodiscard]] std::shared_ptr<const PublishedSnapshot> seal(
-        overlay::MemberIndex m, tomography::TomographicSnapshot snapshot);
+    using SnapshotRef = std::shared_ptr<const PublishedSnapshot>;
+    [[nodiscard]] SnapshotRef seal(overlay::MemberIndex m,
+                                   tomography::TomographicSnapshot snapshot);
 
     struct NodeState {
         SnapshotArchive archive;
@@ -356,12 +369,12 @@ class Cluster {
         std::uint64_t next_epoch = 1;
         /// Replayer state: the first favorable snapshot (sealed),
         /// re-advertised verbatim every later round.
-        std::shared_ptr<const PublishedSnapshot> replay_stash;
+        SnapshotRef replay_stash{};
         /// Commitments this node collected as a steward, by issuing member
         /// -- a colluder's raw material for fabricated revisions.  Keyed by
         /// dense MemberIndex; NodeIds resolve at the call boundary.
         std::unordered_map<overlay::MemberIndex, core::ForwardingCommitment>
-            collected;
+            collected{};
         /// Round-robin victim cursors for slander / spam rounds.
         std::size_t slander_cursor = 0;
         std::size_t spam_cursor = 0;
@@ -369,41 +382,76 @@ class Cluster {
         /// the basis for verdict retraction and accusation abstention.
         std::unordered_map<overlay::MemberIndex,
                            std::vector<RecoveryAnnouncement>>
-            recovery_seen;
+            recovery_seen{};
     };
 
     // --- POD event dispatch ------------------------------------------------
-    /// Hot simulation events ride EventSim's POD queue: an op code plus two
-    /// integer operands, fanned out by one registered handler.  Rare
-    /// setup/control events (churn, crash schedules, snapshot deliveries
-    /// with their sealed payload slabs) stay on the callback API.
+    /// Every cluster event rides EventSim's POD queue: an op code plus two
+    /// integer operands, fanned out by one registered handler.  An op that
+    /// carries a parked payload keeps its slot in c's low 32 bits.
     enum class Op : std::uint32_t {
-        kProbeRound,     ///< b = member
-        kSlanderRound,   ///< b = member
-        kSpamRound,      ///< b = member
-        kPeerRefresh,    ///< b = member (heavyweight refresh, periodic gap)
-        kDeliverToHop,   ///< b = message, c = hop
-        kDeliverAck,     ///< b = message, c = hop
-        kAckTimeout,     ///< b = message, c = hop
-        kJudge,          ///< b = message, c = hop
-        kForwardRetry,   ///< b = message, c = hop << 32 | attempt
-        kMaybeComplete,  ///< b = message
+        kProbeRound,         ///< b = member
+        kSlanderRound,       ///< b = member
+        kSpamRound,          ///< b = member
+        kPeerRefresh,        ///< b = member (heavyweight refresh, periodic gap)
+        kDeliverToHop,       ///< b = message, c = hop
+        kDeliverAck,         ///< b = message, c = hop
+        kAckTimeout,         ///< b = message, c = hop
+        kJudge,              ///< b = message, c = hop
+        kForwardRetry,       ///< b = message, c = hop << 32 | attempt
+        kMaybeComplete,      ///< b = message
+        kFabricatedRevision, ///< b = message, c = hop
+        kRelayRevision,      ///< b = message, c = to_hop << 32 | slot
+        kHandoff,            ///< b = message, c = to_hop << 32 | slot
+        kDeliverSnapshot,    ///< b = peer, c = slot
+        kSnapshotRetry,      ///< b = peer, c = attempt << 32 | slot
+        kAnnouncement,       ///< b = peer, c = slot
+        kResync,             ///< b = member (heal-time anti-entropy probe)
+        kChurnLeave,         ///< b = member
+        kChurnRejoin,        ///< b = member
+        kCrash,              ///< b = member
+        kRestart,            ///< b = member
+        kPartitionStart,
+        kPartitionHeal,
     };
     static void dispatch_event(void* ctx, std::uint32_t a, std::uint64_t b,
                                std::uint64_t c);
+    void run_event(Op op, std::uint64_t b, std::uint64_t c);
     void post(util::SimTime delay, Op op, std::uint64_t b,
               std::uint64_t c = 0) {
         sim_->post_after(delay, handler_, static_cast<std::uint32_t>(op), b,
                          c);
     }
+    void post_at(util::SimTime t, Op op, std::uint64_t b = 0) {
+        sim_->post_at(t, handler_, static_cast<std::uint32_t>(op), b);
+    }
     /// Retry-timer body: re-send unless the ack landed in the meantime.
     void forward_retry(std::uint64_t msg_id, std::size_t hop, int attempt);
 
+    /// The slot table: payloads too big for an event's operands wait here
+    /// between post and dispatch.  Freed slots are reused, so a warmed-up
+    /// run parks without allocating.
+    using Parked = std::variant<SnapshotRef, core::BlameEvidence,
+                                RecoveryAnnouncement, StewardHandoff>;
+    /// Posts op with `payload` parked: c = hi << 32 | slot.
+    void post_parked(util::SimTime delay, Op op, std::uint64_t b,
+                     Parked payload, std::uint64_t hi = 0);
+    /// Takes the payload out of the slot named by c's low 32 bits and
+    /// frees the slot.
+    template <class T>
+    [[nodiscard]] T unpark(std::uint64_t c);
+
     // --- routing-state exchange -------------------------------------------
     void exchange_routing_state();
+    /// m's signed jump-table advertisement as of now; a suppressor's is
+    /// cut down to its advertised fraction and re-signed.
+    [[nodiscard]] overlay::JumpTableAdvertisement routing_advertisement(
+        overlay::MemberIndex m) const;
 
     // --- probing ---------------------------------------------------------
-    void schedule_probe_round(overlay::MemberIndex m);
+    /// Schedules m's next probe, slander or spam round (op) a uniform
+    /// [0, probe_interval_max] from now.
+    void schedule_round(Op op, overlay::MemberIndex m);
     void run_probe_round(overlay::MemberIndex m);
     /// One probe round without rescheduling the next: the heal-time resync
     /// and post-restart refresh path.
@@ -411,9 +459,12 @@ class Cluster {
     void run_heavyweight(overlay::MemberIndex m);
     void publish_snapshot(overlay::MemberIndex m,
                           tomography::TomographicSnapshot snapshot);
-    void send_snapshot(overlay::MemberIndex m, overlay::MemberIndex peer,
-                       std::shared_ptr<const PublishedSnapshot> snapshot,
+    /// One delivery attempt of a sealed snapshot from its origin to peer.
+    void send_snapshot(overlay::MemberIndex peer, SnapshotRef snapshot,
                        int attempt);
+    /// Receipt at peer: signature check, archive, equivocation scan.
+    void deliver_snapshot(overlay::MemberIndex peer,
+                          const PublishedSnapshot& published);
 
     // --- attack campaign + evidence-integrity defenses ---------------------
     /// Equivocator variant for one peer: even peer ranks get the snapshot
@@ -427,9 +478,7 @@ class Cluster {
     /// verifies a full self-verifying proof for the DHT.
     void detect_equivocation(overlay::MemberIndex holder,
                              const PublishedSnapshot& published);
-    void schedule_slander_round(overlay::MemberIndex m);
     void run_slander_round(overlay::MemberIndex m);
-    void schedule_spam_round(overlay::MemberIndex m);
     void run_spam_round(overlay::MemberIndex m);
     /// Colluder reaction to its own drop: push a fabricated guilty revision
     /// against the hop it framed, upstream toward the sender.
@@ -489,8 +538,7 @@ class Cluster {
     void on_ack_timeout(std::uint64_t msg_id, std::size_t hop);
     void judge_next_hop(std::uint64_t msg_id, std::size_t hop);
     void push_revision_upstream(std::uint64_t msg_id, std::size_t hop);
-    void relay_revision(std::uint64_t msg_id,
-                        const core::BlameEvidence& evidence,
+    void relay_revision(std::uint64_t msg_id, core::BlameEvidence evidence,
                         std::size_t to_hop);
     void maybe_complete(std::uint64_t msg_id);
 
@@ -553,6 +601,8 @@ class Cluster {
     core::DiagnosisTrace* trace_ = nullptr;
     const net::FaultPlan* chaos_ = nullptr;
     net::EventSim::HandlerId handler_ = 0;
+    std::vector<Parked> parked_;
+    std::vector<std::uint32_t> free_parked_;
 };
 
 }  // namespace concilium::runtime

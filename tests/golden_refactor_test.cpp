@@ -1,26 +1,34 @@
-// Golden seams for the memory-layout refactors.
+// Golden seams for the memory-layout and event-API refactors.
 //
 // The memory-architecture refactors (flat storage, calendar queue, interned
 // digests, the flat probe tree and bit-packed probe sessions, the CSR
-// oracle and the chunked parallel tree build) must be behaviour-preserving:
-// routes, overlay trees, verdicts, generated topologies and probing results
-// are required to come out byte-identical before and after.  These
-// checksums were captured against the pre-refactor implementations; any
-// divergence means the refactor changed observable behaviour, not just
+// oracle and the chunked parallel tree build) and the move of every runtime
+// event onto EventSim's POD queue must be behaviour-preserving: routes,
+// overlay trees, verdicts, generated topologies, probing results and whole
+// cluster runs are required to come out byte-identical before and after.
+// These checksums were captured against the pre-refactor implementations;
+// any divergence means the refactor changed observable behaviour, not just
 // layout.
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "core/trace.h"
 #include "core/verdicts.h"
 #include "crypto/certificates.h"
+#include "daemon/checkpoint.h"
+#include "net/chaos.h"
+#include "net/event_sim.h"
 #include "net/paths.h"
 #include "net/topology_gen.h"
 #include "overlay/network.h"
+#include "runtime/attack.h"
+#include "runtime/cluster.h"
 #include "tomography/inference.h"
 #include "tomography/overlay_trees.h"
 #include "tomography/probing.h"
@@ -271,6 +279,122 @@ TEST(GoldenRefactor, ProbeSessionsAreByteIdentical) {
         h = fnv(h, static_cast<std::uint64_t>(rng.uniform_int(0, 1'000'000)));
     }
     EXPECT_EQ(h, 0x6006a9aae9cc70e9ULL);
+}
+
+// One cluster run under every chaos kind and every attack role.  Besides
+// the common paths it reaches the ones neither benchmark workload fires:
+// partition heal and resync, a stewardship abandoned at restart, and
+// colluders' fabricated revisions.
+TEST(GoldenRefactor, ClusterRunIsByteIdentical) {
+    util::Rng rng(41);
+    net::TopologyParams topo_params = net::small_params();
+    topo_params.end_hosts = 300;
+    const auto topo = net::generate_topology(topo_params, rng);
+    crypto::CertificateAuthority ca(42);
+    const auto members = overlay::build_overlay_from_hosts(
+        topo.end_hosts(), 40, ca, overlay::OverlayParams{}, rng);
+    const tomography::OverlayTrees trees(members, topo);
+    net::FailureTimeline timeline;
+    timeline.finalize();
+
+    const util::SimTime duration = 40 * util::kMinute;
+    util::Rng plan_rng = rng.fork();
+    net::FaultPlan plan = net::build_fault_plan(
+        net::FaultSpec::parse("flap:0.02,churn:0.01,dup:0.05,reorder:0.05,"
+                              "ackdrop:0.05,ackdelay:0.05,crash:0.01,"
+                              "partition:0.08"),
+        duration, trees.member_peer_paths(), members.size(), plan_rng);
+    util::Rng attack_rng = rng.fork();
+    const std::vector<runtime::NodeBehavior> behaviors =
+        runtime::materialize_attackers(
+            runtime::AttackCampaign::parse("equivocate:0.05,replay:0.05,"
+                                           "slander:0.05,spam:0.05,"
+                                           "collude:0.15"),
+            members.size(), attack_rng);
+
+    // An honest sender that crashes 1 ms after sending leaves its
+    // stewardship open in its journal; it restarts two minutes later, past
+    // the resume horizon, and abandons the stewardship.
+    const util::SimTime crash_at = 20 * util::kMinute;
+    const auto clear_of_crash = [&](util::SimTime from, util::SimTime to) {
+        return to < crash_at - 6 * util::kMinute ||
+               from > crash_at + 6 * util::kMinute;
+    };
+    const auto quiet = [&](overlay::MemberIndex m) {
+        for (const net::ChurnEvent& c : plan.churn) {
+            if (c.node == m && !clear_of_crash(c.leave, c.rejoin)) return false;
+        }
+        for (const net::CrashEvent& c : plan.crashes) {
+            if (c.node == m && !clear_of_crash(c.crash, c.restart)) {
+                return false;
+            }
+        }
+        return behaviors[m].drop_forward_probability == 0.0 &&
+               !behaviors[m].byzantine();
+    };
+    overlay::MemberIndex sender = 0;
+    while (sender < members.size() && !quiet(sender)) ++sender;
+    ASSERT_LT(sender, members.size());
+    util::Rng key_rng(43);
+    util::NodeId key = util::NodeId::random(key_rng);
+    while (members.route(sender, key).size() < 3) {
+        key = util::NodeId::random(key_rng);
+    }
+    plan.crashes.push_back({sender, crash_at, crash_at + 2 * util::kMinute});
+
+    runtime::RuntimeParams params;
+    params.forward_retry.max_attempts = 3;
+    core::DiagnosisTrace trace(4096);
+    net::EventSim sim;
+    runtime::Cluster cluster(sim, timeline, members, trees, params, behaviors,
+                             rng.fork());
+    cluster.set_chaos(&plan);
+    cluster.set_trace(&trace);
+    cluster.start();
+
+    std::uint64_t completed = 0;
+    const auto count = [&](const runtime::Cluster::MessageOutcome&) {
+        ++completed;
+    };
+    util::Rng traffic(44);
+    const auto traffic_until = [&](util::SimTime until) {
+        while (sim.now() + 20 * util::kSecond <= until) {
+            cluster.send(static_cast<overlay::MemberIndex>(
+                             traffic.uniform_index(members.size())),
+                         util::NodeId::random(traffic), count);
+            sim.run_until(sim.now() + 20 * util::kSecond);
+        }
+        sim.run_until(until);
+    };
+    sim.run_until(3 * util::kMinute);
+    traffic_until(crash_at - util::kMillisecond);
+    cluster.send(sender, key, count);
+    traffic_until(duration);
+    sim.run_until(duration + 10 * util::kMinute);
+
+    const runtime::Cluster::Stats& stats = cluster.stats();
+    EXPECT_GT(stats.partition_heals, 0u);
+    EXPECT_GT(stats.resync_rounds, 0u);
+    EXPECT_GT(stats.stewardships_abandoned, 0u);
+    EXPECT_GT(stats.collusions_pushed, 0u);
+
+    std::uint64_t h = kFnvOffset;
+    constexpr std::size_t kStatsFields =
+        sizeof(runtime::Cluster::Stats) / sizeof(std::size_t);
+    for (const std::size_t v :
+         std::bit_cast<std::array<std::size_t, kStatsFields>>(stats)) {
+        h = fnv(h, v);
+    }
+    for (const char c : trace.to_json()) {
+        h = fnv(h, static_cast<unsigned char>(c));
+    }
+    for (overlay::MemberIndex m = 0; m < members.size(); ++m) {
+        h = fnv(h, daemon::journal_fnv(cluster.journal(m)));
+        h = fnv(h, cluster.accusations_against(m).size());
+        h = fnv(h, cluster.equivocation_proofs_against(m).size());
+    }
+    h = fnv(h, completed);
+    EXPECT_EQ(h, 0x7bfdede08cfc6d6bULL) << std::hex << h;
 }
 
 }  // namespace

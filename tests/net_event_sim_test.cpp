@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <functional>
 #include <vector>
 
 #include "util/metrics.h"
@@ -9,12 +11,43 @@
 namespace concilium::net {
 namespace {
 
+/// Test glue: each event carries the index of a test-local closure, so the
+/// ordering tests below read as scripts.  A deque keeps closures in place
+/// while a running one posts more.
+struct Script {
+    explicit Script(EventSim& s)
+        : sim(&s), handler(s.register_handler(this, &Script::run)) {}
+
+    void at(util::SimTime t, std::function<void()> fn) {
+        sim->post_at(t, handler, add(std::move(fn)));
+    }
+    void after(util::SimTime delay, std::function<void()> fn) {
+        sim->post_after(delay, handler, add(std::move(fn)));
+    }
+    std::uint32_t add(std::function<void()> fn) {
+        steps.push_back(std::move(fn));
+        return static_cast<std::uint32_t>(steps.size() - 1);
+    }
+
+    static void run(void* ctx, std::uint32_t step, std::uint64_t,
+                    std::uint64_t) {
+        static_cast<Script*>(ctx)->steps[step]();
+    }
+
+    EventSim* sim;
+    EventSim::HandlerId handler;
+    std::deque<std::function<void()>> steps;
+};
+
+void ignore(void*, std::uint32_t, std::uint64_t, std::uint64_t) {}
+
 TEST(EventSim, FiresInTimeOrder) {
     EventSim sim;
+    Script script(sim);
     std::vector<int> order;
-    sim.schedule_at(30, [&] { order.push_back(3); });
-    sim.schedule_at(10, [&] { order.push_back(1); });
-    sim.schedule_at(20, [&] { order.push_back(2); });
+    script.at(30, [&] { order.push_back(3); });
+    script.at(10, [&] { order.push_back(1); });
+    script.at(20, [&] { order.push_back(2); });
     sim.run_all();
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
     EXPECT_EQ(sim.now(), 30);
@@ -22,9 +55,10 @@ TEST(EventSim, FiresInTimeOrder) {
 
 TEST(EventSim, EqualTimesFireInScheduleOrder) {
     EventSim sim;
+    Script script(sim);
     std::vector<int> order;
     for (int i = 0; i < 5; ++i) {
-        sim.schedule_at(42, [&order, i] { order.push_back(i); });
+        script.at(42, [&order, i] { order.push_back(i); });
     }
     sim.run_all();
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
@@ -32,9 +66,10 @@ TEST(EventSim, EqualTimesFireInScheduleOrder) {
 
 TEST(EventSim, ScheduleAfterUsesCurrentTime) {
     EventSim sim;
+    Script script(sim);
     util::SimTime observed = -1;
-    sim.schedule_at(100, [&] {
-        sim.schedule_after(50, [&] { observed = sim.now(); });
+    script.at(100, [&] {
+        script.after(50, [&] { observed = sim.now(); });
     });
     sim.run_all();
     EXPECT_EQ(observed, 150);
@@ -42,10 +77,11 @@ TEST(EventSim, ScheduleAfterUsesCurrentTime) {
 
 TEST(EventSim, PastEventsClampToNow) {
     EventSim sim;
-    sim.schedule_at(100, [] {});
+    Script script(sim);
+    script.at(100, [] {});
     sim.run_all();
     util::SimTime fired_at = -1;
-    sim.schedule_at(10, [&] { fired_at = sim.now(); });  // in the past
+    script.at(10, [&] { fired_at = sim.now(); });  // in the past
     sim.run_all();
     EXPECT_EQ(fired_at, 100);
 }
@@ -58,10 +94,11 @@ TEST(EventSim, RunUntilAdvancesClockEvenWhenIdle) {
 
 TEST(EventSim, RunUntilStopsAtBoundary) {
     EventSim sim;
+    Script script(sim);
     bool early = false;
     bool late = false;
-    sim.schedule_at(10, [&] { early = true; });
-    sim.schedule_at(20, [&] { late = true; });
+    script.at(10, [&] { early = true; });
+    script.at(20, [&] { late = true; });
     sim.run_until(15);
     EXPECT_TRUE(early);
     EXPECT_FALSE(late);
@@ -73,11 +110,12 @@ TEST(EventSim, RunUntilStopsAtBoundary) {
 
 TEST(EventSim, EventsMayScheduleMoreEvents) {
     EventSim sim;
+    Script script(sim);
     int chain = 0;
     std::function<void()> step = [&] {
-        if (++chain < 100) sim.schedule_after(1, step);
+        if (++chain < 100) script.after(1, step);
     };
-    sim.schedule_at(0, step);
+    script.at(0, step);
     sim.run_all();
     EXPECT_EQ(chain, 100);
     EXPECT_EQ(sim.now(), 99);
@@ -87,9 +125,10 @@ TEST(EventSim, PastScheduleFromCallbackFiresAtCurrentTime) {
     // A callback that schedules into the past must see the new event fire
     // at the *current* time, inside the same run, not warp the clock back.
     EventSim sim;
+    Script script(sim);
     util::SimTime fired_at = -1;
-    sim.schedule_at(50, [&] {
-        sim.schedule_at(10, [&] { fired_at = sim.now(); });
+    script.at(50, [&] {
+        script.at(10, [&] { fired_at = sim.now(); });
     });
     sim.run_until(60);
     EXPECT_EQ(fired_at, 50);
@@ -101,12 +140,13 @@ TEST(EventSim, CallbackSchedulingEqualTimeRunsAfterExistingPeers) {
     // back of that timestamp's queue: insertion order is global, not
     // per-batch.
     EventSim sim;
+    Script script(sim);
     std::vector<int> order;
-    sim.schedule_at(7, [&] {
+    script.at(7, [&] {
         order.push_back(0);
-        sim.schedule_at(7, [&] { order.push_back(2); });
+        script.at(7, [&] { order.push_back(2); });
     });
-    sim.schedule_at(7, [&] { order.push_back(1); });
+    script.at(7, [&] { order.push_back(1); });
     sim.run_all();
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
@@ -116,11 +156,12 @@ TEST(EventSim, RunUntilHonorsEventsScheduledDuringTheRun) {
     // same call when they land on or before the horizon, and are retained
     // (not dropped) when they land beyond it.
     EventSim sim;
+    Script script(sim);
     bool within = false;
     bool beyond = false;
-    sim.schedule_at(10, [&] {
-        sim.schedule_after(5, [&] { within = true; });
-        sim.schedule_after(500, [&] { beyond = true; });
+    script.at(10, [&] {
+        script.after(5, [&] { within = true; });
+        script.after(500, [&] { beyond = true; });
     });
     sim.run_until(100);
     EXPECT_TRUE(within);
@@ -134,9 +175,10 @@ TEST(EventSim, CountsScheduledAndExecutedEvents) {
     auto& registry = util::metrics::Registry::global();
     registry.reset();
     EventSim sim;
-    sim.schedule_at(10, [] {});
-    sim.schedule_at(20, [] {});
-    sim.schedule_at(30, [] {});
+    const auto h = sim.register_handler(nullptr, &ignore);
+    sim.post_at(10, h);
+    sim.post_at(20, h);
+    sim.post_at(30, h);
     EXPECT_EQ(registry.counter("net.events_scheduled").value(), 3);
     EXPECT_EQ(registry.counter("net.events_executed").value(), 0);
     EXPECT_DOUBLE_EQ(registry.gauge("net.queue_depth_max").value(), 3.0);
@@ -149,7 +191,7 @@ TEST(EventSim, CountsScheduledAndExecutedEvents) {
 TEST(EventSim, StepReturnsFalseWhenEmpty) {
     EventSim sim;
     EXPECT_FALSE(sim.step());
-    sim.schedule_at(1, [] {});
+    sim.post_at(1, sim.register_handler(nullptr, &ignore));
     EXPECT_TRUE(sim.step());
     EXPECT_FALSE(sim.step());
     EXPECT_TRUE(sim.empty());
@@ -187,22 +229,28 @@ TEST(EventSim, PodEventsDispatchWithOperands) {
     EXPECT_EQ(seen[2].at, 20);
 }
 
-TEST(EventSim, PodAndCallbackEventsInterleaveDeterministically) {
+TEST(EventSim, HandlersInterleaveInPostOrder) {
+    // Equal-time events for different handlers fire in post order: the
+    // handler id plays no part in the ordering.
     EventSim sim;
     std::vector<int> order;
-    struct Ctx {
+    struct Tagged {
         std::vector<int>* order;
-    } ctx{&order};
-    const auto h = sim.register_handler(
-        &ctx, [](void* p, std::uint32_t a, std::uint64_t, std::uint64_t) {
-            static_cast<Ctx*>(p)->order->push_back(static_cast<int>(a));
-        });
-    sim.post_at(7, h, 0);
-    sim.schedule_at(7, [&] { order.push_back(1); });
-    sim.post_at(7, h, 2);
-    sim.schedule_at(7, [&] { order.push_back(3); });
+        int tag;
+    } first_ctx{&order, 10}, second_ctx{&order, 20};
+    const auto record = [](void* p, std::uint32_t seq, std::uint64_t,
+                           std::uint64_t) {
+        auto* t = static_cast<Tagged*>(p);
+        t->order->push_back(t->tag + static_cast<int>(seq));
+    };
+    const auto first = sim.register_handler(&first_ctx, record);
+    const auto second = sim.register_handler(&second_ctx, record);
+    sim.post_at(7, second, 0);
+    sim.post_at(7, first, 1);
+    sim.post_at(7, second, 2);
+    sim.post_at(7, first, 3);
     sim.run_all();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+    EXPECT_EQ(order, (std::vector<int>{20, 11, 22, 13}));
 }
 
 TEST(EventSim, CalendarOrderingProperty) {
@@ -265,25 +313,23 @@ TEST(EventSim, CalendarOrderingProperty) {
 TEST(EventSim, MaxPendingValveThrowsInsteadOfGrowing) {
     EventSim sim;
     sim.set_max_pending(10);
-    const auto h = sim.register_handler(
-        nullptr, [](void*, std::uint32_t, std::uint64_t, std::uint64_t) {});
+    const auto h = sim.register_handler(nullptr, &ignore);
     for (int i = 0; i < 10; ++i) sim.post_at(i, h);
-    EXPECT_THROW(sim.schedule_at(99, [] {}), std::length_error);
+    EXPECT_THROW(sim.post_at(99, h), std::length_error);
     // Draining makes room again.
     sim.run_all();
-    EXPECT_NO_THROW(sim.schedule_at(100, [] {}));
+    EXPECT_NO_THROW(sim.post_at(100, h));
 }
 
 TEST(EventSim, HighWaterGaugesTrackQueueDepth) {
     auto& registry = util::metrics::Registry::global();
     registry.reset();
     EventSim sim;
-    const auto h = sim.register_handler(
-        nullptr, [](void*, std::uint32_t, std::uint64_t, std::uint64_t) {});
+    const auto h = sim.register_handler(nullptr, &ignore);
     for (int i = 0; i < 5; ++i) sim.post_at(i, h);
     // Far-future events exercise the overflow heap.
-    sim.schedule_at(util::kHour, [] {});
-    sim.schedule_at(2 * util::kHour, [] {});
+    sim.post_at(util::kHour, h);
+    sim.post_at(2 * util::kHour, h);
     EXPECT_GE(registry.gauge("net.eventsim.queue_high_water").value(), 7.0);
     EXPECT_GE(registry.gauge("net.eventsim.overflow_high_water").value(), 2.0);
     sim.run_all();

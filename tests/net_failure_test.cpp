@@ -3,6 +3,7 @@
 #include <unordered_set>
 
 #include "net/link_state.h"
+#include "net/paths.h"
 #include "util/stats.h"
 #include "net/topology_gen.h"
 #include "net/transport.h"
@@ -163,14 +164,13 @@ TEST(Transport, PassProbabilityReflectsLinkState) {
     FailureTimeline timeline;
     timeline.add_down(0, DownInterval{0, 10 * kSecond});
     timeline.finalize();
-    EventSim sim;
-    Transport transport(timeline, sim, util::Rng(1),
+    Transport transport(timeline, util::Rng(1),
                         TransportParams{.healthy_link_loss = 0.25});
     EXPECT_DOUBLE_EQ(transport.pass_probability(0, 5 * kSecond), 0.0);
     EXPECT_DOUBLE_EQ(transport.pass_probability(0, 15 * kSecond), 0.75);
 }
 
-TEST(Transport, SendDeliversOverHealthyPath) {
+TEST(Transport, TraversalSucceedsOverHealthyPath) {
     Topology topo;
     topo.add_router(RouterTier::kEndHost);
     topo.add_router(RouterTier::kCore);
@@ -179,41 +179,31 @@ TEST(Transport, SendDeliversOverHealthyPath) {
     topo.add_link(1, 2);
     util::Arena arena;
     const std::vector<RouterId> dst{2};
-    const Path path = PathOracle(topo).paths_into(0, dst, arena)[0].to_path();
+    const PathView path = PathOracle(topo).paths_into(0, dst, arena)[0];
 
     FailureTimeline timeline;
     timeline.finalize();
-    EventSim sim;
-    Transport transport(timeline, sim, util::Rng(2));
-    bool delivered = false;
-    bool dropped = false;
-    transport.send(path, [&] { delivered = true; }, [&] { dropped = true; });
-    sim.run_all();
-    EXPECT_TRUE(delivered);
-    EXPECT_FALSE(dropped);
-    EXPECT_EQ(sim.now(), transport.latency(path));
+    Transport transport(timeline, util::Rng(2));
+    EXPECT_TRUE(transport.sample_traversal(path.links, 0));
+    EXPECT_EQ(transport.latency(path.hops()),
+              2 * transport.params().per_hop_latency);
 }
 
-TEST(Transport, SendDropsWhenLinkDown) {
+TEST(Transport, TraversalFailsWhenLinkDown) {
     Topology topo;
     topo.add_router(RouterTier::kEndHost);
     topo.add_router(RouterTier::kEndHost);
     const LinkId l = topo.add_link(0, 1);
     util::Arena arena;
     const std::vector<RouterId> dst{1};
-    const Path path = PathOracle(topo).paths_into(0, dst, arena)[0].to_path();
+    const PathView path = PathOracle(topo).paths_into(0, dst, arena)[0];
 
     FailureTimeline timeline;
     timeline.add_down(l, DownInterval{0, util::kHour});
     timeline.finalize();
-    EventSim sim;
-    Transport transport(timeline, sim, util::Rng(3));
-    bool delivered = false;
-    bool dropped = false;
-    transport.send(path, [&] { delivered = true; }, [&] { dropped = true; });
-    sim.run_all();
-    EXPECT_FALSE(delivered);
-    EXPECT_TRUE(dropped);
+    Transport transport(timeline, util::Rng(3));
+    EXPECT_FALSE(transport.sample_traversal(path.links, 0));
+    EXPECT_TRUE(transport.sample_traversal(path.links, 2 * util::kHour));
 }
 
 TEST(Transport, ResidualLossDropsSomePackets) {
@@ -223,18 +213,16 @@ TEST(Transport, ResidualLossDropsSomePackets) {
     topo.add_link(0, 1);
     util::Arena arena;
     const std::vector<RouterId> dst{1};
-    const Path path = PathOracle(topo).paths_into(0, dst, arena)[0].to_path();
+    const PathView path = PathOracle(topo).paths_into(0, dst, arena)[0];
 
     FailureTimeline timeline;
     timeline.finalize();
-    EventSim sim;
-    Transport transport(timeline, sim, util::Rng(4),
+    Transport transport(timeline, util::Rng(4),
                         TransportParams{.healthy_link_loss = 0.5});
     int delivered = 0;
     for (int i = 0; i < 400; ++i) {
-        transport.send(path, [&] { ++delivered; }, [] {});
+        if (transport.sample_traversal(path.links, 0)) ++delivered;
     }
-    sim.run_all();
     EXPECT_NEAR(delivered, 200, 45);
 }
 

@@ -27,7 +27,9 @@ TEST(Equation1, MonotoneInRowAndPopulation) {
         const double shallow = slot_fill_probability(row, 10000, geom32());
         const double deep = slot_fill_probability(row + 1, 10000, geom32());
         EXPECT_GE(shallow, deep);
-        if (shallow < 1.0) EXPECT_GT(shallow, deep);
+        if (shallow < 1.0) {
+            EXPECT_GT(shallow, deep);
+        }
     }
     for (const int row : {3, 4, 5}) {
         EXPECT_LT(slot_fill_probability(row, 1000, geom32()),

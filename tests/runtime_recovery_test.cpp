@@ -239,6 +239,31 @@ TEST(ClusterRecovery, PartitionBlocksCrossCutTrafficThenHealsAndDelivers) {
     EXPECT_EQ(cluster.stats().accusations_filed, 0u);
 }
 
+// A churn window that ends inside a crash must not revive the node: a
+// rejoin leaves a crashed node down, wiped state and all, and only
+// restart_node brings it back.
+TEST(ClusterRecovery, ChurnRejoinDuringACrashLeavesTheNodeDown) {
+    RecoveryWorld world;
+    const MemberIndex node = 5;
+    net::FaultPlan plan;
+    plan.churn.push_back({node, 30 * kSecond, 120 * kSecond});
+    plan.crashes.push_back({node, 60 * kSecond, 300 * kSecond});
+    plan.downs.finalize();
+
+    Cluster cluster = world.make_cluster();
+    cluster.set_chaos(&plan);
+    cluster.start();
+    world.sim.run_until(150 * kSecond);
+    EXPECT_EQ(cluster.stats().churn_rejoins, 1u);
+    EXPECT_TRUE(cluster.is_crashed(node));
+    EXPECT_FALSE(cluster.is_online(node));
+
+    world.sim.run_until(310 * kSecond);
+    EXPECT_EQ(cluster.stats().restarts, 1u);
+    EXPECT_FALSE(cluster.is_crashed(node));
+    EXPECT_TRUE(cluster.is_online(node));
+}
+
 // Degraded mode must not become an amnesty: a live malicious dropper
 // leaves post-incident probe coverage on its links (its peers keep
 // answering), so the coverage test passes and the conviction stands even

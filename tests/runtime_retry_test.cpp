@@ -108,23 +108,32 @@ TEST(RetryPolicy, DelayIsNeverZero) {
 TEST(RetryPolicy, ScheduleAgainstFakeClockFiresAtExactTimes) {
     // The schedule a steward follows: try, and while unacked, retry after
     // delay_before(k).  With jitter off the firing instants are exact.
-    const RetryPolicy p = no_jitter(4);
-    util::Rng rng(5);
-    net::EventSim sim;
-    std::vector<util::SimTime> fired;
-
-    // Arm all retries up front, exactly as the runtime does after each
-    // failed attempt: attempt k schedules attempt k+1 relative to now.
-    std::function<void(int)> attempt = [&](int k) {
-        fired.push_back(sim.now());
-        const int next = k + 1;
-        if (!p.allows(next)) return;
-        sim.schedule_after(p.delay_before(next, rng),
-                           [&attempt, next] { attempt(next); });
+    struct Steward {
+        RetryPolicy policy;
+        util::Rng rng;
+        net::EventSim* sim;
+        net::EventSim::HandlerId attempt = 0;
+        std::vector<util::SimTime> fired;
     };
-    sim.schedule_at(0, [&attempt] { attempt(1); });
+    net::EventSim sim;
+    Steward steward{no_jitter(4), util::Rng(5), &sim, 0, {}};
+
+    // Exactly as the runtime does after each failed attempt: attempt k
+    // posts attempt k+1 relative to now.
+    steward.attempt = sim.register_handler(
+        &steward,
+        [](void* ctx, std::uint32_t k, std::uint64_t, std::uint64_t) {
+            auto& s = *static_cast<Steward*>(ctx);
+            s.fired.push_back(s.sim->now());
+            const int next = static_cast<int>(k) + 1;
+            if (!s.policy.allows(next)) return;
+            s.sim->post_after(s.policy.delay_before(next, s.rng), s.attempt,
+                              static_cast<std::uint32_t>(next));
+        });
+    sim.post_at(0, steward.attempt, 1);
     sim.run_all();
 
+    const std::vector<util::SimTime>& fired = steward.fired;
     ASSERT_EQ(fired.size(), 4u);
     EXPECT_EQ(fired[0], 0);
     EXPECT_EQ(fired[1], 500 * kMillisecond);

@@ -60,24 +60,34 @@ INSTANTIATE_TEST_SUITE_P(Sweep, StewardChainProperty,
                                             ::testing::Values(1, 2, 3)));
 
 TEST(EventSimStress, TenThousandRandomEventsFireInOrder) {
+    struct Stress {
+        net::EventSim* sim;
+        net::EventSim::HandlerId handler = 0;
+        util::SimTime last = -1;
+        int fired = 0;
+    };
     net::EventSim sim;
+    Stress stress{&sim};
+    // b carries the posted time; a marks a follow-up.
+    const auto h = sim.register_handler(
+        &stress, [](void* ctx, std::uint32_t follow_up, std::uint64_t at,
+                    std::uint64_t) {
+            auto& s = *static_cast<Stress*>(ctx);
+            ++s.fired;
+            if (follow_up != 0) return;
+            EXPECT_GE(static_cast<util::SimTime>(at), s.last);
+            s.last = static_cast<util::SimTime>(at);
+            // Some events spawn follow-ups.
+            if (s.fired % 100 == 0) s.sim->post_after(7, s.handler, 1);
+        });
+    stress.handler = h;
     util::Rng rng(99);
-    util::SimTime last = -1;
-    int fired = 0;
     for (int i = 0; i < 10000; ++i) {
         const auto at = static_cast<util::SimTime>(rng.uniform_index(50000));
-        sim.schedule_at(at, [&, at] {
-            EXPECT_GE(at, last);
-            last = at;
-            ++fired;
-            // Some events spawn follow-ups.
-            if (fired % 100 == 0) {
-                sim.schedule_after(7, [&] { ++fired; });
-            }
-        });
+        sim.post_at(at, h, 0, static_cast<std::uint64_t>(at));
     }
     sim.run_all();
-    EXPECT_GE(fired, 10000);
+    EXPECT_GE(stress.fired, 10000);
     EXPECT_TRUE(sim.empty());
 }
 

@@ -101,7 +101,9 @@ TEST_F(SnapshotFixture, ModerateLossIsUpButBucketed) {
     const auto s = snap({{links[5], 0.10}});
     EXPECT_EQ(s.paths[2].bucket, LossBucket::kModerate);
     for (const auto& l : s.links) {
-        if (l.link == links[5]) EXPECT_TRUE(l.up);  // below down threshold
+        if (l.link == links[5]) {
+            EXPECT_TRUE(l.up);  // below down threshold
+        }
     }
 }
 

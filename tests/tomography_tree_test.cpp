@@ -24,10 +24,10 @@ namespace {
 ///        0 (root)
 ///        |
 ///        1
-///       / \
+///       / \      links[0..5]: 0-1, 1-2, 1-3, 2-4, 2-5, 3-6
 ///      2   3
-///     / \   \
-///    4   5   6        (4, 5, 6 are probed leaves)
+///     / \   \    (4, 5, 6 are probed leaves)
+///    4   5   6
 struct TreeFixture {
     TreeFixture() {
         for (int i = 0; i < 7; ++i) topo.add_router(net::RouterTier::kCore);

@@ -46,8 +46,8 @@ TEST(NodeId, DigitAccessMatchesHex) {
     EXPECT_EQ(id.digit(1), 0x0);
     EXPECT_EQ(id.digit(2), 0xa);
     EXPECT_EQ(id.digit(3), 0x5);
-    EXPECT_THROW(id.digit(-1), std::out_of_range);
-    EXPECT_THROW(id.digit(NodeId::kDigits), std::out_of_range);
+    EXPECT_THROW((void)id.digit(-1), std::out_of_range);
+    EXPECT_THROW((void)id.digit(NodeId::kDigits), std::out_of_range);
 }
 
 TEST(NodeId, WithDigitReplacesExactlyOneDigit) {
@@ -58,7 +58,7 @@ TEST(NodeId, WithDigitReplacesExactlyOneDigit) {
         if (i == 3) continue;
         EXPECT_EQ(mod.digit(i), id.digit(i)) << "digit " << i;
     }
-    EXPECT_THROW(id.with_digit(0, 16), std::out_of_range);
+    EXPECT_THROW((void)id.with_digit(0, 16), std::out_of_range);
 }
 
 TEST(NodeId, SharedPrefixDigits) {
