@@ -6,6 +6,14 @@ namespace concilium::runtime {
 
 ArchiveAdd SnapshotArchive::add(tomography::TomographicSnapshot snapshot,
                                 util::SimTime now, DigestId digest_id) {
+    return add(std::make_shared<const tomography::TomographicSnapshot>(
+                   std::move(snapshot)),
+               now, digest_id);
+}
+
+ArchiveAdd SnapshotArchive::add(SnapshotPtr entry, util::SimTime now,
+                                DigestId digest_id) {
+    const tomography::TomographicSnapshot& snapshot = *entry;
     if (now - snapshot.probed_at > max_transit_) {
         return ArchiveAdd::kRejectedStale;
     }
@@ -23,15 +31,9 @@ ArchiveAdd SnapshotArchive::add(tomography::TomographicSnapshot snapshot,
         table = &origins_.back();
     }
     if (snapshot.epoch != 0) table->newest_epoch = snapshot.epoch;
-
-    if (digest_id == util::DigestInterner::kInvalidId && interner_ != nullptr) {
-        const auto payload = snapshot.signed_payload();
-        digest_id = interner_->intern(
-            util::digest_bytes({payload.data(), payload.size()}));
-    }
     table->meta.push_back(
         Meta{snapshot.epoch, snapshot.probed_at, digest_id});
-    table->snaps.push_back(std::move(snapshot));
+    table->snaps.push_back(std::move(entry));
     ++count_;
     while (table->snaps.size() > max_per_origin_) {
         table->snaps.pop_front();
@@ -72,7 +74,7 @@ const tomography::TomographicSnapshot* SnapshotArchive::find(
     // Scan newest-first over the compact meta rows; recent epochs are the
     // common probe.
     for (std::size_t i = table->meta.size(); i-- > 0;) {
-        if (table->meta[i].epoch == epoch) return &table->snaps[i];
+        if (table->meta[i].epoch == epoch) return table->snaps[i].get();
     }
     return nullptr;
 }
@@ -106,7 +108,7 @@ std::vector<core::ProbeResult> SnapshotArchive::probes_for(
         for (std::size_t i = 0; i < table.meta.size(); ++i) {
             const util::SimTime at = table.meta[i].probed_at;
             if (at < lo || at > t + delta) continue;
-            for (const auto& obs : table.snaps[i].links) {
+            for (const auto& obs : table.snaps[i]->links) {
                 if (std::find(links.begin(), links.end(), obs.link) ==
                     links.end()) {
                     continue;
@@ -124,7 +126,7 @@ SnapshotArchive::snapshots_from(const util::NodeId& origin) const {
     std::vector<const tomography::TomographicSnapshot*> out;
     const OriginTable* table = table_of(origin);
     if (table == nullptr) return out;
-    for (const auto& snap : table->snaps) out.push_back(&snap);
+    for (const auto& snap : table->snaps) out.push_back(snap.get());
     return out;
 }
 
@@ -138,7 +140,7 @@ std::vector<tomography::TomographicSnapshot> SnapshotArchive::evidence_for(
         for (std::size_t i = 0; i < table.meta.size(); ++i) {
             const util::SimTime at = table.meta[i].probed_at;
             if (at < lo || at > t + delta) continue;
-            const auto& snap = table.snaps[i];
+            const auto& snap = *table.snaps[i];
             const bool touches = std::any_of(
                 snap.links.begin(), snap.links.end(),
                 [&](const tomography::LinkObservation& obs) {

@@ -22,14 +22,17 @@
 // structure-of-arrays tables.  A compact per-entry Meta row (epoch, interned
 // payload digest, probe time) serves the scanning queries -- epoch lookups
 // and cross-peer digest comparison never touch the snapshot payloads
-// themselves.  Pruning is throttled to a fraction of the retention window
-// instead of running a full scan on every insert; queries enforce the
-// retention horizon exactly either way.
+// themselves.  Entries are shared and immutable: the cluster archives one
+// sealed copy of each published snapshot, and every receiver's entry points
+// at it, so admission copies no payload.  Pruning is throttled to a fraction
+// of the retention window instead of running a full scan on every insert;
+// queries enforce the retention horizon exactly either way.
 
 #pragma once
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -52,6 +55,7 @@ enum class ArchiveAdd {
 class SnapshotArchive {
   public:
     using DigestId = util::DigestInterner::Id;
+    using SnapshotPtr = std::shared_ptr<const tomography::TomographicSnapshot>;
 
     /// retention: snapshots older than now - retention are pruned on insert
     /// and filtered out of queries.
@@ -65,22 +69,18 @@ class SnapshotArchive {
         : retention_(retention), max_transit_(max_transit),
           max_per_origin_(max_per_origin) {}
 
-    /// Points this archive at a digest interner shared across the cluster,
-    /// so digest ids are comparable between different peers' archives (the
-    /// equivocation fast path).  Entries archived without an interner carry
-    /// no digest id.
-    void bind_interner(util::DigestInterner* interner) noexcept {
-        interner_ = interner;
-    }
-
     /// Archives a snapshot (assumed already signature-checked by the caller;
     /// un-verifiable snapshots never reach the archive).  Epoch-0 snapshots
     /// skip the replay check (unversioned test inputs); the staleness check
     /// always applies.  `digest_id` is the interned id of the snapshot's
-    /// signed payload when the caller already computed it (publication
-    /// interns once; deliveries reuse it); pass kInvalidId to let the
-    /// archive intern, or to skip digest bookkeeping entirely when no
-    /// interner is bound.
+    /// signed payload, from an interner shared by every archive whose ids
+    /// are compared (the cluster interns once at publication; deliveries
+    /// reuse it), or kInvalidId for an entry that carries none.  An
+    /// admitted snapshot is shared, not copied: the archive keeps `entry`
+    /// alive until the cap or pruning evicts it.
+    ArchiveAdd add(SnapshotPtr entry, util::SimTime now,
+                   DigestId digest_id = util::DigestInterner::kInvalidId);
+    /// Archives a snapshot the caller owns (moved into a fresh entry).
     ArchiveAdd add(tomography::TomographicSnapshot snapshot, util::SimTime now,
                    DigestId digest_id = util::DigestInterner::kInvalidId);
 
@@ -132,7 +132,7 @@ class SnapshotArchive {
     /// replay floor, which survives pruning and eviction.
     struct OriginTable {
         util::NodeId origin;
-        std::deque<tomography::TomographicSnapshot> snaps;
+        std::deque<SnapshotPtr> snaps;
         std::deque<Meta> meta;
         std::uint64_t newest_epoch = 0;
     };
@@ -150,7 +150,6 @@ class SnapshotArchive {
     /// NodeId -> slot, resolved once at the admission/query boundary.
     std::unordered_map<util::NodeId, std::uint32_t, util::NodeIdHash>
         slot_of_;  // hot-path-lint: boundary
-    util::DigestInterner* interner_ = nullptr;
     /// Simulation time starts at zero, so zero means "never pruned".
     util::SimTime last_prune_ = 0;
     std::size_t count_ = 0;

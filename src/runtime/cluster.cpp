@@ -58,6 +58,7 @@ Cluster::Cluster(net::EventSim& sim, const net::FailureTimeline& timeline,
     journals_.resize(net.size());
     crashed_.assign(net.size(), false);
     crashed_at_.assign(net.size(), 0);
+    admitted_digests_.resize(net.size());
     member_of_.reserve(net.size());
     nodes_.reserve(net.size());
     for (overlay::MemberIndex m = 0; m < net.size(); ++m) {
@@ -68,7 +69,6 @@ Cluster::Cluster(net::EventSim& sim, const net::FailureTimeline& timeline,
                                        params_.snapshot_max_transit,
                                        params_.archive_max_per_origin),
             .ledger = core::VerdictLedger(params_.verdicts)});
-        nodes_.back().archive.bind_interner(&interner_);
     }
 }
 
@@ -148,11 +148,9 @@ void Cluster::run_event(Op op, std::uint64_t b, std::uint64_t c) {
         case Op::kHandoff:
             deliver_handoff(b, hi, unpark<StewardHandoff>(c));
             break;
-        case Op::kDeliverSnapshot: {
-            const SnapshotRef published = unpark<SnapshotRef>(c);
-            deliver_snapshot(member, *published);
+        case Op::kDeliverSnapshot:
+            deliver_snapshot(member, unpark<SnapshotRef>(c));
             break;
-        }
         case Op::kSnapshotRetry:
             send_snapshot(member, unpark<SnapshotRef>(c),
                           static_cast<int>(hi));
@@ -239,7 +237,6 @@ void Cluster::crash_node(overlay::MemberIndex m) {
     node.archive = SnapshotArchive(params_.blame.delta + 5 * util::kMinute,
                                    params_.snapshot_max_transit,
                                    params_.archive_max_per_origin);
-    node.archive.bind_interner(&interner_);
     node.ledger = core::VerdictLedger(params_.verdicts);
     node.last_heavyweight = -(1LL << 60);
     node.next_epoch = 1;
@@ -679,7 +676,8 @@ void Cluster::run_heavyweight(overlay::MemberIndex m) {
 
     // An excluded leaf's silenced feedback makes its last mile *look* dead;
     // links that are only observable through excluded leaves carry no
-    // evidence and must not be reported at all.
+    // evidence and must not be reported at all.  (publish_snapshot signs
+    // what is left.)
     bool any_excluded = false;
     for (const bool e : excluded) any_excluded = any_excluded || e;
     if (any_excluded) {
@@ -695,8 +693,6 @@ void Cluster::run_heavyweight(overlay::MemberIndex m) {
                       [&](const tomography::LinkObservation& obs) {
                           return !observable.contains(obs.link);
                       });
-        snapshot.signature =
-            net_->member(m).keys.sign(snapshot.signed_payload());
     }
     publish_snapshot(m, std::move(snapshot));
 }
@@ -707,6 +703,7 @@ Cluster::SnapshotRef Cluster::seal(overlay::MemberIndex m,
     pub->snapshot = std::move(snapshot);
     pub->origin_m = m;
     pub->payload = pub->snapshot.signed_payload();
+    pub->snapshot.signature = net_->member(m).keys.sign(pub->payload);
     pub->digest =
         util::digest_bytes({pub->payload.data(), pub->payload.size()});
     pub->digest_id = interner_.intern(pub->digest);
@@ -739,8 +736,6 @@ void Cluster::publish_snapshot(overlay::MemberIndex m,
     // between publish and checkpoint must never let the restarted node
     // re-issue an epoch its peers already archived.
     journals_[m].record_epoch(nodes_[m].next_epoch);
-    snapshot.signature =
-        net_->member(m).keys.sign(snapshot.signed_payload());
     ++stats_.snapshots_published;
     bump("runtime.snapshots_published");
     // Publish → expected fan-out delivery on the sim clock; arg carries
@@ -749,26 +744,29 @@ void Cluster::publish_snapshot(overlay::MemberIndex m,
                           sim_->now(), sim_->now() + params_.control_latency,
                           /*causal=*/m,
                           static_cast<std::int64_t>(snapshot.epoch));
-    // Serialize + digest the signed payload exactly once; every per-peer
-    // delivery below (and the node's own archive) reuses the sealed slab.
+    // Sign, serialize and digest exactly once; every per-peer delivery
+    // below (and the node's own archive) reuses the sealed slab.
     const auto pub = seal(m, std::move(snapshot));
     if (b.replay_snapshots) nodes_[m].replay_stash = pub;
-    nodes_[m].archive.add(pub->snapshot, sim_->now(), pub->digest_id);
+    if (nodes_[m].archive.add(archived(pub), sim_->now(), pub->digest_id) ==
+        ArchiveAdd::kArchived) {
+        note_admitted(*pub);
+    }
     if (b.equivocate_snapshots) {
-        // Equivocator: alternate peers get a fully link-flipped twin signed
+        // Equivocator: odd-ranked peers get a fully link-flipped twin signed
         // over the *same* origin+epoch.  Any two peers comparing digests now
         // hold a self-verifying proof.
         ++stats_.equivocations_published;
         bump("attack.equivocations_published");
         std::size_t rank = 0;
         for (const overlay::MemberIndex peer : net_->routing_peers(m)) {
-            const std::size_t r = rank++;
-            send_snapshot(
-                peer,
-                r % 2 == 0
-                    ? pub
-                    : seal(m, equivocation_variant(m, pub->snapshot, r)),
-                1);
+            if (rank++ % 2 == 0) {
+                send_snapshot(peer, pub, 1);
+                continue;
+            }
+            tomography::TomographicSnapshot twin = pub->snapshot;
+            invert_report(twin);
+            send_snapshot(peer, seal(m, std::move(twin)), 1);
         }
         return;
     }
@@ -777,14 +775,18 @@ void Cluster::publish_snapshot(overlay::MemberIndex m,
     }
 }
 
-tomography::TomographicSnapshot Cluster::equivocation_variant(
-    overlay::MemberIndex m, const tomography::TomographicSnapshot& base,
-    std::size_t peer_rank) const {
-    if (peer_rank % 2 == 0) return base;
-    tomography::TomographicSnapshot variant = base;
-    invert_report(variant);
-    variant.signature = net_->member(m).keys.sign(variant.signed_payload());
-    return variant;
+void Cluster::note_admitted(const PublishedSnapshot& published) {
+    const std::uint64_t epoch = published.snapshot.epoch;
+    auto& digests = admitted_digests_[published.origin_m];
+    if (epoch >= digests.size()) {
+        digests.resize(epoch + 1, util::DigestInterner::kInvalidId);
+    }
+    util::DigestInterner::Id& first = digests[epoch];
+    if (first == util::DigestInterner::kInvalidId) {
+        first = published.digest_id;
+    } else if (first != published.digest_id) {
+        first = kMixedDigests;
+    }
 }
 
 void Cluster::detect_equivocation(overlay::MemberIndex holder,
@@ -792,7 +794,12 @@ void Cluster::detect_equivocation(overlay::MemberIndex holder,
     const tomography::TomographicSnapshot& snapshot = published.snapshot;
     if (snapshot.epoch == 0) return;  // unversioned: nothing to compare
     const overlay::MemberIndex origin_m = published.origin_m;
+    // The digest record has seen every copy of this epoch that any archive
+    // admitted, this one included.  Unless two of them differ, every peer
+    // holds this digest or none, and the scan below could find no conflict.
+    if (admitted_digests_[origin_m][snapshot.epoch] != kMixedDigests) return;
     if (proofs_filed_.contains({origin_m, snapshot.epoch})) return;
+    bump("defense.equivocation_scans");
     // Digest exchange: compare the interned payload-digest id just archived
     // at `holder` against what the origin's other routing peers hold for the
     // same epoch.  Ids come from the cluster-wide interner, so agreement is
@@ -874,22 +881,23 @@ void Cluster::send_snapshot(overlay::MemberIndex peer, SnapshotRef snapshot,
 }
 
 void Cluster::deliver_snapshot(overlay::MemberIndex peer,
-                               const PublishedSnapshot& published) {
+                               const SnapshotRef& published) {
     // Same check as tomography::verify_snapshot, memoized on the sealed
     // payload digest: the identical (key, digest, signature) triple arrives
     // at every routing peer of the origin.
     const crypto::PublicKey key =
-        net_->member(published.origin_m).keys.public_key();
-    if (!verify_cache_.verify(key, published.digest, published.payload,
-                              published.snapshot.signature)) {
+        net_->member(published->origin_m).keys.public_key();
+    if (!verify_cache_.verify(key, published->digest, published->payload,
+                              published->snapshot.signature)) {
         ++stats_.snapshots_rejected;
         bump("runtime.snapshots_rejected");
         return;
     }
-    switch (nodes_[peer].archive.add(published.snapshot, sim_->now(),
-                                     published.digest_id)) {
+    switch (nodes_[peer].archive.add(archived(published), sim_->now(),
+                                     published->digest_id)) {
         case ArchiveAdd::kArchived:
-            detect_equivocation(peer, published);
+            note_admitted(*published);
+            detect_equivocation(peer, *published);
             break;
         case ArchiveAdd::kRejectedStale:
             ++stats_.snapshots_rejected_stale;

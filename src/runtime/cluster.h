@@ -343,9 +343,10 @@ class Cluster {
     };
 
     /// A snapshot sealed for dissemination: the signed payload is serialized
-    /// once at publication, its digest interned once, and every per-peer
-    /// delivery (and retry) shares this immutable slab by reference instead
-    /// of copying the snapshot into each delivery event's parked slot.
+    /// once at publication, signed and digested over those same bytes, and
+    /// its digest interned once.  Every per-peer delivery (and retry) shares
+    /// this immutable slab by reference, and every archive that admits it
+    /// holds an aliasing pointer into it, so all receivers share one copy.
     struct PublishedSnapshot {
         tomography::TomographicSnapshot snapshot;
         /// Publisher's member index (snapshots are always self-originated,
@@ -358,8 +359,16 @@ class Cluster {
         util::DigestInterner::Id digest_id = util::DigestInterner::kInvalidId;
     };
     using SnapshotRef = std::shared_ptr<const PublishedSnapshot>;
+    /// Signs `snapshot` with m's key and seals it: the one place a
+    /// published snapshot is signed.
     [[nodiscard]] SnapshotRef seal(overlay::MemberIndex m,
                                    tomography::TomographicSnapshot snapshot);
+    /// The archive entry for a sealed snapshot: a pointer to its snapshot
+    /// that keeps the whole seal alive.
+    [[nodiscard]] static SnapshotArchive::SnapshotPtr archived(
+        const SnapshotRef& published) {
+        return {published, &published->snapshot};
+    }
 
     struct NodeState {
         SnapshotArchive archive;
@@ -464,14 +473,11 @@ class Cluster {
                        int attempt);
     /// Receipt at peer: signature check, archive, equivocation scan.
     void deliver_snapshot(overlay::MemberIndex peer,
-                          const PublishedSnapshot& published);
+                          const SnapshotRef& published);
 
     // --- attack campaign + evidence-integrity defenses ---------------------
-    /// Equivocator variant for one peer: even peer ranks get the snapshot
-    /// as-is, odd ranks a fully link-flipped re-signed twin (same epoch).
-    [[nodiscard]] tomography::TomographicSnapshot equivocation_variant(
-        overlay::MemberIndex m, const tomography::TomographicSnapshot& base,
-        std::size_t peer_rank) const;
+    /// Updates the digest record after some archive admitted `published`.
+    void note_admitted(const PublishedSnapshot& published);
     /// Cross-peer digest exchange: after archiving `published` at `holder`,
     /// compare interned digest ids against what the origin's other routing
     /// peers hold for the same epoch; only an id mismatch builds and
@@ -597,6 +603,16 @@ class Cluster {
     /// (origin member, epoch) pairs already covered by a filed equivocation
     /// proof, so repeated digest conflicts do not re-file.
     std::set<std::pair<overlay::MemberIndex, std::uint64_t>> proofs_filed_;
+    /// The digest record, per origin member and then indexed by epoch
+    /// (epochs are dense per origin): the digest id of the first copy any
+    /// archive admitted, kMixedDigests once a copy with another digest was
+    /// admitted as well, kInvalidId while none was.  Archives evict by age
+    /// and cap and lose everything in a crash, but digest_of ignores age, so
+    /// the record is never pruned or cleared: it must cover every digest any
+    /// archive ever held.
+    std::vector<std::vector<util::DigestInterner::Id>> admitted_digests_;
+    static constexpr util::DigestInterner::Id kMixedDigests =
+        util::DigestInterner::kInvalidId - 1;
     Stats stats_;
     core::DiagnosisTrace* trace_ = nullptr;
     const net::FaultPlan* chaos_ = nullptr;

@@ -267,6 +267,7 @@ constexpr WellKnown kWellKnown[] = {
     {WellKnown::kCounter, "defense.snapshots_rejected_stale"},
     {WellKnown::kCounter, "defense.snapshots_rejected_epoch"},
     {WellKnown::kCounter, "defense.equivocation_proofs_filed"},
+    {WellKnown::kCounter, "defense.equivocation_scans"},
     {WellKnown::kCounter, "defense.revisions_rejected"},
     {WellKnown::kCounter, "defense.dht_puts_rejected"},
     {WellKnown::kCounter, "defense.malformed_accusations_dropped"},

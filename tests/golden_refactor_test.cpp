@@ -2,10 +2,12 @@
 //
 // The memory-architecture refactors (flat storage, calendar queue, interned
 // digests, the flat probe tree and bit-packed probe sessions, the CSR
-// oracle and the chunked parallel tree build) and the move of every runtime
-// event onto EventSim's POD queue must be behaviour-preserving: routes,
-// overlay trees, verdicts, generated topologies, probing results and whole
-// cluster runs are required to come out byte-identical before and after.
+// oracle and the chunked parallel tree build, shared archives and the
+// digest record that gates the equivocation scan) and the move of every
+// runtime event onto EventSim's POD queue must be behaviour-preserving:
+// routes, overlay trees, verdicts, generated topologies, probing results,
+// whole cluster runs and filed equivocation proofs are required to come
+// out byte-identical before and after.
 // These checksums were captured against the pre-refactor implementations;
 // any divergence means the refactor changed observable behaviour, not just
 // layout.
@@ -18,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "core/equivocation.h"
 #include "core/trace.h"
 #include "core/verdicts.h"
 #include "crypto/certificates.h"
@@ -395,6 +398,60 @@ TEST(GoldenRefactor, ClusterRunIsByteIdentical) {
     }
     h = fnv(h, completed);
     EXPECT_EQ(h, 0x7bfdede08cfc6d6bULL) << std::hex << h;
+}
+
+// Pins the equivocation defense: which proofs get filed, by which peer and
+// over which pair of twins.  Two equivocators in a 40-member world whose
+// control plane is lossy, so some twins reach a peer only through a
+// snapshot retry.  The digest covers the bytes of every DHT value stored
+// under each member's equivocation-proof key.
+TEST(GoldenRefactor, EquivocationProofsAreByteIdentical) {
+    util::Rng rng(51);
+    net::TopologyParams topo_params = net::small_params();
+    topo_params.end_hosts = 300;
+    const auto topo = net::generate_topology(topo_params, rng);
+    crypto::CertificateAuthority ca(52);
+    const auto members = overlay::build_overlay_from_hosts(
+        topo.end_hosts(), 40, ca, overlay::OverlayParams{}, rng);
+    const tomography::OverlayTrees trees(members, topo);
+    net::FailureTimeline timeline;
+    timeline.finalize();
+
+    const util::SimTime duration = 30 * util::kMinute;
+    util::Rng plan_rng = rng.fork();
+    const net::FaultPlan plan = net::build_fault_plan(
+        net::FaultSpec::parse("flap:0.05,loss:0.05,corr:0.02"), duration,
+        trees.member_peer_paths(), members.size(), plan_rng);
+    std::vector<runtime::NodeBehavior> behaviors(members.size());
+    behaviors[7].equivocate_snapshots = true;
+    behaviors[23].equivocate_snapshots = true;
+
+    net::EventSim sim;
+    runtime::Cluster cluster(sim, timeline, members, trees,
+                             runtime::RuntimeParams{}, behaviors, rng.fork());
+    cluster.set_chaos(&plan);
+    cluster.start();
+    sim.run_until(duration);
+
+    const runtime::Cluster::Stats& stats = cluster.stats();
+    EXPECT_GT(stats.snapshot_retries, 0u);
+    EXPECT_GT(stats.equivocation_proofs_filed, 0u);
+
+    std::uint64_t h = kFnvOffset;
+    std::size_t values = 0;
+    for (overlay::MemberIndex m = 0; m < members.size(); ++m) {
+        const auto key = core::EquivocationProof::dht_key(
+            members.member(m).keys.public_key());
+        const auto result =
+            cluster.repository().get((m + 1) % members.size(), key);
+        h = fnv(h, result.values.size());
+        for (const auto& value : result.values) {
+            ++values;
+            for (const std::uint8_t byte : value) h = fnv(h, byte);
+        }
+    }
+    EXPECT_GT(values, 0u);
+    EXPECT_EQ(h, 0x85d758a2a13e6fdaULL) << std::hex << h;
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "crypto/keys.h"
 
 namespace concilium::runtime {
@@ -180,6 +182,31 @@ TEST(SnapshotArchive, QueriesEnforceRetentionHorizon) {
         archive.evidence_for(links, 300 * kSecond, 300 * kSecond, exclude);
     ASSERT_EQ(evidence.size(), 1u);
     EXPECT_EQ(evidence[0].origin, kBob);
+}
+
+TEST(SnapshotArchive, ReceiversShareOneSnapshot) {
+    auto first = snap(kAlice, 10 * kSecond, {{1, true}});
+    first.epoch = 1;
+    const auto shared =
+        std::make_shared<const tomography::TomographicSnapshot>(first);
+    // One receiver evicts by the per-origin cap, the other by retention.
+    SnapshotArchive capped(10 * kMinute, kMinute, /*max_per_origin=*/1);
+    SnapshotArchive pruned(/*retention=*/2 * kMinute);
+    ASSERT_EQ(capped.add(shared, 10 * kSecond), ArchiveAdd::kArchived);
+    ASSERT_EQ(pruned.add(shared, 10 * kSecond), ArchiveAdd::kArchived);
+    EXPECT_EQ(capped.find(kAlice, 1), shared.get());
+    EXPECT_EQ(pruned.find(kAlice, 1), shared.get());
+    EXPECT_EQ(shared.use_count(), 3);
+
+    auto second = snap(kAlice, 20 * kSecond, {{1, false}});
+    second.epoch = 2;
+    ASSERT_EQ(capped.add(second, 20 * kSecond), ArchiveAdd::kArchived);
+    EXPECT_EQ(capped.find(kAlice, 1), nullptr);
+    EXPECT_EQ(shared.use_count(), 2);
+
+    pruned.add(snap(kBob, 3 * kMinute, {{2, true}}), 3 * kMinute);
+    EXPECT_EQ(pruned.find(kAlice, 1), nullptr);
+    EXPECT_EQ(shared.use_count(), 1);
 }
 
 }  // namespace

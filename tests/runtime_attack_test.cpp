@@ -6,13 +6,22 @@
 
 #include <gtest/gtest.h>
 
+#include "net/chaos.h"
 #include "net/topology_gen.h"
 #include "runtime/cluster.h"
+#include "util/metrics.h"
 
 namespace concilium::runtime {
 namespace {
 
 using overlay::MemberIndex;
+
+/// Deliveries so far whose equivocation check fell through to the peer scan.
+std::int64_t equivocation_scans() {
+    return util::metrics::Registry::global()
+        .counter("defense.equivocation_scans")
+        .value();
+}
 
 /// The RuntimeWorld of runtime_cluster_test: small topology, 50-node
 /// overlay, empty failure timeline.
@@ -70,8 +79,29 @@ struct AttackWorld {
 
 /// Headline: an equivocating node is caught with a self-verifying proof --
 /// its contradictory same-epoch signatures convict it to any third party --
-/// and it never evades diagnosis for the messages it drops.
+/// and it never evades diagnosis for the messages it drops.  Only its twins
+/// send deliveries to the peer scan; an honest world never scans at all.
 TEST(ClusterAttack, EquivocatorIsCaughtWithSelfVerifyingProof) {
+    {
+        // All honest, over a lossy control plane: some copies arrive only
+        // on retry, but every copy of an epoch carries the same digest.
+        AttackWorld world;
+        const util::SimTime duration = 20 * util::kMinute;
+        util::Rng plan_rng(77);
+        const net::FaultPlan plan = net::build_fault_plan(
+            net::FaultSpec::parse("flap:0.05,loss:0.05,churn:0.01"),
+            duration, world.trees->member_peer_paths(), world.overlay->size(),
+            plan_rng);
+        Cluster cluster = world.make_cluster();
+        cluster.set_chaos(&plan);
+        const std::int64_t scans_before = equivocation_scans();
+        cluster.start();
+        world.sim.run_until(duration);
+        EXPECT_GT(cluster.stats().snapshot_retries, 0u);
+        EXPECT_EQ(equivocation_scans(), scans_before);
+        EXPECT_EQ(cluster.stats().equivocation_proofs_filed, 0u);
+    }
+
     AttackWorld world;
     const auto [from, key, hops] = world.long_route(31);
     ASSERT_GE(hops.size(), 4u);
@@ -81,6 +111,7 @@ TEST(ClusterAttack, EquivocatorIsCaughtWithSelfVerifyingProof) {
     behaviors[attacker].equivocate_snapshots = true;
     behaviors[attacker].drop_forward_probability = 1.0;
     Cluster cluster = world.make_cluster(RuntimeParams{}, behaviors);
+    const std::int64_t scans_before = equivocation_scans();
     cluster.start();
     world.sim.run_until(3 * util::kMinute);
 
@@ -96,6 +127,7 @@ TEST(ClusterAttack, EquivocatorIsCaughtWithSelfVerifyingProof) {
     // The attacker equivocated, and honest peers cross-checked the
     // conflicting signatures into a proof stored under its key.
     EXPECT_GT(cluster.stats().equivocations_published, 0u);
+    EXPECT_GT(equivocation_scans(), scans_before);
     ASSERT_GT(cluster.stats().equivocation_proofs_filed, 0u);
     const auto proofs = cluster.equivocation_proofs_against(attacker);
     ASSERT_FALSE(proofs.empty());
