@@ -13,6 +13,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
@@ -185,10 +186,27 @@ inline void trace_sink_add(std::vector<core::DiagnosisRecord>&& records,
         std::make_move_iterator(records.end()));
 }
 
-inline void trace_sink_add(const core::DiagnosisTrace& trace) {
-    if (!trace_out_armed()) return;
-    trace_sink_add(trace.records(), trace.total_recorded());
-}
+/// One driver trial's printed text plus its retained blame journal.  Fill
+/// it on the worker; emit() it from the merge callback, which runs in trial
+/// order, so stdout and the --trace-out dump are byte-identical at any
+/// --jobs.
+struct TrialOut {
+    std::string text;
+    std::vector<core::DiagnosisRecord> trace_records;
+    std::uint64_t trace_total = 0;
+
+    /// Copies the trial's journal; a no-op unless --trace-out was given.
+    void keep_trace(const core::DiagnosisTrace& trace) {
+        if (!trace_out_armed()) return;
+        trace_records = trace.records();
+        trace_total = trace.total_recorded();
+    }
+
+    void emit() {
+        std::fputs(text.c_str(), stdout);
+        trace_sink_add(std::move(trace_records), trace_total);
+    }
+};
 
 /// Strict non-negative integer parse; rejects the empty string, trailing
 /// junk, signs, and overflow (strtoull would silently yield 0 or wrap).
@@ -305,6 +323,26 @@ inline sim::ScenarioParams paper_scenario(const BenchArgs& args,
     p.duration = 2 * util::kHour;
     p.malicious_fraction = malicious_fraction;
     p.chaos = args.chaos;
+    p.seed = args.seed;
+    return p;
+}
+
+/// How long a runtime bench drives its cluster before the first send.
+inline constexpr util::SimTime kRuntimeWarmup = 3 * util::kMinute;
+
+/// The runtime benches' world: smaller than the figure benches', since the
+/// runtime simulates every probe packet.  It lasts the warm-up plus
+/// `workload_span` (the paced sends and the settle tail), and at least two
+/// virtual hours, so the failure timeline and any fault plan drawn over
+/// the world cover every send.
+inline sim::ScenarioParams runtime_scenario(const BenchArgs& args,
+                                            util::SimTime workload_span) {
+    sim::ScenarioParams p;
+    p.topology = net::small_params();
+    p.topology.end_hosts = args.full ? 1500 : 600;
+    p.topology.stub_domains = args.full ? 40 : 16;
+    p.overlay_nodes_override = args.full ? 220 : 90;
+    p.duration = std::max(2 * util::kHour, kRuntimeWarmup + workload_span);
     p.seed = args.seed;
     return p;
 }

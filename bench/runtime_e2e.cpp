@@ -30,20 +30,6 @@ void append(std::string& out, const char* fmt, auto... args) {
     out += buf;
 }
 
-/// One phase's report block plus its retained blame journal (empty unless
-/// --trace-out is armed).
-struct PhaseOut {
-    std::string block;
-    std::vector<core::DiagnosisRecord> trace_records;
-    std::uint64_t trace_total = 0;
-};
-
-void capture_trace(PhaseOut& out, const core::DiagnosisTrace& trace) {
-    if (!bench::trace_out_armed()) return;
-    out.trace_records = trace.records();
-    out.trace_total = trace.total_recorded();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -51,20 +37,15 @@ int main(int argc, char** argv) {
     const auto args = bench::parse_args(argc, argv);
     bench::BenchReport report("runtime_e2e");
 
-    // A smaller world than the figure benches: the runtime simulates every
-    // probe packet.
-    sim::ScenarioParams world_params;
-    world_params.topology = net::small_params();
-    world_params.topology.end_hosts = args.full ? 1500 : 600;
-    world_params.topology.stub_domains = args.full ? 40 : 16;
-    world_params.overlay_nodes_override = args.full ? 220 : 90;
-    world_params.duration = 2 * util::kHour;
-    world_params.seed = args.seed;
-    const sim::Scenario world(world_params);
-
     const double dropper_fraction = 0.10;
     const std::size_t message_count =
         args.samples != 0 ? args.samples : (args.full ? 600 : 250);
+    // The background workload's pace and settle tail size the world; the
+    // targeted phase (60 sends 90 s apart) always fits its two-hour floor.
+    const util::SimTime pace = 20 * util::kSecond;
+    const util::SimTime settle = 5 * util::kMinute;
+    const sim::Scenario world(bench::runtime_scenario(
+        args, static_cast<util::SimTime>(message_count) * pace + settle));
 
     bench::print_header("runtime-e2e",
                         "full protocol run with droppers + link failures");
@@ -93,8 +74,8 @@ int main(int argc, char** argv) {
     // --- trial 0: a targeted stream through one deterministic dropper, so
     // forwarder diagnosis and the accusation pipeline get real load.
     const auto targeted_phase = [&](util::Rng& rng) {
-        PhaseOut phase;
-        std::string& out = phase.block;
+        bench::TrialOut phase;
+        std::string& out = phase.text;
         std::vector<overlay::MemberIndex> hops;
         overlay::MemberIndex from = 0;
         util::NodeId key;
@@ -121,7 +102,7 @@ int main(int argc, char** argv) {
                                   targeted_behaviors, rng.fork());
         targeted.set_trace(&trace);
         targeted.start();
-        sim.run_until(3 * util::kMinute);
+        sim.run_until(bench::kRuntimeWarmup);
         // Spread sends across the virtual run so down intervals on the
         // fixed route rotate.
         for (int i = 0; i < 60; ++i) {
@@ -148,15 +129,15 @@ int main(int argc, char** argv) {
         append(out, "%-28s %zu / %zu (accusations %zu, verified %zu)\n",
                "targeted dropper diagnosed", targeted_correct, targeted_total,
                accs.size(), verified_targeted);
-        capture_trace(phase, trace);
+        phase.keep_trace(trace);
         return phase;
     };
 
     // --- trial 1: the background workload, scored against ground truth,
     // plus the audit of every accusation left in the DHT.
     const auto workload_phase = [&](util::Rng& rng) {
-        PhaseOut phase;
-        std::string& out = phase.block;
+        bench::TrialOut phase;
+        std::string& out = phase.text;
         core::DiagnosisTrace trace(512);
         net::EventSim sim;
         runtime::Cluster cluster(sim, world.timeline(), world.overlay_net(),
@@ -164,7 +145,7 @@ int main(int argc, char** argv) {
                                  behaviors, rng.fork());
         cluster.set_trace(&trace);
         cluster.start();
-        sim.run_until(3 * util::kMinute);
+        sim.run_until(bench::kRuntimeWarmup);
 
         std::size_t correct_forwarder = 0;
         std::size_t wrong_forwarder = 0;
@@ -202,10 +183,9 @@ int main(int argc, char** argv) {
                                  ++undiagnosed;
                              }
                          });
-            // Pace the workload across the virtual two hours.
-            sim.run_until(sim.now() + 20 * util::kSecond);
+            sim.run_until(sim.now() + pace);
         }
-        sim.run_until(sim.now() + 5 * util::kMinute);
+        sim.run_until(sim.now() + settle);
 
         const auto& stats = cluster.stats();
         append(out, "%-28s %zu\n", "messages", stats.messages);
@@ -244,7 +224,7 @@ int main(int argc, char** argv) {
         }
         append(out, "%-28s %zu (verified %zu, against droppers %zu)\n",
                "accusations in DHT", total, verified, against_droppers);
-        capture_trace(phase, trace);
+        phase.keep_trace(trace);
         return phase;
     };
 
@@ -253,11 +233,7 @@ int main(int argc, char** argv) {
         [&](std::uint64_t trial, util::Rng& rng) {
             return trial == 0 ? targeted_phase(rng) : workload_phase(rng);
         },
-        [](std::uint64_t, PhaseOut&& phase) {
-            std::fputs(phase.block.c_str(), stdout);
-            bench::trace_sink_add(std::move(phase.trace_records),
-                                  phase.trace_total);
-        });
+        [](std::uint64_t, bench::TrialOut&& phase) { phase.emit(); });
 
     // Perf trajectory: events/sec is the headline number tools/check_perf.py
     // gates on; bytes/diagnosis uses the paper's 30-byte probe cost over

@@ -364,7 +364,7 @@ void Daemon::complete_message(const runtime::Cluster::MessageOutcome& res) {
     }
     if (res.true_drop_hop.has_value()) {
         // A forwarder ate it; naming exactly that node is correct, naming
-        // anyone else is a false accusation (soak_recovery's rule).
+        // anyone else is a false accusation (the recovery soak's rule).
         const util::NodeId& culprit =
             world_->overlay_net()
                 .member(res.route[*res.true_drop_hop])

@@ -94,8 +94,9 @@ class Daemon {
     /// Throws std::runtime_error when replay verification fails.
     bool run(const std::atomic<bool>* stop = nullptr, int pace_ms = 0);
 
-    /// Ground-truth scoring of every completed message, soak_recovery
-    /// style.  Orphans are only meaningful after run() returns true.
+    /// Ground-truth scoring of every completed message, as the recovery
+    /// soak scores it.  Orphans are only meaningful after run() returns
+    /// true.
     struct Score {
         std::uint64_t fed = 0;
         std::uint64_t completed = 0;

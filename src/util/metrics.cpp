@@ -217,7 +217,7 @@ constexpr WellKnown kWellKnown[] = {
     {WellKnown::kCounter, "chaos.acks_delayed"},
     {WellKnown::kCounter, "chaos.crash_events"},
     {WellKnown::kCounter, "chaos.partition_events"},
-    // chaos soak scoring (bench/soak_chaos).
+    // chaos soak scoring (bench/soak --chaos).
     {WellKnown::kCounter, "chaos.diagnosed_messages"},
     {WellKnown::kCounter, "chaos.false_accusations"},
     {WellKnown::kCounter, "chaos.correct_accusations"},
@@ -228,7 +228,7 @@ constexpr WellKnown kWellKnown[] = {
     {WellKnown::kCounter, "attack.slanders_filed"},
     {WellKnown::kCounter, "attack.spam_puts"},
     {WellKnown::kCounter, "attack.collusions_pushed"},
-    // attack soak scoring (bench/soak_attacks).
+    // attack soak scoring (bench/soak --attack).
     {WellKnown::kCounter, "attack.diagnosed_messages"},
     {WellKnown::kCounter, "attack.false_accusations"},
     {WellKnown::kCounter, "attack.attackers_with_drops"},
@@ -248,7 +248,7 @@ constexpr WellKnown kWellKnown[] = {
     {WellKnown::kCounter, "recovery.stewardships_abandoned"},
     {WellKnown::kCounter, "recovery.handoffs_delivered"},
     {WellKnown::kCounter, "recovery.insufficient_evidence_verdicts"},
-    // recovery soak scoring (bench/soak_recovery).
+    // recovery soak scoring (bench/soak --chaos crash:/partition:).
     {WellKnown::kCounter, "recovery.soak_messages"},
     {WellKnown::kCounter, "recovery.diagnosed_messages"},
     {WellKnown::kCounter, "recovery.false_accusations"},

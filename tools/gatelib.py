@@ -1,10 +1,11 @@
 """Shared plumbing for the soak gate scripts.
 
-check_chaos.py, check_attacks.py, and check_recovery.py all read a
-`--metrics-out` snapshot, pull a handful of counters, and fail the build
-when a scored rate crosses a threshold.  The thresholds and the scoring
-stay in each gate; the snapshot loading, counter access, and uniform
-error reporting live here so the three scripts cannot drift apart.
+check_soak.py and check_daemon.py read a `--metrics-out` snapshot, pull
+a handful of counters, and fail the build when a scored rate crosses a
+threshold; the other checkers share the error reporting.  The thresholds
+and the scoring stay in each gate; the snapshot loading, counter access,
+series digests, flight-recorder dump, and uniform error reporting live
+here so the scripts cannot drift apart.
 """
 
 import json
