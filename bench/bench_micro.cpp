@@ -13,8 +13,10 @@
 #include "crypto/certificates.h"
 #include "dht/dht.h"
 #include "net/event_sim.h"
+#include "net/link_state.h"
 #include "net/paths.h"
 #include "net/topology_gen.h"
+#include "net/transport.h"
 #include "overlay/advertisement.h"
 #include "overlay/density.h"
 #include "overlay/network.h"
@@ -194,6 +196,44 @@ void BM_MincInference(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_MincInference);
+
+void BM_HeavyweightSession(benchmark::State& state) {
+    // One heavyweight session (100 stripes 50 ms apart, Cluster's default)
+    // over a real Transport on a 48-leaf tree, the sampler asking the
+    // transport for windows as Cluster does.  Every fourth tree link is
+    // down: with range(0) == 0 for the whole session (links stable, the
+    // rows after the first are word copies); with 1 from a staggered
+    // instant 1 s in until 3 s, so each of those links is asked about again
+    // twice and the stripes at its changes take the full forward pass.
+    util::Rng rng(12);
+    const auto topo = net::generate_topology(net::small_params(), rng);
+    const auto hosts = topo.end_hosts();
+    const std::vector<net::RouterId> dsts(hosts.begin() + 1,
+                                          hosts.begin() + 49);
+    const net::PathOracle oracle(topo);
+    util::Arena arena;
+    const tomography::ProbeTree tree(hosts[0],
+                                     oracle.paths_into(hosts[0], dsts, arena));
+    const bool flipping = state.range(0) != 0;
+    net::FailureTimeline timeline;
+    const auto links = tree.links();
+    for (std::size_t i = 0; i < links.size(); i += 4) {
+        const auto stagger = static_cast<util::SimTime>(i) * util::kMillisecond;
+        timeline.add_down(links[i],
+                          flipping ? net::DownInterval{util::kSecond + stagger,
+                                                       3 * util::kSecond}
+                                   : net::DownInterval{0, 10 * util::kSecond});
+    }
+    timeline.finalize();
+    const net::Transport transport(timeline, util::Rng(13));
+    const tomography::HeavyweightParams params{.probe_count = 100};
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(tomography::run_heavyweight_session(
+            tree, transport, 0, params, {}, rng));
+    }
+    state.SetItemsProcessed(state.iterations() * params.probe_count);
+}
+BENCHMARK(BM_HeavyweightSession)->Arg(0)->Arg(1);
 
 void BM_DhtPutGet(benchmark::State& state) {
     const auto net = make_net(300, 8);

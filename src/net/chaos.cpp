@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "util/metrics.h"
 #include "util/rate_spec.h"
@@ -71,16 +72,84 @@ std::string FaultSpec::to_string() const {
     return util::format_rate_spec(kKinds, rates_);
 }
 
-double FaultPlan::loss_at(LinkId link, util::SimTime t) const {
-    // Spikes are rare (per-minute events); the linear scan is fine and
-    // keeps the structure trivially copyable across threads.
-    double loss = 0.0;
-    for (const LossSpike& s : spikes) {
-        if (s.link == link && t >= s.start && t < s.end) {
-            loss = std::max(loss, s.loss);
+void FaultPlan::add_spike(const LossSpike& spike) {
+    if (spike.end <= spike.start) return;
+    spikes_.push_back(spike);
+    spikes_indexed_ = false;
+}
+
+void FaultPlan::finalize() {
+    downs.finalize();
+    if (spikes_indexed_) return;
+    std::sort(spikes_.begin(), spikes_.end(),
+              [](const LossSpike& a, const LossSpike& b) {
+                  if (a.link != b.link) return a.link < b.link;
+                  return a.start < b.start;
+              });
+    // Each link's maximum spike loss only changes where one of its spikes
+    // starts or ends, so those are the steps; equal neighbours merge.
+    step_begin_.assign(spikes_.back().link + std::size_t{2}, 0);
+    steps_.clear();
+    std::vector<util::SimTime> cuts;
+    for (auto first = spikes_.begin(); first != spikes_.end();) {
+        const LinkId link = first->link;
+        const auto last = std::find_if(
+            first, spikes_.end(),
+            [link](const LossSpike& s) { return s.link != link; });
+        cuts.clear();
+        for (auto s = first; s != last; ++s) {
+            cuts.push_back(s->start);
+            cuts.push_back(s->end);
         }
+        std::sort(cuts.begin(), cuts.end());
+        cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+        const std::size_t begin = steps_.size();
+        for (const util::SimTime cut : cuts) {
+            double loss = 0.0;
+            for (auto s = first; s != last; ++s) {
+                if (s->start <= cut && cut < s->end) {
+                    loss = std::max(loss, s->loss);
+                }
+            }
+            if (steps_.size() > begin && steps_.back().loss == loss) continue;
+            steps_.push_back({cut, loss});
+        }
+        step_begin_[link + 1] = steps_.size();
+        first = last;
     }
-    return loss;
+    // Links without spikes start where the previous link ended.
+    for (std::size_t l = 1; l < step_begin_.size(); ++l) {
+        step_begin_[l] = std::max(step_begin_[l], step_begin_[l - 1]);
+    }
+    spikes_indexed_ = true;
+}
+
+std::pair<double, util::SimTime> FaultPlan::spike_loss(
+    LinkId link, util::SimTime t) const {
+    if (!spikes_indexed_) {
+        throw std::logic_error("FaultPlan: query before finalize()");
+    }
+    if (std::size_t{link} + 1 >= step_begin_.size()) return {0.0, kForever};
+    const auto first = steps_.begin() +
+                       static_cast<std::ptrdiff_t>(step_begin_[link]);
+    const auto last = steps_.begin() +
+                      static_cast<std::ptrdiff_t>(step_begin_[link + 1]);
+    const auto next = std::upper_bound(
+        first, last, t,
+        [](util::SimTime v, const LossStep& s) { return v < s.start; });
+    return {next == first ? 0.0 : std::prev(next)->loss,
+            next == last ? kForever : next->start};
+}
+
+double FaultPlan::loss_at(LinkId link, util::SimTime t) const {
+    return spike_loss(link, t).first;
+}
+
+PassWindow FaultPlan::pass_window(LinkId link, util::SimTime t) const {
+    const PassWindow up = downs.pass_window(link, t);
+    if (up.probability == 0.0) return up;
+    const auto [loss, until] = spike_loss(link, t);
+    return {1.0 - loss, std::min(up.until, until)};
 }
 
 bool FaultPlan::partition_active(util::SimTime t) const {
@@ -208,14 +277,9 @@ FaultPlan build_fault_plan(const FaultSpec& spec, util::SimTime duration,
                                           rng.uniform(10.0, 60.0) *
                                           static_cast<double>(util::kSecond));
             spike.loss = rng.uniform(0.2, 0.8);
-            plan.spikes.push_back(spike);
+            plan.add_spike(spike);
             spikes.add(1);
         }
-        std::sort(plan.spikes.begin(), plan.spikes.end(),
-                  [](const LossSpike& a, const LossSpike& b) {
-                      if (a.link != b.link) return a.link < b.link;
-                      return a.start < b.start;
-                  });
     }
 
     // --- churn ---------------------------------------------------------------
@@ -311,7 +375,7 @@ FaultPlan build_fault_plan(const FaultSpec& spec, util::SimTime duration,
         }
     }
 
-    plan.downs.finalize();
+    plan.finalize();
     return plan;
 }
 

@@ -14,9 +14,10 @@
 // net::generate_failure_timeline: a plan is a pure function of
 // (spec, duration, candidate paths, node count, rng seed), so any chaos run
 // is byte-reproducible at any --jobs count.  Consumers only ever read a
-// finished plan: net::Transport consults link_up()/loss_at() on every
-// packet, runtime::Cluster schedules the churn events and draws the
-// per-packet effects from its own (single-threaded) generator.
+// finished plan: net::Transport folds pass_window() into every packet's
+// and every probe stripe's pass probability, runtime::Cluster schedules the
+// churn events and draws the per-packet effects from its own
+// (single-threaded) generator.
 
 #pragma once
 
@@ -24,6 +25,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "net/link_state.h"
@@ -133,13 +135,11 @@ struct PartitionEvent {
     std::vector<std::uint8_t> side;
 };
 
-/// A materialized chaos schedule.  Plain data plus read-only queries; safe
-/// to share by const reference across experiment-driver workers.
+/// A materialized chaos schedule.  Plain data plus read-only queries; once
+/// finalized, safe to share by const reference across worker threads.
 struct FaultPlan {
     /// Flap + correlated-outage down intervals, merged and finalized.
     FailureTimeline downs;
-    /// Loss spikes, grouped per link and sorted by start time.
-    std::vector<LossSpike> spikes;
     /// Churn schedule, sorted by leave time.
     std::vector<ChurnEvent> churn;
     /// Crash-stop schedule, sorted by crash time.
@@ -155,14 +155,26 @@ struct FaultPlan {
     /// a delayed acknowledgment relay.
     util::SimTime max_extra_delay = 500 * util::kMillisecond;
 
-    /// False when a flap or correlated outage has the link down at t.
-    [[nodiscard]] bool link_up(LinkId link, util::SimTime t) const {
-        return downs.is_up(link, t);
+    /// Records a loss spike; call finalize() before querying.
+    void add_spike(const LossSpike& spike);
+
+    /// Finalizes `downs` and indexes the spikes per link.  Idempotent.
+    void finalize();
+
+    /// Loss spikes, grouped per link and sorted by start time.
+    [[nodiscard]] const std::vector<LossSpike>& spikes() const noexcept {
+        return spikes_;
     }
 
     /// The residual loss injected on `link` at time t (0 outside spikes;
-    /// overlapping spikes yield the maximum).
+    /// overlapping spikes yield the maximum).  A binary search in the
+    /// link's spike index.
     [[nodiscard]] double loss_at(LinkId link, util::SimTime t) const;
+
+    /// The plan's pass probability for `link` at t and until when it
+    /// holds: 0 while a flap or outage has the link down, otherwise one
+    /// minus the spike loss.
+    [[nodiscard]] PassWindow pass_window(LinkId link, util::SimTime t) const;
 
     [[nodiscard]] bool has_packet_effects() const noexcept {
         return reorder_rate > 0.0 || duplicate_rate > 0.0;
@@ -183,6 +195,25 @@ struct FaultPlan {
     [[nodiscard]] bool has_recovery_faults() const noexcept {
         return !crashes.empty() || !partitions.empty();
     }
+
+  private:
+    /// One step of a link's spike loss: `loss` holds from `start` until
+    /// the next step's start.
+    struct LossStep {
+        util::SimTime start = 0;
+        double loss = 0.0;
+    };
+    /// The loss (0 before its first step) and its end at t.
+    [[nodiscard]] std::pair<double, util::SimTime> spike_loss(
+        LinkId link, util::SimTime t) const;
+
+    std::vector<LossSpike> spikes_;
+    /// Per link (dense by LinkId), the maximum loss of its spikes as a step
+    /// function: steps_[step_begin_[l] .. step_begin_[l + 1]) sorted by
+    /// start, the last one back to 0.  Built by finalize().
+    std::vector<std::size_t> step_begin_;
+    std::vector<LossStep> steps_;
+    bool spikes_indexed_ = true;
 };
 
 /// Expands a spec into a plan for [0, duration).  `candidate_paths` plays

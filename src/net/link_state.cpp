@@ -36,23 +36,39 @@ void FailureTimeline::finalize() {
 
 namespace {
 
-bool down_at(const std::vector<DownInterval>& intervals, util::SimTime t) {
-    // First interval with start > t; the candidate is its predecessor.
-    auto it = std::upper_bound(
+/// The first of a link's sorted, merged down intervals that starts after
+/// t; the link is down at t iff the interval before it contains t.
+std::vector<DownInterval>::const_iterator first_after(
+    const std::vector<DownInterval>& intervals, util::SimTime t) {
+    return std::upper_bound(
         intervals.begin(), intervals.end(), t,
         [](util::SimTime v, const DownInterval& iv) { return v < iv.start; });
-    if (it == intervals.begin()) return false;
-    return std::prev(it)->contains(t);
 }
 
 }  // namespace
+
+PassWindow FailureTimeline::pass_window(LinkId link, util::SimTime t) const {
+    if (!finalized_) {
+        throw std::logic_error("FailureTimeline: query before finalize()");
+    }
+    if (link >= down_.size() || down_[link].empty()) return {};
+    const std::vector<DownInterval>& intervals = down_[link];
+    // Merged intervals neither overlap nor touch, so the link is up from a
+    // down interval's end until the next one's start.
+    const auto next = first_after(intervals, t);
+    if (next != intervals.begin() && std::prev(next)->contains(t)) {
+        return {0.0, std::prev(next)->end};
+    }
+    return {1.0, next == intervals.end() ? kForever : next->start};
+}
 
 bool FailureTimeline::is_up(LinkId link, util::SimTime t) const {
     if (!finalized_) {
         throw std::logic_error("FailureTimeline: query before finalize()");
     }
     if (link >= down_.size() || down_[link].empty()) return true;
-    return !down_at(down_[link], t);
+    const auto next = first_after(down_[link], t);
+    return next == down_[link].begin() || !std::prev(next)->contains(t);
 }
 
 bool FailureTimeline::any_down(std::span<const LinkId> links,

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -24,6 +25,27 @@
 #include "util/time.h"
 
 namespace concilium::net {
+
+/// The end of a window that never closes.
+inline constexpr util::SimTime kForever =
+    std::numeric_limits<util::SimTime>::max();
+
+/// A link's pass probability over [t, until), the answer to a
+/// piecewise-constant query at t.  Link state changes only at interval
+/// boundaries, so one answer serves every packet or stripe until then.
+/// A bare probability converts to a window that holds at t only (until at
+/// or before t): a per-instant source stands in wherever a window is asked
+/// for and is simply asked again next time.
+struct PassWindow {
+    double probability = 1.0;
+    util::SimTime until = kForever;  ///< exclusive
+
+    PassWindow() = default;
+    PassWindow(double p, util::SimTime end) : probability(p), until(end) {}
+    // NOLINTNEXTLINE(google-explicit-constructor): a per-instant answer.
+    PassWindow(double p)
+        : probability(p), until(std::numeric_limits<util::SimTime>::min()) {}
+};
 
 struct DownInterval {
     util::SimTime start = 0;
@@ -43,6 +65,13 @@ class FailureTimeline {
     /// Sorts and merges overlapping intervals.  Idempotent.
     void finalize();
 
+    /// 1 while the link is up and 0 while it is down, until its next
+    /// state change.
+    [[nodiscard]] PassWindow pass_window(LinkId link, util::SimTime t) const;
+
+    /// pass_window(link, t).probability != 0, without the window's end,
+    /// for callers that ask about one instant (ground-truth checks,
+    /// per-instant probe sources).
     [[nodiscard]] bool is_up(LinkId link, util::SimTime t) const;
 
     /// True when at least one link in the span is down at t.
@@ -62,8 +91,8 @@ class FailureTimeline {
   private:
     /// Dense by LinkId (link ids are compact topology indices); links with
     /// no recorded failure hold an empty vector.  The traversal sampler asks
-    /// is_up for every link of every packet, so the query must be an indexed
-    /// load, not a hash lookup.
+    /// about every link of every packet, so the query must be an indexed
+    /// load and a binary search, not a hash lookup.
     std::vector<std::vector<DownInterval>> down_;
     bool finalized_ = true;
 };

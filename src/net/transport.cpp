@@ -6,14 +6,18 @@
 
 namespace concilium::net {
 
-double Transport::pass_probability(LinkId link, util::SimTime t) const {
-    if (!timeline_->is_up(link, t)) return 0.0;
-    double loss = params_.healthy_link_loss;
+PassWindow Transport::pass_window(LinkId link, util::SimTime t) const {
+    const PassWindow scenario = timeline_->pass_window(link, t);
+    if (scenario.probability == 0.0) return scenario;
+    PassWindow w{1.0 - params_.healthy_link_loss, scenario.until};
     if (chaos_ != nullptr) {
-        if (!chaos_->link_up(link, t)) return 0.0;
-        loss = std::max(loss, chaos_->loss_at(link, t));
+        const PassWindow injected = chaos_->pass_window(link, t);
+        if (injected.probability == 0.0) return injected;
+        // 1 - max(a, b) == min(1 - a, 1 - b) exactly: rounding is monotone.
+        w = {std::min(w.probability, injected.probability),
+             std::min(w.until, injected.until)};
     }
-    return 1.0 - loss;
+    return w;
 }
 
 bool Transport::sample_traversal(std::span<const LinkId> links,

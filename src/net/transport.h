@@ -27,8 +27,21 @@ class Transport {
               TransportParams params = {})
         : timeline_(&timeline), rng_(rng), params_(params) {}
 
-    /// Probability that one packet crossing `link` at time t survives.
-    [[nodiscard]] double pass_probability(LinkId link, util::SimTime t) const;
+    /// Probability that one packet crossing `link` at time t survives, and
+    /// until when it holds: the scenario timeline and the chaos plan folded
+    /// into one window (a down link passes nothing; otherwise the loss is
+    /// the larger of the healthy loss and the plan's spike loss).
+    [[nodiscard]] PassWindow pass_window(LinkId link, util::SimTime t) const;
+
+    /// The window query as a call, so a Transport can be handed to the
+    /// probe sampler as its pass-probability source.
+    [[nodiscard]] PassWindow operator()(LinkId link, util::SimTime t) const {
+        return pass_window(link, t);
+    }
+
+    [[nodiscard]] double pass_probability(LinkId link, util::SimTime t) const {
+        return pass_window(link, t).probability;
+    }
 
     /// Samples a single packet traversal of `links` starting at time t.
     /// Each link is crossed per_hop_latency later than the previous one.
@@ -44,9 +57,9 @@ class Transport {
     }
 
     /// Attaches a chaos plan: flap / correlated-outage intervals and loss
-    /// spikes fold into pass_probability, so every packet -- probes and
+    /// spikes fold into pass_window, so every packet -- probes and
     /// application traffic alike -- sees the injected faults.  The plan
-    /// must outlive the transport; pass nullptr to detach.
+    /// must be finalized and outlive the transport; pass nullptr to detach.
     void set_chaos(const FaultPlan* plan) noexcept { chaos_ = plan; }
 
   private:

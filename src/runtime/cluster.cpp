@@ -14,16 +14,17 @@ namespace {
 
 const NodeBehavior kHonest{};
 
-// Mirrors a Stats increment into the process metrics registry.  Cluster
-// events run at human-auditable rates, so the per-call name lookup is fine.
-void bump(const char* name, std::int64_t delta = 1) {
-    util::metrics::Registry::global().counter(name).add(delta);
-}
+// Every Stats increment is mirrored into the process metrics registry
+// through a counter looked up once, into a function-local static at its
+// call site: a by-name lookup takes the registry mutex and a map search,
+// and the busiest sites run millions of times a run.
+using util::metrics::Registry;
 
 // A per-sim-minute windowed series (geometry matches the kWellKnownSeries
-// catalogue in util/metrics.cpp).
+// catalogue in util/metrics.cpp).  Its callers keep the result in a
+// function-local static.
 util::metrics::SeriesMetric& minute_series(const char* name) {
-    return util::metrics::Registry::global().series(
+    return Registry::global().series(  // hot-path-lint: boundary
         name, util::kMinute, 240, util::metrics::SeriesMetric::Mode::kSum);
 }
 
@@ -159,33 +160,45 @@ void Cluster::run_event(Op op, std::uint64_t b, std::uint64_t c) {
             accept_recovery_announcement(member,
                                          unpark<RecoveryAnnouncement>(c));
             break;
-        case Op::kResync:
+        case Op::kResync: {
             if (!online_[member]) break;
             ++stats_.resync_rounds;
-            bump("partition.resync_rounds");
+            static auto& resync_rounds =
+                Registry::global().counter("partition.resync_rounds");
+            resync_rounds.add(1);
             probe_round_once(member);
             break;
-        case Op::kChurnLeave:
+        }
+        case Op::kChurnLeave: {
             ++stats_.churn_leaves;
-            bump("runtime.churn_leaves");
+            static auto& churn_leaves =
+                Registry::global().counter("runtime.churn_leaves");
+            churn_leaves.add(1);
             set_online(member, false);
             break;
-        case Op::kChurnRejoin:
+        }
+        case Op::kChurnRejoin: {
             ++stats_.churn_rejoins;
-            bump("runtime.churn_rejoins");
+            static auto& churn_rejoins =
+                Registry::global().counter("runtime.churn_rejoins");
+            churn_rejoins.add(1);
             // A crashed node stays down until restart_node brings it back.
             if (!crashed_[member]) set_online(member, true);
             break;
+        }
         case Op::kCrash:
             crash_node(member);
             break;
         case Op::kRestart:
             restart_node(member);
             break;
-        case Op::kPartitionStart:
+        case Op::kPartitionStart: {
             ++stats_.partition_activations;
-            bump("partition.activations");
+            static auto& activations =
+                Registry::global().counter("partition.activations");
+            activations.add(1);
             break;
+        }
         case Op::kPartitionHeal:
             heal_partition();
             break;
@@ -201,10 +214,10 @@ void Cluster::schedule_churn() {
 }
 
 util::SimTime Cluster::chaos_extra_delay(double rate,
-                                         const char* counter_name) {
+                                         util::metrics::Counter& fired) {
     if (chaos_ == nullptr || rate <= 0.0) return 0;
     if (!rng_.bernoulli(rate)) return 0;
-    bump(counter_name);
+    fired.add(1);
     return std::max<util::SimTime>(
         1, static_cast<util::SimTime>(rng_.uniform(
                0.0, static_cast<double>(chaos_->max_extra_delay))));
@@ -227,7 +240,8 @@ void Cluster::schedule_recovery_faults() {
 void Cluster::crash_node(overlay::MemberIndex m) {
     if (crashed_[m]) return;
     ++stats_.crashes;
-    bump("recovery.crashes");
+    static auto& crashes = Registry::global().counter("recovery.crashes");
+    crashes.add(1);
     crashed_[m] = true;
     crashed_at_[m] = sim_->now();
     online_[m] = false;
@@ -250,9 +264,12 @@ void Cluster::restart_node(overlay::MemberIndex m) {
     crashed_[m] = false;
     online_[m] = true;
     ++stats_.restarts;
-    bump("recovery.restarts");
+    static auto& restarts = Registry::global().counter("recovery.restarts");
+    restarts.add(1);
     ++stats_.journal_replays;
-    bump("recovery.journal_replays");
+    static auto& journal_replays =
+        Registry::global().counter("recovery.journal_replays");
+    journal_replays.add(1);
     const NodeJournal::RecoveredState recovered =
         journals_[m].replay(params_.verdicts.window);
     NodeState& node = nodes_[m];
@@ -288,7 +305,9 @@ void Cluster::recovery_handshake(
         net_->member(m).id(), recovered.incarnations + 1, crashed_at_[m], now,
         net_->member(m).keys);
     ++stats_.recovery_announcements;
-    bump("recovery.announcements_sent");
+    static auto& announcements_sent =
+        Registry::global().counter("recovery.announcements_sent");
+    announcements_sent.add(1);
 
     // (b) Leaf-set / jump-table repair: re-advertise routing state; every
     // peer re-runs the full validation pipeline (signature, freshness,
@@ -299,7 +318,9 @@ void Cluster::recovery_handshake(
     for (const overlay::MemberIndex peer : net_->routing_peers(m)) {
         if (!online_[peer]) continue;
         if (partition_blocks(m, peer)) {
-            bump("partition.control_blocked");
+            static auto& control_blocked =
+                Registry::global().counter("partition.control_blocked");
+            control_blocked.add(1);
             continue;
         }
         post_parked(params_.control_latency, Op::kAnnouncement, peer,
@@ -309,10 +330,14 @@ void Cluster::recovery_handshake(
             key_fn, registry_);
         if (verdict == core::AdvertisementCheck::kOk) {
             ++stats_.recovery_repairs_accepted;
-            bump("recovery.repairs_accepted");
+            static auto& repairs_accepted =
+                Registry::global().counter("recovery.repairs_accepted");
+            repairs_accepted.add(1);
         } else {
             ++stats_.recovery_repairs_rejected;
-            bump("recovery.repairs_rejected");
+            static auto& repairs_rejected =
+                Registry::global().counter("recovery.repairs_rejected");
+            repairs_rejected.add(1);
         }
     }
 
@@ -332,7 +357,9 @@ void Cluster::recovery_handshake(
         if (ctx.completed || steward.acked || steward.judged) continue;
         if (now - s.forwarded_at <= params_.recovery_resume_horizon) {
             ++stats_.stewardships_resumed;
-            bump("recovery.stewardships_resumed");
+            static auto& stewardships_resumed =
+                Registry::global().counter("recovery.stewardships_resumed");
+            stewardships_resumed.add(1);
             post(params_.ack_timeout, Op::kAckTimeout, s.message_id, hop);
             transmit_to_next(s.message_id, hop, 1);
         } else {
@@ -341,7 +368,9 @@ void Cluster::recovery_handshake(
             // so the upstream's pending judgment of *us* resolves as
             // insufficient evidence, not guilt.
             ++stats_.stewardships_abandoned;
-            bump("recovery.stewardships_abandoned");
+            static auto& stewardships_abandoned =
+                Registry::global().counter("recovery.stewardships_abandoned");
+            stewardships_abandoned.add(1);
             steward.judged = true;  // this steward will never judge
             journals_[m].record_steward_close(s.message_id, s.hop);
             if (hop > 0) {
@@ -353,7 +382,9 @@ void Cluster::recovery_handshake(
                     post_parked(params_.control_latency, Op::kHandoff,
                                 s.message_id, handoff, hop - 1);
                 } else if (online_[up]) {
-                    bump("partition.control_blocked");
+                    static auto& control_blocked =
+                        Registry::global().counter("partition.control_blocked");
+                    control_blocked.add(1);
                 }
             } else {
                 // The abandoning steward is the sender itself: close out
@@ -375,7 +406,9 @@ void Cluster::accept_recovery_announcement(
     if (!verify_recovery_announcement(announcement, key, registry_)) {
         return;  // a forged outage claim buys nothing
     }
-    bump("recovery.announcements_delivered");
+    static auto& announcements_delivered =
+        Registry::global().counter("recovery.announcements_delivered");
+    announcements_delivered.add(1);
     nodes_[peer].recovery_seen[announcer->second].push_back(announcement);
     const int retracted = nodes_[peer].ledger.retract_guilty(
         announcement.node, announcement.crashed_at,
@@ -404,12 +437,15 @@ void Cluster::deliver_handoff(std::uint64_t msg_id, std::size_t to_hop,
         return;
     }
     ctx.stewards[to_hop].handoff = handoff;
-    bump("recovery.handoffs_delivered");
+    static auto& handoffs_delivered =
+        Registry::global().counter("recovery.handoffs_delivered");
+    handoffs_delivered.add(1);
 }
 
 void Cluster::heal_partition() {
     ++stats_.partition_heals;
-    bump("partition.heals");
+    static auto& heals = Registry::global().counter("partition.heals");
+    heals.add(1);
     // Anti-entropy: both sides probe once, staggered, so fresh snapshots
     // cross the healed cut and the sides' archives re-converge.
     for (overlay::MemberIndex m = 0; m < net_->size(); ++m) {
@@ -595,13 +631,10 @@ void Cluster::probe_round_once(overlay::MemberIndex m) {
                              /*causal=*/m);
     const auto& tree = trees_->tree(m);
     if (!tree.leaves().empty()) {
-        const auto pass = [this](net::LinkId link, util::SimTime t) {
-            return transport_.pass_probability(link, t);
-        };
         const auto behaviors = leaf_behaviors(m);
         const auto light = tomography::run_lightweight_probe(
-            tree, pass, sim_->now(), params_.lightweight_retries, behaviors,
-            rng_);
+            tree, transport_, sim_->now(), params_.lightweight_retries,
+            behaviors, rng_);
 
         bool any_silent = false;
         tomography::TomographicSnapshot snap;
@@ -650,12 +683,9 @@ void Cluster::run_heavyweight(overlay::MemberIndex m) {
                                       tree.leaves().size()));
     hw_span.set_sim(sim_->now(), sim_->now());
     nodes_[m].last_heavyweight = sim_->now();
-    const auto pass = [this](net::LinkId link, util::SimTime t) {
-        return transport_.pass_probability(link, t);
-    };
     const auto behaviors = leaf_behaviors(m);
     const auto session = tomography::run_heavyweight_session(
-        tree, pass, sim_->now(), params_.heavyweight, behaviors, rng_);
+        tree, transport_, sim_->now(), params_.heavyweight, behaviors, rng_);
 
     // Feedback verification (Section 3.3): exclude fabricators (invalid
     // nonces) and suppressors (implausible conditional ack rates) before
@@ -720,7 +750,9 @@ void Cluster::publish_snapshot(overlay::MemberIndex m,
         // archives reject it on the transit-time check (and, were the
         // timestamp forged, on the epoch floor).
         ++stats_.replays_published;
-        bump("attack.replays_published");
+        static auto& replays_published =
+            Registry::global().counter("attack.replays_published");
+        replays_published.add(1);
         for (const overlay::MemberIndex peer : net_->routing_peers(m)) {
             send_snapshot(peer, nodes_[m].replay_stash, 1);
         }
@@ -737,7 +769,9 @@ void Cluster::publish_snapshot(overlay::MemberIndex m,
     // re-issue an epoch its peers already archived.
     journals_[m].record_epoch(nodes_[m].next_epoch);
     ++stats_.snapshots_published;
-    bump("runtime.snapshots_published");
+    static auto& snapshots_published =
+        Registry::global().counter("runtime.snapshots_published");
+    snapshots_published.add(1);
     // Publish → expected fan-out delivery on the sim clock; arg carries
     // the epoch so equivocating twins are distinguishable in the trace.
     util::spans::sim_span(util::spans::SpanType::kSnapshotExchange,
@@ -757,7 +791,9 @@ void Cluster::publish_snapshot(overlay::MemberIndex m,
         // over the *same* origin+epoch.  Any two peers comparing digests now
         // hold a self-verifying proof.
         ++stats_.equivocations_published;
-        bump("attack.equivocations_published");
+        static auto& equivocations_published =
+            Registry::global().counter("attack.equivocations_published");
+        equivocations_published.add(1);
         std::size_t rank = 0;
         for (const overlay::MemberIndex peer : net_->routing_peers(m)) {
             if (rank++ % 2 == 0) {
@@ -799,7 +835,9 @@ void Cluster::detect_equivocation(overlay::MemberIndex holder,
     // holds this digest or none, and the scan below could find no conflict.
     if (admitted_digests_[origin_m][snapshot.epoch] != kMixedDigests) return;
     if (proofs_filed_.contains({origin_m, snapshot.epoch})) return;
-    bump("defense.equivocation_scans");
+    static auto& equivocation_scans =
+        Registry::global().counter("defense.equivocation_scans");
+    equivocation_scans.add(1);
     // Digest exchange: compare the interned payload-digest id just archived
     // at `holder` against what the origin's other routing peers hold for the
     // same epoch.  Ids come from the cluster-wide interner, so agreement is
@@ -830,7 +868,9 @@ void Cluster::detect_equivocation(overlay::MemberIndex holder,
                      net_->member(origin_m).keys.public_key()),
                  proof.serialize());
         ++stats_.equivocation_proofs_filed;
-        bump("defense.equivocation_proofs_filed");
+        static auto& equivocation_proofs_filed =
+            Registry::global().counter("defense.equivocation_proofs_filed");
+        equivocation_proofs_filed.add(1);
         return;
     }
 }
@@ -850,14 +890,18 @@ void Cluster::send_snapshot(overlay::MemberIndex peer, SnapshotRef snapshot,
     // contribute degrades instead of the diagnosis wedging on it.
     const overlay::MemberIndex m = snapshot->origin_m;
     if (!online_[m]) return;  // an offline origin stops retrying
-    bump("runtime.retry.snapshot_attempts");
+    static auto& snapshot_attempts =
+        Registry::global().counter("runtime.retry.snapshot_attempts");
+    snapshot_attempts.add(1);
     util::SimTime latency = params_.control_latency;
     bool delivered = true;
     if (partition_blocks(m, peer)) {
         // The cut swallows this copy; the retry arm below may land a later
         // one after the heal.
         delivered = false;
-        bump("partition.snapshots_blocked");
+        static auto& snapshots_blocked =
+            Registry::global().counter("partition.snapshots_blocked");
+        snapshots_blocked.add(1);
     } else if (trees_->leaf_slot(m, peer).has_value()) {
         const auto path = trees_->path_links(m, peer);
         delivered = transport_.sample_traversal(path, sim_->now());
@@ -870,11 +914,15 @@ void Cluster::send_snapshot(overlay::MemberIndex peer, SnapshotRef snapshot,
     const int next = attempt + 1;
     if (!params_.snapshot_retry.allows(next)) {
         ++stats_.snapshot_deliveries_failed;
-        bump("runtime.retry.snapshot_exhausted");
+        static auto& snapshot_exhausted =
+            Registry::global().counter("runtime.retry.snapshot_exhausted");
+        snapshot_exhausted.add(1);
         return;
     }
     ++stats_.snapshot_retries;
-    bump("runtime.retry.snapshot_retries");
+    static auto& snapshot_retries =
+        Registry::global().counter("runtime.retry.snapshot_retries");
+    snapshot_retries.add(1);
     const auto backoff = params_.snapshot_retry.delay_before(next, rng_);
     post_parked(backoff, Op::kSnapshotRetry, peer, std::move(snapshot),
                 static_cast<std::uint64_t>(next));
@@ -890,7 +938,9 @@ void Cluster::deliver_snapshot(overlay::MemberIndex peer,
     if (!verify_cache_.verify(key, published->digest, published->payload,
                               published->snapshot.signature)) {
         ++stats_.snapshots_rejected;
-        bump("runtime.snapshots_rejected");
+        static auto& snapshots_rejected =
+            Registry::global().counter("runtime.snapshots_rejected");
+        snapshots_rejected.add(1);
         return;
     }
     switch (nodes_[peer].archive.add(archived(published), sim_->now(),
@@ -899,14 +949,20 @@ void Cluster::deliver_snapshot(overlay::MemberIndex peer,
             note_admitted(*published);
             detect_equivocation(peer, *published);
             break;
-        case ArchiveAdd::kRejectedStale:
+        case ArchiveAdd::kRejectedStale: {
             ++stats_.snapshots_rejected_stale;
-            bump("defense.snapshots_rejected_stale");
+            static auto& rejected_stale =
+                Registry::global().counter("defense.snapshots_rejected_stale");
+            rejected_stale.add(1);
             break;
-        case ArchiveAdd::kRejectedEpoch:
+        }
+        case ArchiveAdd::kRejectedEpoch: {
             ++stats_.snapshots_rejected_epoch;
-            bump("defense.snapshots_rejected_epoch");
+            static auto& rejected_epoch =
+                Registry::global().counter("defense.snapshots_rejected_epoch");
+            rejected_epoch.add(1);
             break;
+        }
     }
 }
 
@@ -922,7 +978,9 @@ std::uint64_t Cluster::send(overlay::MemberIndex from,
     ctx.stewards.resize(ctx.route.size());
     ctx.on_complete = std::move(on_complete);
     ++stats_.messages;
-    bump("runtime.messages_sent");
+    static auto& messages_sent =
+        Registry::global().counter("runtime.messages_sent");
+    messages_sent.add(1);
     const std::uint64_t id = ctx.id;
     messages_.emplace(id, std::move(ctx));
     deliver_to_hop(id, 0);
@@ -949,12 +1007,16 @@ void Cluster::deliver_to_hop(std::uint64_t msg_id, std::size_t hop) {
         if (ctx.stewards[hop].received) {
             if (hop + 1 == ctx.route.size() && !ctx.completed &&
                 online_[ctx.route[hop]] && ctx.route.size() > 1) {
-                bump("runtime.retry.reacks");
+                static auto& reacks =
+                    Registry::global().counter("runtime.retry.reacks");
+                reacks.add(1);
                 start_ack_return(msg_id);
                 return;
             }
             ++stats_.duplicates_suppressed;
-            bump("chaos.duplicates_suppressed");
+            static auto& duplicates_suppressed =
+                Registry::global().counter("chaos.duplicates_suppressed");
+            duplicates_suppressed.add(1);
             return;
         }
         ctx.stewards[hop].received = true;
@@ -970,7 +1032,9 @@ void Cluster::deliver_to_hop(std::uint64_t msg_id, std::size_t hop) {
             // Sender is already the destination.
             ctx.completed = true;
             ++stats_.delivered;
-    bump("runtime.messages_delivered");
+            static auto& messages_delivered =
+                Registry::global().counter("runtime.messages_delivered");
+            messages_delivered.add(1);
             if (ctx.on_complete) {
                 MessageOutcome outcome;
                 outcome.delivered = true;
@@ -1008,14 +1072,18 @@ void Cluster::forward_from_hop(std::uint64_t msg_id, std::size_t hop) {
     // Forwarding commitment (Section 3.6), issued by the next hop.
     if (behavior(next).refuse_commitments) {
         ++stats_.commitments_refused;
-    bump("runtime.commitments_refused");
+        static auto& commitments_refused =
+            Registry::global().counter("runtime.commitments_refused");
+        commitments_refused.add(1);
         ++stats_.reputation_votes;
         reputation_.cast_vote(net_->member(m).id(), net_->member(next).id(),
                               sim_->now());
         journals_[m].record_vote(net_->member(next).id(), sim_->now());
     } else {
         ++stats_.commitments_issued;
-    bump("runtime.commitments_issued");
+        static auto& commitments_issued =
+            Registry::global().counter("runtime.commitments_issued");
+        commitments_issued.add(1);
         ctx.stewards[hop].commitment = core::make_forwarding_commitment(
             net_->member(m).id(), net_->member(next).id(),
             net_->member(ctx.route.back()).id(), msg_id, ctx.sent_at,
@@ -1048,7 +1116,9 @@ void Cluster::transmit_to_next(std::uint64_t msg_id, std::size_t hop,
     const bool cut = partition_blocks(ctx.route[hop], ctx.route[hop + 1]);
     if (cut) {
         ++stats_.partition_blocked_packets;
-        bump("partition.messages_blocked");
+        static auto& messages_blocked =
+            Registry::global().counter("partition.messages_blocked");
+        messages_blocked.add(1);
         static auto& blocked_by_minute =
             minute_series("partition.messages_blocked.by_minute");
         blocked_by_minute.observe(sim_->now());
@@ -1058,15 +1128,18 @@ void Cluster::transmit_to_next(std::uint64_t msg_id, std::size_t hop,
         }
     } else if (transport_.sample_traversal(path, sim_->now())) {
         // One packet over the IP path; loss kills this copy.
-        const util::SimTime jitter =
-            chaos_extra_delay(chaos_ != nullptr ? chaos_->reorder_rate : 0.0,
-                              "chaos.packets_reordered");
+        static auto& reordered =
+            Registry::global().counter("chaos.packets_reordered");
+        const util::SimTime jitter = chaos_extra_delay(
+            chaos_ != nullptr ? chaos_->reorder_rate : 0.0, reordered);
         post(transport_.latency(path.size()) + jitter, Op::kDeliverToHop,
              msg_id, hop + 1);
         if (chaos_ != nullptr && rng_.bernoulli(chaos_->duplicate_rate)) {
             // A duplicated packet arrives slightly later; the receiving
             // steward dedupes it.
-            bump("chaos.packets_duplicated");
+            static auto& packets_duplicated =
+                Registry::global().counter("chaos.packets_duplicated");
+            packets_duplicated.add(1);
             const util::SimTime extra = std::max<util::SimTime>(
                 1, static_cast<util::SimTime>(rng_.uniform(
                        0.0,
@@ -1096,7 +1169,9 @@ void Cluster::forward_retry(std::uint64_t msg_id, std::size_t hop,
     if (ctx.completed || ctx.stewards[hop].acked) return;
     if (!online_[ctx.route[hop]]) return;  // churned out mid-retry
     ++stats_.forward_retransmissions;
-    bump("runtime.retry.forward_attempts");
+    static auto& forward_attempts =
+        Registry::global().counter("runtime.retry.forward_attempts");
+    forward_attempts.add(1);
     static auto& retries_by_minute =
         minute_series("runtime.retry.forward_attempts.by_minute");
     retries_by_minute.observe(sim_->now());
@@ -1121,7 +1196,9 @@ void Cluster::deliver_ack_to_hop(std::uint64_t msg_id, std::size_t hop) {
         if (!ctx.completed) {
             ctx.completed = true;
             ++stats_.delivered;
-    bump("runtime.messages_delivered");
+            static auto& messages_delivered =
+                Registry::global().counter("runtime.messages_delivered");
+            messages_delivered.add(1);
             if (ctx.on_complete) {
                 MessageOutcome outcome;
                 outcome.delivered = true;
@@ -1140,7 +1217,9 @@ void Cluster::deliver_ack_to_hop(std::uint64_t msg_id, std::size_t hop) {
     if (partition_blocks(ctx.route[hop], ctx.route[hop - 1])) {
         // The cut eats the relayed ack; upstream stewards will time out.
         ++stats_.partition_blocked_packets;
-        bump("partition.acks_blocked");
+        static auto& acks_blocked =
+            Registry::global().counter("partition.acks_blocked");
+        acks_blocked.add(1);
         ctx.dropped_by_network = true;
         if (!ctx.network_drop_segment.has_value()) {
             ctx.network_drop_segment = hop - 1;
@@ -1151,9 +1230,10 @@ void Cluster::deliver_ack_to_hop(std::uint64_t msg_id, std::size_t hop) {
         // Chaos may hold the relayed acknowledgment back; a delay long
         // enough to cross the upstream steward's timeout looks exactly
         // like a loss until the ack lands.
-        const util::SimTime delay =
-            chaos_extra_delay(chaos_ != nullptr ? chaos_->ack_delay_rate : 0.0,
-                              "chaos.acks_delayed");
+        static auto& delayed =
+            Registry::global().counter("chaos.acks_delayed");
+        const util::SimTime delay = chaos_extra_delay(
+            chaos_ != nullptr ? chaos_->ack_delay_rate : 0.0, delayed);
         post(transport_.latency(path.size()) + delay, Op::kDeliverAck, msg_id,
              hop - 1);
     } else {
@@ -1272,7 +1352,9 @@ void Cluster::judge_next_hop(std::uint64_t msg_id, std::size_t hop) {
         // accumulate toward an accusation or relay as a revision.
         steward.judgment_insufficient = true;
         ++stats_.insufficient_verdicts;
-        bump("recovery.insufficient_evidence_verdicts");
+        static auto& insufficient = Registry::global().counter(
+            "recovery.insufficient_evidence_verdicts");
+        insufficient.add(1);
     } else {
         nodes_[m].ledger.record(steward.judgment->suspect,
                                 steward.judgment->claimed_blame, sim_->now());
@@ -1302,7 +1384,9 @@ void Cluster::push_revision_upstream(std::uint64_t msg_id, std::size_t hop) {
     if (behavior(m).refuse_revisions) return;  // at its own peril
     if (!ctx.stewards[hop].judgment.has_value()) return;
     ++stats_.revisions_pushed;
-    bump("runtime.revisions_pushed");
+    static auto& revisions_pushed =
+        Registry::global().counter("runtime.revisions_pushed");
+    revisions_pushed.add(1);
     // Each steward presents the verdict to its upstream neighbor, which
     // relays it further unless it withholds revisions itself (Section 3.5).
     post_parked(params_.control_latency, Op::kRelayRevision, msg_id,
@@ -1315,7 +1399,9 @@ void Cluster::relay_revision(std::uint64_t msg_id,
     auto& ctx = messages_.at(msg_id);
     ctx.stewards[to_hop].pushed.push_back(evidence);
     ++stats_.revisions_applied;
-    bump("runtime.revisions_applied");
+    static auto& revisions_applied =
+        Registry::global().counter("runtime.revisions_applied");
+    revisions_applied.add(1);
     if (to_hop == 0) return;
     if (behavior(ctx.route[to_hop]).refuse_revisions) return;
     post_parked(params_.control_latency, Op::kRelayRevision, msg_id,
@@ -1347,7 +1433,9 @@ void Cluster::push_fabricated_revision(std::uint64_t msg_id,
     ev.claimed_blame = 1.0;
     ev.judge_signature = net_->member(m).keys.sign(ev.signed_payload());
     ++stats_.collusions_pushed;
-    bump("attack.collusions_pushed");
+    static auto& collusions_pushed =
+        Registry::global().counter("attack.collusions_pushed");
+    collusions_pushed.add(1);
     post_parked(params_.control_latency, Op::kRelayRevision, msg_id,
                 std::move(ev), hop - 1);
 }
@@ -1424,7 +1512,9 @@ void Cluster::run_slander_round(overlay::MemberIndex m) {
                      net_->member(victim).keys.public_key()),
                  accusation.serialize());
         ++stats_.slanders_filed;
-        bump("attack.slanders_filed");
+        static auto& slanders_filed =
+            Registry::global().counter("attack.slanders_filed");
+        slanders_filed.add(1);
     }
     schedule_round(Op::kSlanderRound, m);
 }
@@ -1448,10 +1538,14 @@ void Cluster::run_spam_round(overlay::MemberIndex m) {
             }
             const auto result = dht_.put(m, key, std::move(junk));
             ++stats_.spam_puts;
-            bump("attack.spam_puts");
+            static auto& spam_puts =
+                Registry::global().counter("attack.spam_puts");
+            spam_puts.add(1);
             if (!result.accepted) {
                 ++stats_.dht_puts_rejected;
-                bump("defense.dht_puts_rejected");
+                static auto& dht_puts_rejected =
+                    Registry::global().counter("defense.dht_puts_rejected");
+                dht_puts_rejected.add(1);
             }
         }
     }
@@ -1464,10 +1558,14 @@ void Cluster::maybe_complete(std::uint64_t msg_id) {
     ctx.completed = true;
     if (ctx.dropped_by_hop.has_value()) {
         ++stats_.dropped_by_forwarder;
-    bump("runtime.messages_dropped_by_forwarder");
+        static auto& messages_dropped_by_forwarder =
+            Registry::global().counter("runtime.messages_dropped_by_forwarder");
+        messages_dropped_by_forwarder.add(1);
     } else if (ctx.dropped_by_network) {
         ++stats_.dropped_by_network;
-    bump("runtime.messages_dropped_by_network");
+        static auto& messages_dropped_by_network =
+            Registry::global().counter("runtime.messages_dropped_by_network");
+        messages_dropped_by_network.add(1);
     }
 
     MessageOutcome outcome;
@@ -1521,7 +1619,9 @@ void Cluster::maybe_complete(std::uint64_t msg_id) {
                 advanced = true;
             } else {
                 ++stats_.revisions_rejected;
-                bump("defense.revisions_rejected");
+                static auto& revisions_rejected =
+                    Registry::global().counter("defense.revisions_rejected");
+                revisions_rejected.add(1);
             }
             break;
         }
@@ -1543,7 +1643,9 @@ void Cluster::maybe_complete(std::uint64_t msg_id) {
         // and accusation alike.
         outcome.insufficient_evidence = true;
         ++stats_.insufficient_verdicts;
-        bump("recovery.insufficient_evidence_verdicts");
+        static auto& insufficient = Registry::global().counter(
+            "recovery.insufficient_evidence_verdicts");
+        insufficient.add(1);
     } else {
         outcome.blamed = accused;
         // File a formal accusation once the suspect has accumulated enough
@@ -1579,7 +1681,9 @@ void Cluster::maybe_complete(std::uint64_t msg_id) {
                                      .keys.public_key()),
                              accusation.serialize());
                     ++stats_.accusations_filed;
-    bump("runtime.accusations_filed");
+                    static auto& accusations_filed =
+                        Registry::global().counter("runtime.accusations_filed");
+                    accusations_filed.add(1);
                 }
             }
         }
@@ -1645,7 +1749,9 @@ std::vector<core::FaultAccusation> Cluster::accusations_against(
         } catch (const std::exception&) {
             // Spam: a value under an accusation key that is not an
             // accusation.  Readers skip it.
-            bump("defense.malformed_accusations_dropped");
+            static auto& malformed = Registry::global().counter(
+                "defense.malformed_accusations_dropped");
+            malformed.add(1);
         }
     }
     return out;
@@ -1661,7 +1767,9 @@ std::vector<core::EquivocationProof> Cluster::equivocation_proofs_against(
         try {
             out.push_back(core::EquivocationProof::deserialize(bytes));
         } catch (const std::exception&) {
-            bump("defense.malformed_accusations_dropped");
+            static auto& malformed = Registry::global().counter(
+                "defense.malformed_accusations_dropped");
+            malformed.add(1);
         }
     }
     return out;

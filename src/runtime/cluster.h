@@ -61,6 +61,7 @@
 #include "tomography/overlay_trees.h"
 #include "tomography/probing.h"
 #include "tomography/snapshot.h"
+#include "util/metrics.h"
 #include "util/rng.h"
 
 namespace concilium::runtime {
@@ -493,8 +494,9 @@ class Cluster {
     // --- chaos -------------------------------------------------------------
     void schedule_churn();
     /// Extra delivery delay when a per-packet chaos effect fires (0 when no
-    /// plan is attached or the draw misses).
-    util::SimTime chaos_extra_delay(double rate, const char* counter_name);
+    /// plan is attached or the draw misses); counts each firing in `fired`.
+    util::SimTime chaos_extra_delay(double rate,
+                                    util::metrics::Counter& fired);
 
     // --- crash recovery + partitions (RECOVERY.md) --------------------------
     void schedule_recovery_faults();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -13,19 +14,19 @@ namespace {
 
 using enum ProbePlane;
 
-const LeafBehavior kHonest{};
-
 /// Publishes the probe counters for freshly sampled stripes.
 void count_probes(const ProbeMatrix& m) {
-    const auto counter = [](const char* name) -> util::metrics::Counter& {
-        return util::metrics::Registry::global().counter(name);
-    };
-    static auto& stripes = counter("tomography.stripes_sampled");
-    static auto& issued = counter("tomography.probes_issued");
-    static auto& lost = counter("tomography.probes_lost");
-    static auto& acks = counter("tomography.probe_acks");
-    static auto& suppressed = counter("tomography.acks_suppressed");
-    static auto& fabricated = counter("tomography.acks_fabricated");
+    using util::metrics::Registry;
+    static auto& stripes =
+        Registry::global().counter("tomography.stripes_sampled");
+    static auto& issued =
+        Registry::global().counter("tomography.probes_issued");
+    static auto& lost = Registry::global().counter("tomography.probes_lost");
+    static auto& acks = Registry::global().counter("tomography.probe_acks");
+    static auto& suppressed =
+        Registry::global().counter("tomography.acks_suppressed");
+    static auto& fabricated =
+        Registry::global().counter("tomography.acks_fabricated");
     std::int64_t ones[3] = {0, 0, 0};  // per plane
     for (std::size_t i = 0; i < m.size(); ++i) {
         for (const ProbePlane p : {kReceived, kValidAck, kFabricatedAck}) {
@@ -59,35 +60,77 @@ ProbeMatrix sample_stripes(const ProbeTree& tree,
     const auto via = tree.via();
     const auto leaf_slot = tree.leaf_slot();
     ProbeMatrix out(count, leaves);
-    std::vector<char> reached(tree.node_count(), 1);  // the root stays 1
+    // Leaves that may suppress or fabricate; every other leaf acks exactly
+    // the probes it received and draws nothing.
+    std::vector<std::uint32_t> misbehaving;
+    for (std::size_t leaf = 0; leaf < behaviors.size(); ++leaf) {
+        if (behaviors[leaf].suppress_ack_probability > 0.0 ||
+            behaviors[leaf].fabricate_acks) {
+            misbehaving.push_back(static_cast<std::uint32_t>(leaf));
+        }
+    }
+    // Per tree node: whether the last full pass reached it (the root
+    // always is) and, when there is a later stripe to reuse it for, its
+    // link's window.  A stripe whose time is below every window's end, in
+    // a tree where no link draws, reaches exactly the leaves the previous
+    // one did.  A single stripe has nothing to reuse, so it keeps no
+    // windows.
+    std::vector<char> reached(tree.node_count(), 1);
+    std::vector<net::PassWindow> window(
+        count > 1 ? tree.node_count() : 0,
+        net::PassWindow{1.0, std::numeric_limits<util::SimTime>::min()});
+    util::SimTime next_expiry = std::numeric_limits<util::SimTime>::min();
+    bool any_drawn = false;
     for (std::size_t i = 0; i < count; ++i) {
         const util::SimTime t = t0 + static_cast<util::SimTime>(i) * spacing;
         const auto received = out.row(kReceived, i);
         const auto valid = out.row(kValidAck, i);
         const auto fabricated = out.row(kFabricatedAck, i);
 
-        // One Bernoulli draw per tree link, in links() order, models the
-        // stripe's multicast emulation: packets issued back to back share
-        // interior fate.  Parents precede children, so a node is reached
-        // iff its parent was and its own link passed.
-        for (std::size_t k = 1; k < reached.size(); ++k) {
-            const bool passed = rng.bernoulli(pass_probability(via[k], t));
-            reached[k] = static_cast<char>(
-                passed && reached[static_cast<std::size_t>(parent[k])] != 0);
-            if (reached[k] != 0 && leaf_slot[k] != ProbeTree::kNoLeaf) {
-                const auto slot = static_cast<std::size_t>(leaf_slot[k]);
-                received[slot / 64] |= std::uint64_t{1} << (slot % 64);
+        if (t < next_expiry && !any_drawn) {
+            const auto previous = out.row(kReceived, i - 1);
+            std::copy(previous.begin(), previous.end(), received.begin());
+        } else {
+            // One Bernoulli draw per tree link, in links() order, models the
+            // stripe's multicast emulation: packets issued back to back
+            // share interior fate.  Rng::bernoulli draws only for a
+            // probability strictly inside (0, 1).  Parents precede
+            // children, so a node is reached iff its parent was and its own
+            // link passed.  A link is asked about again only once its
+            // window has ended.
+            next_expiry = net::kForever;
+            any_drawn = false;
+            for (std::size_t k = 1; k < reached.size(); ++k) {
+                double pass;
+                if (window.empty()) {
+                    pass = pass_probability(via[k], t).probability;
+                } else {
+                    net::PassWindow& w = window[k];
+                    if (t >= w.until) w = pass_probability(via[k], t);
+                    next_expiry = std::min(next_expiry, w.until);
+                    any_drawn = any_drawn ||
+                                (w.probability > 0.0 && w.probability < 1.0);
+                    pass = w.probability;
+                }
+                reached[k] = static_cast<char>(
+                    rng.bernoulli(pass) &&
+                    reached[static_cast<std::size_t>(parent[k])] != 0);
+                if (reached[k] != 0 && leaf_slot[k] != ProbeTree::kNoLeaf) {
+                    const auto slot = static_cast<std::size_t>(leaf_slot[k]);
+                    received[slot / 64] |= std::uint64_t{1} << (slot % 64);
+                }
             }
         }
 
-        // Then the leaves answer, in leaf-slot order.
-        for (std::size_t leaf = 0; leaf < leaves; ++leaf) {
-            const LeafBehavior& b =
-                behaviors.empty() ? kHonest : behaviors[leaf];
+        // Then the leaves answer, in leaf-slot order.  An honest leaf acks
+        // what it received; only the misbehaving ones draw.
+        std::copy(received.begin(), received.end(), valid.begin());
+        for (const std::uint32_t leaf : misbehaving) {
+            const LeafBehavior& b = behaviors[leaf];
             const std::uint64_t bit = std::uint64_t{1} << (leaf % 64);
             if (test_bit(received, leaf)) {
-                if (!rng.bernoulli(b.suppress_ack_probability)) {
-                    valid[leaf / 64] |= bit;
+                if (rng.bernoulli(b.suppress_ack_probability)) {
+                    valid[leaf / 64] &= ~bit;
                 }
             } else if (b.fabricate_acks) {
                 // The nonce travelled inside the lost probe; a fabricated
@@ -126,6 +169,10 @@ HeavyweightResult run_heavyweight_session(
     if (params.probe_count < 1) {
         throw std::invalid_argument(
             "run_heavyweight_session: probe_count must be positive");
+    }
+    if (params.spacing < 0) {
+        throw std::invalid_argument(
+            "run_heavyweight_session: spacing must not be negative");
     }
     static auto& sessions = util::metrics::Registry::global().counter(
         "tomography.heavyweight_sessions");

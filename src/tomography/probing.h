@@ -21,6 +21,7 @@
 #include <span>
 #include <vector>
 
+#include "net/link_state.h"
 #include "net/topology.h"
 #include "tomography/tree.h"
 #include "util/function_ref.h"
@@ -29,10 +30,17 @@
 
 namespace concilium::tomography {
 
-/// Probability that one packet crossing `link` at time t survives.  A
-/// non-owning reference: the callable must outlive the call it is passed to.
+/// Probability that one packet crossing `link` at time t survives, and the
+/// time until which that value holds (net::PassWindow).  The sampler asks
+/// about a link again only once its window has ended, so a source whose
+/// links change state at interval boundaries (net::Transport) is asked a
+/// few times per session instead of once per link per stripe.  A callable
+/// that returns a bare probability converts to a window that holds at t
+/// only and is asked once per link per stripe, in links() order.  A
+/// non-owning reference: the callable must outlive the call it is passed
+/// to.
 using PassProbabilityFn =
-    util::FunctionRef<double(net::LinkId, util::SimTime)>;
+    util::FunctionRef<net::PassWindow(net::LinkId, util::SimTime)>;
 
 /// Per-leaf misbehaviour during probing (Section 3.3's faulty leaves).
 struct LeafBehavior {
@@ -118,7 +126,7 @@ ProbeMatrix sample_striped_probe(const ProbeTree& tree,
 
 struct HeavyweightParams {
     int probe_count = 200;              ///< stripes per session
-    util::SimTime spacing = 50 * util::kMillisecond;  ///< stripe interval
+    util::SimTime spacing = 50 * util::kMillisecond;  ///< stripe interval, >= 0
 };
 
 /// A heavyweight probing session: many stripes across a short window.

@@ -27,8 +27,10 @@
 #include "daemon/checkpoint.h"
 #include "net/chaos.h"
 #include "net/event_sim.h"
+#include "net/link_state.h"
 #include "net/paths.h"
 #include "net/topology_gen.h"
+#include "net/transport.h"
 #include "overlay/network.h"
 #include "runtime/attack.h"
 #include "runtime/cluster.h"
@@ -181,16 +183,15 @@ std::uint64_t fnv_inference(std::uint64_t h,
     return h;
 }
 
-// The probing pipeline end to end: striped sampling (RNG draw order), the
-// fabricator and suppressor tests, leaf exclusion, MINC, and the snapshot
-// built from it.  Every link's pass probability lies strictly inside (0, 1)
-// so every link draws, every leaf may suppress so every received leaf
-// draws, and the tree has more than 64 leaves (multi-word rows), a probed
-// branch point and a probed single-child router.
-TEST(GoldenRefactor, ProbeSessionsAreByteIdentical) {
-    //   0 - 1 -+- 2 - 4 - 5 -< 40 hosts      (4 and 5 are also probed)
-    //          +- 3 -+-< 30 hosts
-    //                +- 6 -< 10 hosts
+// The probe tree both probing goldens sample: 82 leaves (multi-word rows),
+// a probed branch point and a probed single-child router.  Link ids follow
+// add_link order: 0 is 0-1, 1 is 1-2, 2 is 1-3, 3 is 2-4, 4 is 4-5, 5 is
+// 3-6, then one link per host (6-45 under 5, 46-75 under 3, 76-85 under 6).
+//
+//   0 - 1 -+- 2 - 4 - 5 -< 40 hosts      (4 and 5 are also probed)
+//          +- 3 -+-< 30 hosts
+//                +- 6 -< 10 hosts
+tomography::ProbeTree golden_probe_tree() {
     net::Topology topo;
     for (int i = 0; i < 7; ++i) topo.add_router(net::RouterTier::kCore);
     topo.add_link(0, 1);
@@ -218,7 +219,16 @@ TEST(GoldenRefactor, ProbeSessionsAreByteIdentical) {
     }
     const net::PathOracle oracle(topo);
     util::Arena arena;
-    const tomography::ProbeTree tree(0, oracle.paths_into(0, dsts, arena));
+    return tomography::ProbeTree(0, oracle.paths_into(0, dsts, arena));
+}
+
+// The probing pipeline end to end: striped sampling (RNG draw order), the
+// fabricator and suppressor tests, leaf exclusion, MINC, and the snapshot
+// built from it.  Every link's pass probability lies strictly inside (0, 1)
+// so every link draws, and every leaf may suppress so every received leaf
+// draws.
+TEST(GoldenRefactor, ProbeSessionsAreByteIdentical) {
+    const tomography::ProbeTree tree = golden_probe_tree();
     ASSERT_EQ(tree.leaves().size(), 82u);
 
     const auto pass = [](net::LinkId l, util::SimTime t) {
@@ -282,6 +292,76 @@ TEST(GoldenRefactor, ProbeSessionsAreByteIdentical) {
         h = fnv(h, static_cast<std::uint64_t>(rng.uniform_int(0, 1'000'000)));
     }
     EXPECT_EQ(h, 0x6006a9aae9cc70e9ULL);
+}
+
+// Probe sessions through a real Transport while links change state: the
+// scenario timeline and the fault plan take links down and bring them back
+// in the middle of sessions (one boundary falls exactly on a stripe time),
+// overlapping loss spikes give fractional pass probabilities for part of a
+// session, and the last sessions see no change at all.  Leaf 3 suppresses,
+// leaf 70 fabricates, every other leaf is honest.  Sessions start every
+// 10 s and last 5 s (100 stripes, 50 ms apart).
+TEST(GoldenRefactor, ProbeSessionsAcrossLinkStateChangesAreByteIdentical) {
+    const tomography::ProbeTree tree = golden_probe_tree();
+    ASSERT_EQ(tree.leaves().size(), 82u);
+    constexpr util::SimTime kMs = util::kMillisecond;
+    constexpr util::SimTime kS = util::kSecond;
+
+    net::FailureTimeline timeline;
+    timeline.add_down(20, {0, 2500 * kMs});  // from t = 0 to mid session 0
+    timeline.add_down(1, {12500 * kMs, 13007 * kMs});  // inside session 1
+    timeline.add_down(5, {21 * kS, 34300 * kMs});  // stripe 20 of session 2
+    timeline.add_down(0, {44 * kS, 44500 * kMs});  // root link, stripes 80-89
+    timeline.finalize();
+    net::FaultPlan plan;
+    plan.downs.add_down(3, {41234 * kMs, 43 * kS});
+    plan.downs.add_down(3, {42500 * kMs, 44100 * kMs});  // merges with it
+    plan.downs.add_down(1, {42 * kS, 48 * kS});  // past the session's end
+    plan.downs.add_down(5, {30 * kS, 32 * kS});  // inside a scenario down
+    plan.add_spike({/*link=*/1, 44200 * kMs, 45500 * kMs, 0.4});
+    plan.add_spike({/*link=*/2, 51 * kS, 53500 * kMs, 0.5});
+    plan.add_spike({/*link=*/2, 52200 * kMs, 56 * kS, 0.3});
+    plan.add_spike({/*link=*/60, 50500 * kMs, 52 * kS, 0.25});
+    plan.add_spike({/*link=*/70, 58 * kS, 61300 * kMs, 0.1});
+    plan.finalize();
+    net::Transport transport(timeline, util::Rng(6));
+    transport.set_chaos(&plan);
+
+    std::vector<tomography::LeafBehavior> behaviors(tree.leaves().size());
+    behaviors[3].suppress_ack_probability = 0.9;
+    behaviors[70].fabricate_acks = true;
+
+    util::Rng rng(5);
+    std::uint64_t h = kFnvOffset;
+    for (int k = 0; k < 9; ++k) {
+        const util::SimTime t0 = k * 10 * kS;
+        const auto session = tomography::run_heavyweight_session(
+            tree, transport, t0,
+            tomography::HeavyweightParams{.probe_count = 100}, behaviors,
+            rng);
+        h = fnv(h, static_cast<std::uint64_t>(session.finished_at));
+        for (const auto plane : {tomography::ProbePlane::kReceived,
+                                 tomography::ProbePlane::kValidAck,
+                                 tomography::ProbePlane::kFabricatedAck}) {
+            for (std::size_t i = 0; i < session.probes.size(); ++i) {
+                for (const std::uint64_t w : session.probes.row(plane, i)) {
+                    h = fnv(h, w);
+                }
+            }
+        }
+        for (const int c : session.ack_counts) {
+            h = fnv(h, static_cast<std::uint64_t>(c));
+        }
+        h = fnv_inference(h,
+                          tomography::infer_link_loss(tree, session.probes));
+
+        const auto light = tomography::run_lightweight_probe(
+            tree, transport, t0 + 2500 * kMs, 2, behaviors, rng);
+        for (const bool r : light.responsive) h = fnv(h, r ? 1u : 0u);
+    }
+    // The stream position after the chain pins the number of draws.
+    h = fnv(h, static_cast<std::uint64_t>(rng.uniform_int(0, 1'000'000)));
+    EXPECT_EQ(h, 0x6c4e8941a664c0adULL);
 }
 
 // One cluster run under every chaos kind and every attack role.  Besides

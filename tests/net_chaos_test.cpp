@@ -129,10 +129,10 @@ TEST(FaultPlan, EmptySpecYieldsEmptyPlanAndDrawsNothing) {
     util::Rng rng(42);
     const FaultPlan plan =
         build_fault_plan(FaultSpec{}, 2 * util::kHour, paths, 50, rng);
-    EXPECT_TRUE(plan.spikes.empty());
+    EXPECT_TRUE(plan.spikes().empty());
     EXPECT_TRUE(plan.churn.empty());
     EXPECT_FALSE(plan.has_packet_effects());
-    EXPECT_TRUE(plan.link_up(0, kMinute));
+    EXPECT_EQ(plan.pass_window(0, kMinute).probability, 1.0);
     // Determinism contract: an empty spec consumes no randomness, so
     // pre-existing seeds' worlds are untouched when chaos is off.
     util::Rng fresh(42);
@@ -148,12 +148,12 @@ TEST(FaultPlan, SameSeedSameSpecIsByteIdentical) {
     const FaultPlan pa = build_fault_plan(spec, 2 * util::kHour, paths, 50, a);
     const FaultPlan pb = build_fault_plan(spec, 2 * util::kHour, paths, 50, b);
 
-    ASSERT_EQ(pa.spikes.size(), pb.spikes.size());
-    for (std::size_t i = 0; i < pa.spikes.size(); ++i) {
-        EXPECT_EQ(pa.spikes[i].link, pb.spikes[i].link);
-        EXPECT_EQ(pa.spikes[i].start, pb.spikes[i].start);
-        EXPECT_EQ(pa.spikes[i].end, pb.spikes[i].end);
-        EXPECT_DOUBLE_EQ(pa.spikes[i].loss, pb.spikes[i].loss);
+    ASSERT_EQ(pa.spikes().size(), pb.spikes().size());
+    for (std::size_t i = 0; i < pa.spikes().size(); ++i) {
+        EXPECT_EQ(pa.spikes()[i].link, pb.spikes()[i].link);
+        EXPECT_EQ(pa.spikes()[i].start, pb.spikes()[i].start);
+        EXPECT_EQ(pa.spikes()[i].end, pb.spikes()[i].end);
+        EXPECT_DOUBLE_EQ(pa.spikes()[i].loss, pb.spikes()[i].loss);
     }
     ASSERT_EQ(pa.churn.size(), pb.churn.size());
     for (std::size_t i = 0; i < pa.churn.size(); ++i) {
@@ -185,7 +185,7 @@ TEST(FaultPlan, HighRatesProduceEvents) {
         down_intervals += plan.downs.intervals(l).size();
     }
     EXPECT_GT(down_intervals, 0u);
-    EXPECT_FALSE(plan.spikes.empty());
+    EXPECT_FALSE(plan.spikes().empty());
     EXPECT_FALSE(plan.churn.empty());
     EXPECT_TRUE(plan.has_packet_effects());
     for (const ChurnEvent& ev : plan.churn) {
@@ -193,7 +193,7 @@ TEST(FaultPlan, HighRatesProduceEvents) {
         EXPECT_LT(ev.leave, ev.rejoin);
         EXPECT_LE(ev.rejoin, 2 * util::kHour);
     }
-    for (const LossSpike& s : plan.spikes) {
+    for (const LossSpike& s : plan.spikes()) {
         EXPECT_LT(s.start, s.end);
         EXPECT_GE(s.loss, 0.2);
         EXPECT_LE(s.loss, 0.8);
@@ -253,10 +253,10 @@ TEST(FaultPlan, RecoveryKindsDrawFromDedicatedSubstreams) {
 
     EXPECT_TRUE(pa.crashes.empty());
     EXPECT_FALSE(pb.crashes.empty());
-    ASSERT_EQ(pa.spikes.size(), pb.spikes.size());
-    for (std::size_t i = 0; i < pa.spikes.size(); ++i) {
-        EXPECT_EQ(pa.spikes[i].link, pb.spikes[i].link);
-        EXPECT_EQ(pa.spikes[i].start, pb.spikes[i].start);
+    ASSERT_EQ(pa.spikes().size(), pb.spikes().size());
+    for (std::size_t i = 0; i < pa.spikes().size(); ++i) {
+        EXPECT_EQ(pa.spikes()[i].link, pb.spikes()[i].link);
+        EXPECT_EQ(pa.spikes()[i].start, pb.spikes()[i].start);
     }
     ASSERT_EQ(pa.churn.size(), pb.churn.size());
     for (std::size_t i = 0; i < pa.churn.size(); ++i) {
@@ -294,9 +294,9 @@ TEST(FaultPlan, PartitionBlocksOnlyAcrossTheActiveCut) {
 
 TEST(FaultPlan, LossAtReportsActiveSpikesOnly) {
     FaultPlan plan;
-    plan.spikes.push_back({/*link=*/3, 10 * kSecond, 20 * kSecond, 0.5});
-    plan.spikes.push_back({/*link=*/3, 15 * kSecond, 30 * kSecond, 0.3});
-    plan.downs.finalize();
+    plan.add_spike({/*link=*/3, 10 * kSecond, 20 * kSecond, 0.5});
+    plan.add_spike({/*link=*/3, 15 * kSecond, 30 * kSecond, 0.3});
+    plan.finalize();
     EXPECT_DOUBLE_EQ(plan.loss_at(3, 5 * kSecond), 0.0);
     EXPECT_DOUBLE_EQ(plan.loss_at(3, 12 * kSecond), 0.5);
     EXPECT_DOUBLE_EQ(plan.loss_at(3, 17 * kSecond), 0.5);  // max of both
@@ -314,8 +314,8 @@ TEST(Transport, ChaosDownsAndSpikesFoldIntoPassProbability) {
 
     FaultPlan plan;
     plan.downs.add_down(1, {10 * kSecond, 20 * kSecond});
-    plan.spikes.push_back({/*link=*/2, 0, kMinute, 0.4});
-    plan.downs.finalize();
+    plan.add_spike({/*link=*/2, 0, kMinute, 0.4});
+    plan.finalize();
 
     // Without a plan the transport is untouched.
     EXPECT_DOUBLE_EQ(transport.pass_probability(1, 15 * kSecond), 1.0);

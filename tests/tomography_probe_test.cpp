@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <unordered_map>
 
+#include "net/chaos.h"
+#include "net/link_state.h"
 #include "net/paths.h"
+#include "net/transport.h"
 #include "tomography/probing.h"
 #include "tomography/tree.h"
 #include "tomography/verification.h"
@@ -236,6 +240,95 @@ TEST_F(ProbeFixture, SessionWidthMismatchThrows) {
                  std::invalid_argument);
     EXPECT_THROW((void)exclude_leaves(session.probes,
                                       std::vector<bool>(3, false)),
+                 std::invalid_argument);
+}
+
+// A Transport handed to the sampler directly answers window queries; the
+// same Transport behind a lambda that returns a bare probability is asked
+// about every link on every stripe.  Both must sample the same matrices
+// and leave the generator at the same position, across down intervals
+// that start and end mid-session (one ends on a stripe time), overlapping
+// loss spikes, and quiet stretches in which no link changes.
+TEST_F(ProbeFixture, WindowedAndPerInstantSourcesSampleIdentically) {
+    using util::kMillisecond;
+    using util::kSecond;
+    net::FailureTimeline timeline;
+    timeline.add_down(links[1], {1210 * kMillisecond, 2 * kSecond});
+    timeline.add_down(links[0], {6 * kSecond, 6030 * kMillisecond});
+    timeline.finalize();
+    net::FaultPlan plan;
+    plan.downs.add_down(links[5], {500 * kMillisecond, 1500 * kMillisecond});
+    plan.add_spike({links[3], 3 * kSecond, 4 * kSecond, 0.4});
+    plan.add_spike({links[3], 3500 * kMillisecond, 5 * kSecond, 0.6});
+    plan.add_spike({links[2], 4400 * kMillisecond, 4410 * kMillisecond, 0.5});
+    plan.finalize();
+    net::Transport transport(timeline, util::Rng(9));
+    transport.set_chaos(&plan);
+    const auto per_instant = [&transport](net::LinkId l, util::SimTime t) {
+        return transport.pass_probability(l, t);
+    };
+    const std::vector<LeafBehavior> behaviors{
+        {.suppress_ack_probability = 0.3}, {}, {.fabricate_acks = true}};
+
+    util::Rng a(21);
+    util::Rng b(21);
+    for (const util::SimTime t0 : {0 * kSecond, 1 * kSecond, 3 * kSecond,
+                                   4 * kSecond, 5800 * kMillisecond,
+                                   8 * kSecond}) {
+        const HeavyweightParams params{.probe_count = 60};
+        const auto x = run_heavyweight_session(*tree, per_instant, t0, params,
+                                               behaviors, a);
+        const auto y =
+            run_heavyweight_session(*tree, transport, t0, params, behaviors, b);
+        ASSERT_EQ(x.probes.size(), y.probes.size());
+        for (const ProbePlane plane : {kReceived, kValidAck, kFabricatedAck}) {
+            for (std::size_t i = 0; i < x.probes.size(); ++i) {
+                const auto rx = x.probes.row(plane, i);
+                const auto ry = y.probes.row(plane, i);
+                EXPECT_TRUE(std::equal(rx.begin(), rx.end(), ry.begin()))
+                    << "t0=" << t0 << " stripe " << i;
+            }
+        }
+        EXPECT_EQ(x.ack_counts, y.ack_counts);
+        const auto lx =
+            run_lightweight_probe(*tree, per_instant, t0, 2, behaviors, a);
+        const auto ly =
+            run_lightweight_probe(*tree, transport, t0, 2, behaviors, b);
+        EXPECT_EQ(lx.responsive, ly.responsive);
+    }
+    EXPECT_EQ(a.uniform_int(0, 1'000'000'000), b.uniform_int(0, 1'000'000'000));
+}
+
+TEST_F(ProbeFixture, WindowedSourceIsAskedAgainOnlyWhenAWindowEnds) {
+    using util::kMillisecond;
+    // Ten stripes 50 ms apart; every answer holds for 120 ms, so each link
+    // is asked at 0, 150, 300 and 450 ms.
+    int windowed_calls = 0;
+    const auto windowed = [&](net::LinkId, util::SimTime t) {
+        ++windowed_calls;
+        return net::PassWindow{1.0, t + 120 * kMillisecond};
+    };
+    int per_instant_calls = 0;
+    const auto per_instant = [&](net::LinkId, util::SimTime) {
+        ++per_instant_calls;
+        return 1.0;
+    };
+    const HeavyweightParams params{.probe_count = 10,
+                                   .spacing = 50 * kMillisecond};
+    util::Rng rng(22);
+    const auto x = run_heavyweight_session(*tree, windowed, 0, params, {}, rng);
+    const auto y =
+        run_heavyweight_session(*tree, per_instant, 0, params, {}, rng);
+    const int tree_links = static_cast<int>(tree->links().size());
+    EXPECT_EQ(windowed_calls, 4 * tree_links);
+    EXPECT_EQ(per_instant_calls, 10 * tree_links);
+    EXPECT_EQ(x.ack_counts, y.ack_counts);
+    EXPECT_EQ(x.ack_counts, std::vector<int>(3, 10));
+
+    EXPECT_THROW((void)run_heavyweight_session(
+                     *tree, windowed, 0,
+                     HeavyweightParams{.probe_count = 2, .spacing = -1}, {},
+                     rng),
                  std::invalid_argument);
 }
 

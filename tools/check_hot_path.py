@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Hot-path lint: no NodeId-keyed hash containers and no closures off the
-sanctioned boundaries.
+"""Hot-path lint: no NodeId-keyed hash containers, no closures and no
+uncached metric lookups off the sanctioned boundaries.
 
 The arena/index refactor's contract (DESIGN.md, "Memory architecture"): per
 packet, per probe, and per judgment the simulation addresses state by dense
@@ -15,22 +15,35 @@ start carrying again, so it too must be a sanctioned boundary.  The one
 boundary today is runtime::Cluster::CompletionFn, the caller-facing
 completion callback stored once per message.
 
+The metrics contract (OBSERVABILITY.md): an instrument is looked up by
+name once and then updated through the reference.  A by-name lookup takes
+the registry mutex and searches a std::map, and the counters of the event
+loop and the probe sampler are bumped millions of times a run, so in
+src/net/, src/runtime/ and src/tomography/ every such lookup must
+initialize a function-local static.
+
 Mechanically: every declaration in src/ matching
 
     unordered_map< ... NodeId ... >   or   unordered_set< ... NodeId ... >
 
-and every line of code in src/net/ or src/runtime/ naming
+every line of code in src/net/ or src/runtime/ naming
 
     std::function<
 
-must carry the annotation comment
+and every by-name registry lookup in src/net/, src/runtime/ or
+src/tomography/,
+
+    Registry::global().counter(   (or .gauge( / .histogram( / .series()
+
+whose statement does not begin with `static` inside a function (an
+indented line), must carry the annotation comment
 
     // hot-path-lint: boundary
 
 on the flagged line or an adjacent line (up to two lines above or three
 below, for declarations wrapped by clang-format).  Comments are not code:
-a std::function mentioned after // is ignored.  Fails listing every
-unannotated line; passes silently otherwise.
+a std::function or a lookup mentioned after // is ignored.  Fails listing
+every unannotated line; passes silently otherwise.
 
 Scope: src/ only.  Tests, benches, and examples build whatever ad-hoc maps
 and closures they like -- they are not the simulation hot path.
@@ -44,10 +57,29 @@ ANNOTATION = "hot-path-lint: boundary"
 DECL = re.compile(r"unordered_(?:map|set)\s*<[^;{}]*NodeId")
 CLOSURE = re.compile(r"\bstd::function\s*<")
 CLOSURE_FREE_DIRS = ("net", "runtime")
+LOOKUP = re.compile(
+    r"\bRegistry::global\(\)\s*\.\s*(?:counter|gauge|histogram|series)\s*\(")
+CACHED_LOOKUP_DIRS = ("net", "runtime", "tomography")
 
 
 def annotated(lines, i):
     return any(ANNOTATION in c for c in lines[max(0, i - 2):i + 4])
+
+
+def initializes_local_static(code, i):
+    """True when line i belongs to a statement that begins with `static`
+    on an indented line, i.e. the initializer of a function-local static.
+    The statement starts after the nearest earlier line that ends one
+    (`;`, `{`, `}`, a label's `:`) or is blank."""
+    start = i
+    while start > 0 and not code[start].lstrip().startswith("static "):
+        prev = code[start - 1].rstrip()
+        if not prev or prev.endswith((";", "{", "}")) or (
+                prev.endswith(":") and not prev.endswith("::")):
+            break
+        start -= 1
+    line = code[start]
+    return line.lstrip().startswith("static ") and line[:1].isspace()
 
 
 def find_violations(root):
@@ -55,15 +87,28 @@ def find_violations(root):
     src = root / "src"
     for path in sorted(src.rglob("*.h")) + sorted(src.rglob("*.cpp")):
         lines = path.read_text(encoding="utf-8").splitlines()
-        closure_free = path.relative_to(src).parts[0] in CLOSURE_FREE_DIRS
+        code = [line.split("//")[0] for line in lines]
+        top = path.relative_to(src).parts[0]
+        closure_free = top in CLOSURE_FREE_DIRS
+        cached_lookups = top in CACHED_LOOKUP_DIRS
+        # A lookup may wrap after `Registry::global()`; join each line with
+        # the next so the match is attributed to the line it starts on.
         for i, line in enumerate(lines):
+            joined = code[i] + " " + (code[i + 1] if i + 1 < len(code)
+                                      else "")
+            match = LOOKUP.search(joined)
+            if (cached_lookups and match and match.start() < len(code[i])
+                    and not initializes_local_static(code, i)
+                    and not annotated(lines, i)):
+                violations.append(f"{path.relative_to(root)}:{i + 1}: "
+                                  f"[uncached metric lookup] {line.strip()}")
             # Join wrapped declarations: the template argument list can
             # span lines, so look at a 3-line window for the NodeId match.
             # The violation is attributed to the opening line only.
             window = " ".join(lines[i:i + 3])
             if DECL.search(window) and "unordered_" in line:
                 kind = "NodeId-keyed hash container"
-            elif closure_free and CLOSURE.search(line.split("//")[0]):
+            elif closure_free and CLOSURE.search(code[i]):
                 kind = "std::function"
             else:
                 continue
@@ -83,7 +128,8 @@ def main():
         for v in violations:
             print(f"  {v}", file=sys.stderr)
         print(f"\n{len(violations)} violation(s).  Address state by dense "
-              "index and post POD events (preferred on hot paths) or, if "
+              "index, post POD events and keep metric references in "
+              "function-local statics (preferred on hot paths) or, if "
               "this is a sanctioned boundary, annotate the line.",
               file=sys.stderr)
         sys.exit(1)
