@@ -11,33 +11,48 @@ ArchiveAdd SnapshotArchive::add(tomography::TomographicSnapshot snapshot,
                now, digest_id);
 }
 
+ArchiveAdd SnapshotArchive::add(SnapshotPtr entry,
+                                std::uint32_t origin_index, util::SimTime now,
+                                DigestId digest_id) {
+    if (origin_index >= slot_by_member_.size()) {
+        slot_by_member_.resize(origin_index + 1, kNoSlot);
+    }
+    std::uint32_t& slot = slot_by_member_[origin_index];
+    // A NodeId add may have opened this origin's table already.
+    if (slot == kNoSlot) slot = slot_of(entry->origin);
+    return admit(std::move(entry), slot, now, digest_id);
+}
+
 ArchiveAdd SnapshotArchive::add(SnapshotPtr entry, util::SimTime now,
                                 DigestId digest_id) {
+    std::uint32_t slot = slot_of(entry->origin);
+    return admit(std::move(entry), slot, now, digest_id);
+}
+
+ArchiveAdd SnapshotArchive::admit(SnapshotPtr entry, std::uint32_t& slot,
+                                  util::SimTime now, DigestId digest_id) {
     const tomography::TomographicSnapshot& snapshot = *entry;
     if (now - snapshot.probed_at > max_transit_) {
         return ArchiveAdd::kRejectedStale;
     }
-    OriginTable* table = nullptr;
-    const auto it = slot_of_.find(snapshot.origin);
-    if (it != slot_of_.end()) table = &origins_[it->second];
-    if (snapshot.epoch != 0 && table != nullptr &&
-        snapshot.epoch <= table->newest_epoch) {
+    if (slot != kNoSlot && snapshot.epoch != 0 &&
+        snapshot.epoch <= origins_[slot].newest_epoch) {
         return ArchiveAdd::kRejectedEpoch;
     }
-    if (table == nullptr) {
-        slot_of_.emplace(snapshot.origin,
-                         static_cast<std::uint32_t>(origins_.size()));
-        origins_.push_back(OriginTable{snapshot.origin, {}, {}, 0});
-        table = &origins_.back();
+    if (slot == kNoSlot) {
+        slot = static_cast<std::uint32_t>(origins_.size());
+        slot_by_id_.emplace(snapshot.origin, slot);
+        origins_.push_back(OriginTable{snapshot.origin, {}, 0});
     }
-    if (snapshot.epoch != 0) table->newest_epoch = snapshot.epoch;
-    table->meta.push_back(
-        Meta{snapshot.epoch, snapshot.probed_at, digest_id});
-    table->snaps.push_back(std::move(entry));
+    OriginTable& table = origins_[slot];
+    if (snapshot.epoch != 0) table.newest_epoch = snapshot.epoch;
+    table.entries.push_back(
+        Entry{Meta{snapshot.epoch, snapshot.probed_at, digest_id},
+              std::move(entry)},
+        max_per_origin_ + 1);
     ++count_;
-    while (table->snaps.size() > max_per_origin_) {
-        table->snaps.pop_front();
-        table->meta.pop_front();
+    while (table.entries.size() > max_per_origin_) {
+        table.entries.pop_front();
         --count_;
     }
     // Throttled reclamation: a full prune per insert was a measured hotspot
@@ -49,21 +64,46 @@ ArchiveAdd SnapshotArchive::add(SnapshotPtr entry, util::SimTime now,
     return ArchiveAdd::kArchived;
 }
 
+void SnapshotArchive::Ring::push_back(Entry entry, std::size_t limit) {
+    if (size_ == buf_.size()) {
+        std::vector<Entry> grown(std::min(std::max<std::size_t>(4, 2 * size_),
+                                          limit));
+        for (std::size_t i = 0; i < size_; ++i) {
+            grown[i] = std::move(buf_[wrap(head_ + i)]);
+        }
+        buf_ = std::move(grown);
+        head_ = 0;
+    }
+    buf_[wrap(head_ + size_)] = std::move(entry);
+    ++size_;
+}
+
+void SnapshotArchive::Ring::pop_front() {
+    buf_[head_] = Entry{};
+    head_ = wrap(head_ + 1);
+    --size_;
+}
+
 void SnapshotArchive::prune(util::SimTime now) {
     const util::SimTime horizon = now - retention_;
     for (auto& table : origins_) {
-        while (!table.meta.empty() && table.meta.front().probed_at < horizon) {
-            table.snaps.pop_front();
-            table.meta.pop_front();
+        while (!table.entries.empty() &&
+               table.entries[0].meta.probed_at < horizon) {
+            table.entries.pop_front();
             --count_;
         }
     }
 }
 
+std::uint32_t SnapshotArchive::slot_of(const util::NodeId& origin) const {
+    const auto it = slot_by_id_.find(origin);
+    return it == slot_by_id_.end() ? kNoSlot : it->second;
+}
+
 const SnapshotArchive::OriginTable* SnapshotArchive::table_of(
     const util::NodeId& origin) const {
-    const auto it = slot_of_.find(origin);
-    return it == slot_of_.end() ? nullptr : &origins_[it->second];
+    const std::uint32_t slot = slot_of(origin);
+    return slot == kNoSlot ? nullptr : &origins_[slot];
 }
 
 const tomography::TomographicSnapshot* SnapshotArchive::find(
@@ -73,8 +113,9 @@ const tomography::TomographicSnapshot* SnapshotArchive::find(
     if (table == nullptr) return nullptr;
     // Scan newest-first over the compact meta rows; recent epochs are the
     // common probe.
-    for (std::size_t i = table->meta.size(); i-- > 0;) {
-        if (table->meta[i].epoch == epoch) return table->snaps[i].get();
+    for (std::size_t i = table->entries.size(); i-- > 0;) {
+        const Entry& e = table->entries[i];
+        if (e.meta.epoch == epoch) return e.snap.get();
     }
     return nullptr;
 }
@@ -84,8 +125,9 @@ SnapshotArchive::DigestId SnapshotArchive::digest_of(
     if (epoch == 0) return util::DigestInterner::kInvalidId;
     const OriginTable* table = table_of(origin);
     if (table == nullptr) return util::DigestInterner::kInvalidId;
-    for (std::size_t i = table->meta.size(); i-- > 0;) {
-        if (table->meta[i].epoch == epoch) return table->meta[i].digest;
+    for (std::size_t i = table->entries.size(); i-- > 0;) {
+        const Meta& meta = table->entries[i].meta;
+        if (meta.epoch == epoch) return meta.digest;
     }
     return util::DigestInterner::kInvalidId;
 }
@@ -105,10 +147,11 @@ std::vector<core::ProbeResult> SnapshotArchive::probes_for(
     std::vector<core::ProbeResult> out;
     for (const auto& table : origins_) {
         if (table.origin == exclude) continue;
-        for (std::size_t i = 0; i < table.meta.size(); ++i) {
-            const util::SimTime at = table.meta[i].probed_at;
+        for (std::size_t i = 0; i < table.entries.size(); ++i) {
+            const Entry& e = table.entries[i];
+            const util::SimTime at = e.meta.probed_at;
             if (at < lo || at > t + delta) continue;
-            for (const auto& obs : table.snaps[i]->links) {
+            for (const auto& obs : e.snap->links) {
                 if (std::find(links.begin(), links.end(), obs.link) ==
                     links.end()) {
                     continue;
@@ -126,7 +169,9 @@ SnapshotArchive::snapshots_from(const util::NodeId& origin) const {
     std::vector<const tomography::TomographicSnapshot*> out;
     const OriginTable* table = table_of(origin);
     if (table == nullptr) return out;
-    for (const auto& snap : table->snaps) out.push_back(snap.get());
+    for (std::size_t i = 0; i < table->entries.size(); ++i) {
+        out.push_back(table->entries[i].snap.get());
+    }
     return out;
 }
 
@@ -137,10 +182,11 @@ std::vector<tomography::TomographicSnapshot> SnapshotArchive::evidence_for(
     std::vector<tomography::TomographicSnapshot> out;
     for (const auto& table : origins_) {
         if (table.origin == exclude) continue;
-        for (std::size_t i = 0; i < table.meta.size(); ++i) {
-            const util::SimTime at = table.meta[i].probed_at;
+        for (std::size_t i = 0; i < table.entries.size(); ++i) {
+            const Entry& e = table.entries[i];
+            const util::SimTime at = e.meta.probed_at;
             if (at < lo || at > t + delta) continue;
-            const auto& snap = *table.snaps[i];
+            const auto& snap = *e.snap;
             const bool touches = std::any_of(
                 snap.links.begin(), snap.links.end(),
                 [&](const tomography::LinkObservation& obs) {

@@ -17,21 +17,23 @@
 // query path as well as on insert, and a per-origin cap bounds what any
 // single (possibly hostile) origin can pin in memory.
 //
-// Storage is index-addressed: origins resolve once to a dense slot at the
-// admission boundary, and per-origin state lives in parallel
-// structure-of-arrays tables.  A compact per-entry Meta row (epoch, interned
-// payload digest, probe time) serves the scanning queries -- epoch lookups
-// and cross-peer digest comparison never touch the snapshot payloads
-// themselves.  Entries are shared and immutable: the cluster archives one
-// sealed copy of each published snapshot, and every receiver's entry points
-// at it, so admission copies no payload.  Pruning is throttled to a fraction
-// of the retention window instead of running a full scan on every insert;
-// queries enforce the retention horizon exactly either way.
+// Storage is index-addressed: the cluster names each origin by its dense
+// member index, which reaches the origin's table through a vector; NodeIds
+// resolve through a map only at the query boundary and in the NodeId
+// overloads of add.  Each origin keeps its entries, oldest first, in one
+// ring that grows on demand up to the per-origin cap.  A compact per-entry
+// Meta row (epoch, interned payload digest, probe time) serves the scanning
+// queries -- epoch lookups and cross-peer digest comparison never touch the
+// snapshot payloads themselves.  Entries are shared and immutable: the
+// cluster archives one sealed copy of each published snapshot, and every
+// receiver's entry points at it, so admission copies no payload.  Pruning
+// is throttled to a fraction of the retention window instead of running a
+// full scan on every insert; queries enforce the retention horizon exactly
+// either way.
 
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <span>
 #include <unordered_map>
@@ -77,7 +79,13 @@ class SnapshotArchive {
     /// are compared (the cluster interns once at publication; deliveries
     /// reuse it), or kInvalidId for an entry that carries none.  An
     /// admitted snapshot is shared, not copied: the archive keeps `entry`
-    /// alive until the cap or pruning evicts it.
+    /// alive until the cap or pruning evicts it.  `origin_index` is the
+    /// origin's dense member index; it must name the same origin on every
+    /// call, and `entry->origin` on the first.
+    ArchiveAdd add(SnapshotPtr entry, std::uint32_t origin_index,
+                   util::SimTime now, DigestId digest_id);
+    /// The same, resolving the origin by its NodeId; it reaches the same
+    /// table as a member-indexed add for that origin.
     ArchiveAdd add(SnapshotPtr entry, util::SimTime now,
                    DigestId digest_id = util::DigestInterner::kInvalidId);
     /// Archives a snapshot the caller owns (moved into a fresh entry).
@@ -122,34 +130,68 @@ class SnapshotArchive {
     [[nodiscard]] std::size_t size() const noexcept { return count_; }
 
   private:
-    /// Compact per-entry row for the scanning queries; parallel to snaps.
+    /// Compact per-entry row for the scanning queries.
     struct Meta {
         std::uint64_t epoch = 0;
         util::SimTime probed_at = 0;
         DigestId digest = util::DigestInterner::kInvalidId;
     };
-    /// One origin's dense slot: parallel snapshot/meta queues plus the
-    /// replay floor, which survives pruning and eviction.
+    struct Entry {
+        Meta meta;
+        SnapshotPtr snap;
+    };
+    /// One origin's entries, oldest first.  The buffer doubles when full,
+    /// up to the cap plus the one entry an insert holds before eviction;
+    /// most origins never need that much.
+    class Ring {
+      public:
+        [[nodiscard]] std::size_t size() const noexcept { return size_; }
+        [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+        [[nodiscard]] const Entry& operator[](std::size_t i) const {
+            return buf_[wrap(head_ + i)];
+        }
+        void push_back(Entry entry, std::size_t limit);
+        /// Drops the oldest entry, releasing its snapshot.
+        void pop_front();
+
+      private:
+        [[nodiscard]] std::size_t wrap(std::size_t i) const noexcept {
+            return i < buf_.size() ? i : i - buf_.size();
+        }
+        std::vector<Entry> buf_;
+        std::size_t head_ = 0;
+        std::size_t size_ = 0;
+    };
+    /// One origin's dense slot: its entries plus the replay floor, which
+    /// survives pruning and eviction.
     struct OriginTable {
         util::NodeId origin;
-        std::deque<SnapshotPtr> snaps;
-        std::deque<Meta> meta;
+        Ring entries;
         std::uint64_t newest_epoch = 0;
     };
+    static constexpr std::uint32_t kNoSlot = 0xffffffffu;
 
+    /// Admission behind both add flavours.  `slot` is the origin's table,
+    /// or kNoSlot before its first admission, which then opens the table
+    /// and stores its slot there.
+    ArchiveAdd admit(SnapshotPtr entry, std::uint32_t& slot, util::SimTime now,
+                     DigestId digest_id);
     void prune(util::SimTime now);
     /// The effective lower admission bound for a query anchored at `t`.
     [[nodiscard]] util::SimTime query_horizon(util::SimTime t,
                                               util::SimTime delta) const;
+    [[nodiscard]] std::uint32_t slot_of(const util::NodeId& origin) const;
     [[nodiscard]] const OriginTable* table_of(const util::NodeId& origin) const;
 
     util::SimTime retention_;
     util::SimTime max_transit_;
     std::size_t max_per_origin_;
     std::vector<OriginTable> origins_;  // dense, first-admission order
-    /// NodeId -> slot, resolved once at the admission/query boundary.
+    /// Origin member index -> slot (kNoSlot until admitted), grown on demand.
+    std::vector<std::uint32_t> slot_by_member_;
+    /// NodeId -> slot, for the queries and the NodeId overloads of add.
     std::unordered_map<util::NodeId, std::uint32_t, util::NodeIdHash>
-        slot_of_;  // hot-path-lint: boundary
+        slot_by_id_;  // hot-path-lint: boundary
     /// Simulation time starts at zero, so zero means "never pruned".
     util::SimTime last_prune_ = 0;
     std::size_t count_ = 0;

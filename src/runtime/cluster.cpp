@@ -149,6 +149,14 @@ void Cluster::run_event(Op op, std::uint64_t b, std::uint64_t c) {
         case Op::kHandoff:
             deliver_handoff(b, hi, unpark<StewardHandoff>(c));
             break;
+        case Op::kFanOutSnapshot: {
+            const FanOut fan = unpark<FanOut>(c);
+            std::size_t rank = 0;
+            for (const overlay::MemberIndex peer : net_->routing_peers(member)) {
+                deliver_snapshot(peer, fan.copy_for(rank++));
+            }
+            break;
+        }
         case Op::kDeliverSnapshot:
             deliver_snapshot(member, unpark<SnapshotRef>(c));
             break;
@@ -700,14 +708,14 @@ void Cluster::run_heavyweight(overlay::MemberIndex m) {
     }
     const auto cleaned = tomography::exclude_leaves(session.probes, excluded);
     const auto inference = tomography::infer_link_loss(tree, cleaned);
-    auto snapshot = tomography::make_snapshot(
-        net_->member(m).id(), net_->member(m).keys, sim_->now(), tree,
-        inference, params_.snapshot, trees_->leaf_ids(m));
+    auto snapshot = tomography::summarize_inference(
+        net_->member(m).id(), sim_->now(), tree, inference, params_.snapshot,
+        trees_->leaf_ids(m));
 
     // An excluded leaf's silenced feedback makes its last mile *look* dead;
     // links that are only observable through excluded leaves carry no
-    // evidence and must not be reported at all.  (publish_snapshot signs
-    // what is left.)
+    // evidence and must not be reported at all.  (publish_snapshot seals
+    // and signs what is left.)
     bool any_excluded = false;
     for (const bool e : excluded) any_excluded = any_excluded || e;
     if (any_excluded) {
@@ -734,9 +742,8 @@ Cluster::SnapshotRef Cluster::seal(overlay::MemberIndex m,
     pub->origin_m = m;
     pub->payload = pub->snapshot.signed_payload();
     pub->snapshot.signature = net_->member(m).keys.sign(pub->payload);
-    pub->digest =
-        util::digest_bytes({pub->payload.data(), pub->payload.size()});
-    pub->digest_id = interner_.intern(pub->digest);
+    pub->digest_id = interner_.intern(
+        util::digest_bytes({pub->payload.data(), pub->payload.size()}));
     return pub;
 }
 
@@ -753,9 +760,7 @@ void Cluster::publish_snapshot(overlay::MemberIndex m,
         static auto& replays_published =
             Registry::global().counter("attack.replays_published");
         replays_published.add(1);
-        for (const overlay::MemberIndex peer : net_->routing_peers(m)) {
-            send_snapshot(peer, nodes_[m].replay_stash, 1);
-        }
+        fan_out(m, FanOut{nodes_[m].replay_stash, nullptr});
         return;
     }
     if (b.flip_probe_reports) {
@@ -779,12 +784,12 @@ void Cluster::publish_snapshot(overlay::MemberIndex m,
                           /*causal=*/m,
                           static_cast<std::int64_t>(snapshot.epoch));
     // Sign, serialize and digest exactly once; every per-peer delivery
-    // below (and the node's own archive) reuses the sealed slab.
-    const auto pub = seal(m, std::move(snapshot));
-    if (b.replay_snapshots) nodes_[m].replay_stash = pub;
-    if (nodes_[m].archive.add(archived(pub), sim_->now(), pub->digest_id) ==
-        ArchiveAdd::kArchived) {
-        note_admitted(*pub);
+    // (and the node's own archive) reuses the sealed slab.
+    FanOut fan{seal(m, std::move(snapshot)), nullptr};
+    if (b.replay_snapshots) nodes_[m].replay_stash = fan.seal;
+    if (nodes_[m].archive.add(archived(fan.seal), m, sim_->now(),
+                              fan.seal->digest_id) == ArchiveAdd::kArchived) {
+        note_admitted(*fan.seal);
     }
     if (b.equivocate_snapshots) {
         // Equivocator: odd-ranked peers get a fully link-flipped twin signed
@@ -794,20 +799,24 @@ void Cluster::publish_snapshot(overlay::MemberIndex m,
         static auto& equivocations_published =
             Registry::global().counter("attack.equivocations_published");
         equivocations_published.add(1);
-        std::size_t rank = 0;
-        for (const overlay::MemberIndex peer : net_->routing_peers(m)) {
-            if (rank++ % 2 == 0) {
-                send_snapshot(peer, pub, 1);
-                continue;
-            }
-            tomography::TomographicSnapshot twin = pub->snapshot;
-            invert_report(twin);
-            send_snapshot(peer, seal(m, std::move(twin)), 1);
-        }
+        tomography::TomographicSnapshot twin = fan.seal->snapshot;
+        invert_report(twin);
+        fan.twin = seal(m, std::move(twin));
+    }
+    fan_out(m, std::move(fan));
+}
+
+void Cluster::fan_out(overlay::MemberIndex m, FanOut fan) {
+    if (chaos_ == nullptr) {
+        // Lossless control plane (the paper's assumption): every copy lands
+        // control_latency from now.
+        post_parked(params_.control_latency, Op::kFanOutSnapshot, m,
+                    std::move(fan));
         return;
     }
+    std::size_t rank = 0;
     for (const overlay::MemberIndex peer : net_->routing_peers(m)) {
-        send_snapshot(peer, pub, 1);
+        send_snapshot(peer, fan.copy_for(rank++), 1);
     }
 }
 
@@ -877,12 +886,6 @@ void Cluster::detect_equivocation(overlay::MemberIndex holder,
 
 void Cluster::send_snapshot(overlay::MemberIndex peer, SnapshotRef snapshot,
                             int attempt) {
-    if (chaos_ == nullptr) {
-        // Lossless control plane (the paper's assumption).
-        post_parked(params_.control_latency, Op::kDeliverSnapshot, peer,
-                    std::move(snapshot));
-        return;
-    }
     // Under chaos the control plane shares the faulty IP network: the
     // snapshot is one packet over the member-to-peer path, retried with
     // exponential backoff, and abandoned once the budget is spent -- the
@@ -930,21 +933,29 @@ void Cluster::send_snapshot(overlay::MemberIndex peer, SnapshotRef snapshot,
 
 void Cluster::deliver_snapshot(overlay::MemberIndex peer,
                                const SnapshotRef& published) {
-    // Same check as tomography::verify_snapshot, memoized on the sealed
-    // payload digest: the identical (key, digest, signature) triple arrives
-    // at every routing peer of the origin.
-    const crypto::PublicKey key =
-        net_->member(published->origin_m).keys.public_key();
-    if (!verify_cache_.verify(key, published->digest, published->payload,
-                              published->snapshot.signature)) {
+    // Same check as tomography::verify_snapshot, run once per seal: every
+    // copy a peer receives shares the seal and with it the verdict.
+    static auto& cache_hit =
+        Registry::global().counter("crypto.verify.cache_hit");
+    static auto& cache_miss =
+        Registry::global().counter("crypto.verify.cache_miss");
+    if (published->signature_ok.has_value()) {
+        cache_hit.add(1);
+    } else {
+        cache_miss.add(1);
+        published->signature_ok = registry_.verify(
+            net_->member(published->origin_m).keys.public_key(),
+            published->payload, published->snapshot.signature);
+    }
+    if (!*published->signature_ok) {
         ++stats_.snapshots_rejected;
         static auto& snapshots_rejected =
             Registry::global().counter("runtime.snapshots_rejected");
         snapshots_rejected.add(1);
         return;
     }
-    switch (nodes_[peer].archive.add(archived(published), sim_->now(),
-                                     published->digest_id)) {
+    switch (nodes_[peer].archive.add(archived(published), published->origin_m,
+                                     sim_->now(), published->digest_id)) {
         case ArchiveAdd::kArchived:
             note_admitted(*published);
             detect_equivocation(peer, *published);

@@ -52,7 +52,6 @@
 #include "net/link_state.h"
 #include "net/transport.h"
 #include "core/equivocation.h"
-#include "crypto/verify_cache.h"
 #include "overlay/network.h"
 #include "runtime/archive.h"
 #include "runtime/attack.h"
@@ -348,6 +347,10 @@ class Cluster {
     /// its digest interned once.  Every per-peer delivery (and retry) shares
     /// this immutable slab by reference, and every archive that admits it
     /// holds an aliasing pointer into it, so all receivers share one copy.
+    /// The first receipt checks the signature and records the verdict in
+    /// the seal; every later receipt reads it.  That is exact: no two seals
+    /// carry the same signed payload, since origin epochs never repeat and
+    /// an equivocator's twin is sealed once per publication.
     struct PublishedSnapshot {
         tomography::TomographicSnapshot snapshot;
         /// Publisher's member index (snapshots are always self-originated,
@@ -356,10 +359,22 @@ class Cluster {
         /// per delivery.
         overlay::MemberIndex origin_m = 0;
         std::vector<std::uint8_t> payload;  ///< signed_payload(), serialized once
-        util::Digest digest{};
         util::DigestInterner::Id digest_id = util::DigestInterner::kInvalidId;
+        /// The signature verdict; empty until the first receipt checks it.
+        mutable std::optional<bool> signature_ok;
     };
     using SnapshotRef = std::shared_ptr<const PublishedSnapshot>;
+    /// One publication on its way to the origin's routing peers: the seal,
+    /// and an equivocator's twin (null for everyone else).
+    struct FanOut {
+        SnapshotRef seal;
+        SnapshotRef twin;
+        /// The copy for the peer at this rank of routing_peers: odd ranks
+        /// get the twin when there is one.
+        [[nodiscard]] const SnapshotRef& copy_for(std::size_t rank) const {
+            return twin != nullptr && rank % 2 == 1 ? twin : seal;
+        }
+    };
     /// Signs `snapshot` with m's key and seals it: the one place a
     /// published snapshot is signed.
     [[nodiscard]] SnapshotRef seal(overlay::MemberIndex m,
@@ -413,6 +428,7 @@ class Cluster {
         kFabricatedRevision, ///< b = message, c = hop
         kRelayRevision,      ///< b = message, c = to_hop << 32 | slot
         kHandoff,            ///< b = message, c = to_hop << 32 | slot
+        kFanOutSnapshot,     ///< b = origin, c = slot (lossless fan-out)
         kDeliverSnapshot,    ///< b = peer, c = slot
         kSnapshotRetry,      ///< b = peer, c = attempt << 32 | slot
         kAnnouncement,       ///< b = peer, c = slot
@@ -441,7 +457,7 @@ class Cluster {
     /// The slot table: payloads too big for an event's operands wait here
     /// between post and dispatch.  Freed slots are reused, so a warmed-up
     /// run parks without allocating.
-    using Parked = std::variant<SnapshotRef, core::BlameEvidence,
+    using Parked = std::variant<SnapshotRef, FanOut, core::BlameEvidence,
                                 RecoveryAnnouncement, StewardHandoff>;
     /// Posts op with `payload` parked: c = hi << 32 | slot.
     void post_parked(util::SimTime delay, Op op, std::uint64_t b,
@@ -469,7 +485,13 @@ class Cluster {
     void run_heavyweight(overlay::MemberIndex m);
     void publish_snapshot(overlay::MemberIndex m,
                           tomography::TomographicSnapshot snapshot);
-    /// One delivery attempt of a sealed snapshot from its origin to peer.
+    /// Sends one publication to every routing peer of its origin m.  On a
+    /// lossless control plane that is one event, which delivers to the
+    /// peers in routing_peers order -- the order separate same-time posts
+    /// would fire in.  Under chaos every copy is its own send_snapshot.
+    void fan_out(overlay::MemberIndex m, FanOut fan);
+    /// One delivery attempt of a sealed snapshot from its origin to peer
+    /// over the chaos plan's lossy control plane.
     void send_snapshot(overlay::MemberIndex peer, SnapshotRef snapshot,
                        int attempt);
     /// Receipt at peer: signature check, archive, equivocation scan.
@@ -582,10 +604,6 @@ class Cluster {
     util::Rng rng_;
     net::Transport transport_;
     crypto::KeyRegistry registry_;
-    /// Signature-verification memo shared by every node in the cluster (the
-    /// cluster is single-threaded; identical (key, digest, sig) checks repeat
-    /// once per routing peer on every snapshot dissemination).
-    crypto::VerifyCache verify_cache_{registry_};
     /// Snapshot payload digests interned to dense ids, shared across every
     /// node's archive so cross-archive digest comparison is an integer test.
     util::DigestInterner interner_;

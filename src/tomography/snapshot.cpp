@@ -97,15 +97,13 @@ TomographicSnapshot read_snapshot_wire(util::ByteReader& r) {
     return s;
 }
 
-TomographicSnapshot make_snapshot(const util::NodeId& origin,
-                                  const crypto::KeyPair& keys,
-                                  util::SimTime probed_at,
-                                  const ProbeTree& tree,
-                                  const InferenceResult& inference,
-                                  const SnapshotParams& params,
-                                  const std::vector<util::NodeId>& leaf_ids) {
+TomographicSnapshot summarize_inference(
+    const util::NodeId& origin, util::SimTime probed_at, const ProbeTree& tree,
+    const InferenceResult& inference, const SnapshotParams& params,
+    const std::vector<util::NodeId>& leaf_ids) {
     if (leaf_ids.size() != tree.leaves().size()) {
-        throw std::invalid_argument("make_snapshot: leaf id count mismatch");
+        throw std::invalid_argument(
+            "summarize_inference: leaf id count mismatch");
     }
     TomographicSnapshot snap;
     snap.origin = origin;
@@ -123,6 +121,18 @@ TomographicSnapshot make_snapshot(const util::NodeId& origin,
         snap.links.push_back(
             LinkObservation{e.link, e.loss < params.down_loss_threshold});
     }
+    return snap;
+}
+
+TomographicSnapshot make_snapshot(const util::NodeId& origin,
+                                  const crypto::KeyPair& keys,
+                                  util::SimTime probed_at,
+                                  const ProbeTree& tree,
+                                  const InferenceResult& inference,
+                                  const SnapshotParams& params,
+                                  const std::vector<util::NodeId>& leaf_ids) {
+    TomographicSnapshot snap = summarize_inference(
+        origin, probed_at, tree, inference, params, leaf_ids);
     snap.signature = keys.sign(snap.signed_payload());
     return snap;
 }

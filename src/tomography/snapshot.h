@@ -78,7 +78,15 @@ struct SnapshotParams {
     double down_loss_threshold = 0.5;
 };
 
-/// Summarizes an inference result into a signed snapshot.
+/// Summarizes an inference result into an unsigned snapshot: the path
+/// buckets and observable link verdicts, with an empty signature for the
+/// publisher to fill in once the snapshot is final.
+TomographicSnapshot summarize_inference(
+    const util::NodeId& origin, util::SimTime probed_at, const ProbeTree& tree,
+    const InferenceResult& inference, const SnapshotParams& params,
+    const std::vector<util::NodeId>& leaf_ids);
+
+/// summarize_inference, signed with `keys`.
 TomographicSnapshot make_snapshot(const util::NodeId& origin,
                                   const crypto::KeyPair& keys,
                                   util::SimTime probed_at,

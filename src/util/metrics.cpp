@@ -127,7 +127,7 @@ constexpr WellKnown kWellKnown[] = {
     {WellKnown::kGauge, "net.queue_depth_max"},
     {WellKnown::kGauge, "net.eventsim.queue_high_water"},
     {WellKnown::kGauge, "net.eventsim.overflow_high_water"},
-    // crypto — ideal-signature verification and its memo cache.
+    // crypto — snapshot signature checks, one per seal.
     {WellKnown::kCounter, "crypto.verify.cache_hit"},
     {WellKnown::kCounter, "crypto.verify.cache_miss"},
     {WellKnown::kCounter, "net.packets_sent"},

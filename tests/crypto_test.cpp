@@ -1,14 +1,8 @@
 #include <gtest/gtest.h>
 
-#include <cstdint>
-#include <span>
-#include <vector>
-
 #include "crypto/certificates.h"
 #include "crypto/keys.h"
 #include "crypto/tokens.h"
-#include "crypto/verify_cache.h"
-#include "util/metrics.h"
 #include "util/time.h"
 
 namespace concilium::crypto {
@@ -138,40 +132,6 @@ TEST(SignedTimestamp, CannotBeSignedByAnotherNode) {
                                               attacker.keys);
     EXPECT_FALSE(verify_signed_timestamp(forged, victim.keys.public_key(),
                                          ca.registry()));
-}
-
-TEST(VerifyCache, MemoizesByKeyDigestAndSignature) {
-    auto& registry = util::metrics::Registry::global();
-    registry.reset();
-    KeyRegistry keys;
-    const auto alice = KeyPair::from_seed(1);
-    const auto bob = KeyPair::from_seed(2);
-    keys.register_key(alice);
-    keys.register_key(bob);
-
-    const std::vector<std::uint8_t> message{1, 2, 3, 4, 5};
-    const auto digest = util::digest_bytes({message.data(), message.size()});
-    const auto sig = alice.sign(std::span<const std::uint8_t>{message});
-
-    VerifyCache cache(keys);
-    EXPECT_TRUE(cache.verify(alice.public_key(), digest, message, sig));
-    EXPECT_TRUE(cache.verify(alice.public_key(), digest, message, sig));
-    EXPECT_TRUE(cache.verify(alice.public_key(), digest, message, sig));
-    EXPECT_EQ(registry.counter("crypto.verify.cache_hit").value(), 2);
-    EXPECT_EQ(registry.counter("crypto.verify.cache_miss").value(), 1);
-
-    // A different verifier key is a distinct memo entry, not a stale hit.
-    EXPECT_FALSE(cache.verify(bob.public_key(), digest, message, sig));
-    EXPECT_FALSE(cache.verify(bob.public_key(), digest, message, sig));
-    EXPECT_EQ(registry.counter("crypto.verify.cache_hit").value(), 3);
-    EXPECT_EQ(registry.counter("crypto.verify.cache_miss").value(), 2);
-
-    // A tampered signature misses the memo and fails verification.
-    auto bad_bytes = sig.bytes();
-    bad_bytes[0] ^= 0xff;
-    const Signature bad(bad_bytes);
-    EXPECT_FALSE(cache.verify(alice.public_key(), digest, message, bad));
-    EXPECT_EQ(registry.counter("crypto.verify.cache_miss").value(), 3);
 }
 
 }  // namespace

@@ -3,11 +3,13 @@
 // The memory-architecture refactors (flat storage, calendar queue, interned
 // digests, the flat probe tree and bit-packed probe sessions, the CSR
 // oracle and the chunked parallel tree build, shared archives and the
-// digest record that gates the equivocation scan) and the move of every
-// runtime event onto EventSim's POD queue must be behaviour-preserving:
-// routes, overlay trees, verdicts, generated topologies, probing results,
-// whole cluster runs and filed equivocation proofs are required to come
-// out byte-identical before and after.
+// digest record that gates the equivocation scan, member-indexed ring
+// archives), the move of every runtime event onto EventSim's POD queue and
+// the one-event snapshot fan-out with its per-seal signature verdict must
+// be behaviour-preserving: routes, overlay trees, verdicts, generated
+// topologies, probing results, whole cluster runs, lossless and lossy, and
+// filed equivocation proofs are required to come out byte-identical before
+// and after.
 // These checksums were captured against the pre-refactor implementations;
 // any divergence means the refactor changed observable behaviour, not just
 // layout.
@@ -20,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "core/accusation.h"
 #include "core/equivocation.h"
 #include "core/trace.h"
 #include "core/verdicts.h"
@@ -40,6 +43,7 @@
 #include "tomography/snapshot.h"
 #include "tomography/verification.h"
 #include "util/arena.h"
+#include "util/metrics.h"
 #include "util/rng.h"
 #include "util/time.h"
 
@@ -478,6 +482,97 @@ TEST(GoldenRefactor, ClusterRunIsByteIdentical) {
     }
     h = fnv(h, completed);
     EXPECT_EQ(h, 0x7bfdede08cfc6d6bULL) << std::hex << h;
+}
+
+// The same attack campaign on a lossless control plane: no chaos plan, so
+// every publication takes the lossless dissemination path, including the
+// equivocators' twins and the replayers' stale re-advertisements.  Besides
+// the run's outputs, the digest covers the bytes of every DHT value stored
+// under each member's accusation and proof keys, and the signature checks
+// the run paid for and saved.
+TEST(GoldenRefactor, LosslessGossipIsByteIdentical) {
+    util::Rng rng(61);
+    net::TopologyParams topo_params = net::small_params();
+    topo_params.end_hosts = 300;
+    const auto topo = net::generate_topology(topo_params, rng);
+    crypto::CertificateAuthority ca(62);
+    const auto members = overlay::build_overlay_from_hosts(
+        topo.end_hosts(), 40, ca, overlay::OverlayParams{}, rng);
+    const tomography::OverlayTrees trees(members, topo);
+    net::FailureTimeline timeline;
+    timeline.finalize();
+
+    util::Rng attack_rng = rng.fork();
+    const std::vector<runtime::NodeBehavior> behaviors =
+        runtime::materialize_attackers(
+            runtime::AttackCampaign::parse("equivocate:0.05,replay:0.05,"
+                                           "slander:0.05,spam:0.05,"
+                                           "collude:0.15"),
+            members.size(), attack_rng);
+
+    auto& registry = util::metrics::Registry::global();
+    auto& cache_hit = registry.counter("crypto.verify.cache_hit");
+    auto& cache_miss = registry.counter("crypto.verify.cache_miss");
+    const std::int64_t hits_before = cache_hit.value();
+    const std::int64_t misses_before = cache_miss.value();
+
+    core::DiagnosisTrace trace(4096);
+    net::EventSim sim;
+    runtime::Cluster cluster(sim, timeline, members, trees,
+                             runtime::RuntimeParams{}, behaviors, rng.fork());
+    cluster.set_trace(&trace);
+    cluster.start();
+
+    std::uint64_t completed = 0;
+    util::Rng traffic(64);
+    const util::SimTime duration = 30 * util::kMinute;
+    sim.run_until(3 * util::kMinute);
+    while (sim.now() + 20 * util::kSecond <= duration) {
+        cluster.send(static_cast<overlay::MemberIndex>(
+                         traffic.uniform_index(members.size())),
+                     util::NodeId::random(traffic),
+                     [&](const runtime::Cluster::MessageOutcome&) {
+                         ++completed;
+                     });
+        sim.run_until(sim.now() + 20 * util::kSecond);
+    }
+    sim.run_until(duration + 5 * util::kMinute);
+
+    const runtime::Cluster::Stats& stats = cluster.stats();
+    EXPECT_GT(stats.equivocation_proofs_filed, 0u);
+    EXPECT_GT(stats.snapshots_rejected_stale, 0u);
+    EXPECT_GT(stats.slanders_filed, 0u);
+    EXPECT_GT(stats.collusions_pushed, 0u);
+
+    std::uint64_t h = kFnvOffset;
+    constexpr std::size_t kStatsFields =
+        sizeof(runtime::Cluster::Stats) / sizeof(std::size_t);
+    for (const std::size_t v :
+         std::bit_cast<std::array<std::size_t, kStatsFields>>(stats)) {
+        h = fnv(h, v);
+    }
+    for (const char c : trace.to_json()) {
+        h = fnv(h, static_cast<unsigned char>(c));
+    }
+    for (overlay::MemberIndex m = 0; m < members.size(); ++m) {
+        h = fnv(h, daemon::journal_fnv(cluster.journal(m)));
+        const crypto::PublicKey& key = members.member(m).keys.public_key();
+        for (const util::NodeId& dht_key :
+             {core::FaultAccusation::dht_key(key),
+              core::EquivocationProof::dht_key(key)}) {
+            const auto result =
+                cluster.repository().get((m + 1) % members.size(), dht_key);
+            h = fnv(h, result.values.size());
+            for (const auto& value : result.values) {
+                for (const std::uint8_t byte : value) h = fnv(h, byte);
+            }
+        }
+    }
+    h = fnv(h, static_cast<std::uint64_t>(cache_hit.value() - hits_before));
+    h = fnv(h,
+            static_cast<std::uint64_t>(cache_miss.value() - misses_before));
+    h = fnv(h, completed);
+    EXPECT_EQ(h, 0x3e6607fa682350f0ULL) << std::hex << h;
 }
 
 // Pins the equivocation defense: which proofs get filed, by which peer and

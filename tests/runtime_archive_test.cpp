@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "crypto/keys.h"
 
@@ -143,6 +145,41 @@ TEST(SnapshotArchive, FindLocatesByOriginAndEpoch) {
     EXPECT_EQ(archive.find(kBob, 0), nullptr);
 }
 
+// A cap-4 archive with a two-minute retention, fed for 18 steps 15 s apart
+// (t = 15 s .. 270 s): Alice publishes epoch i at every step i, Bob epoch
+// i / 3 at every third.  Digest ids are 100 + epoch for Alice and 200 +
+// epoch for Bob.  Alice's ring is cut by the cap, Bob's by the throttled
+// prune that each of Alice's adds runs; both wrap around their buffers.
+// Left behind: Alice's epochs 15-18 (t = 225 s .. 270 s) and Bob's 4-6
+// (t = 180 s, 225 s, 270 s).
+SnapshotArchive wrapped_archive() {
+    SnapshotArchive archive(/*retention=*/2 * kMinute, /*max_transit=*/kMinute,
+                            /*max_per_origin=*/4);
+    for (std::uint64_t i = 1; i <= 18; ++i) {
+        const auto at = static_cast<util::SimTime>(i) * 15 * kSecond;
+        auto alice = snap(kAlice, at, {{1, i % 2 == 1}});
+        alice.epoch = i;
+        EXPECT_EQ(archive.add(std::move(alice), at,
+                              static_cast<SnapshotArchive::DigestId>(100 + i)),
+                  ArchiveAdd::kArchived);
+        if (i % 3 != 0) continue;
+        auto bob = snap(kBob, at, {{2, true}});
+        bob.epoch = i / 3;
+        EXPECT_EQ(archive.add(std::move(bob), at,
+                              static_cast<SnapshotArchive::DigestId>(
+                                  200 + i / 3)),
+                  ArchiveAdd::kArchived);
+    }
+    return archive;
+}
+
+std::vector<std::uint64_t> epochs_of(
+    const std::vector<const tomography::TomographicSnapshot*>& snaps) {
+    std::vector<std::uint64_t> out;
+    for (const auto* s : snaps) out.push_back(s->epoch);
+    return out;
+}
+
 TEST(SnapshotArchive, PerOriginCapKeepsNewest) {
     SnapshotArchive archive(/*retention=*/10 * kMinute,
                             /*max_transit=*/kMinute, /*max_per_origin=*/3);
@@ -160,6 +197,33 @@ TEST(SnapshotArchive, PerOriginCapKeepsNewest) {
     // flush the archive to relive its past.
     EXPECT_EQ(archive.add(vsnap(kAlice, 2, 60 * kSecond), 60 * kSecond),
               ArchiveAdd::kRejectedEpoch);
+
+    // Across ring wrap-around, every query still reads oldest first.
+    const SnapshotArchive wrapped = wrapped_archive();
+    EXPECT_EQ(wrapped.size(), 7u);
+    EXPECT_EQ(epochs_of(wrapped.snapshots_from(kAlice)),
+              (std::vector<std::uint64_t>{15, 16, 17, 18}));
+    EXPECT_EQ(epochs_of(wrapped.snapshots_from(kBob)),
+              (std::vector<std::uint64_t>{4, 5, 6}));
+    for (std::uint64_t e = 1; e <= 18; ++e) {
+        const auto* found = wrapped.find(kAlice, e);
+        const SnapshotArchive::DigestId digest = wrapped.digest_of(kAlice, e);
+        if (e < 15) {  // evicted by the cap
+            EXPECT_EQ(found, nullptr) << e;
+            EXPECT_EQ(digest, util::DigestInterner::kInvalidId) << e;
+            continue;
+        }
+        ASSERT_NE(found, nullptr) << e;
+        EXPECT_EQ(found->epoch, e);
+        EXPECT_EQ(found->links[0].up, e % 2 == 1);
+        EXPECT_EQ(digest, 100 + e);
+    }
+    for (std::uint64_t e = 1; e <= 6; ++e) {  // 1-3 were pruned by age
+        EXPECT_EQ(wrapped.find(kBob, e) != nullptr, e >= 4) << e;
+        EXPECT_EQ(wrapped.digest_of(kBob, e),
+                  e >= 4 ? 200 + e : util::DigestInterner::kInvalidId)
+            << e;
+    }
 }
 
 TEST(SnapshotArchive, QueriesEnforceRetentionHorizon) {
@@ -182,6 +246,74 @@ TEST(SnapshotArchive, QueriesEnforceRetentionHorizon) {
         archive.evidence_for(links, 300 * kSecond, 300 * kSecond, exclude);
     ASSERT_EQ(evidence.size(), 1u);
     EXPECT_EQ(evidence[0].origin, kBob);
+
+    // The same across ring wrap-around.  At t = 310 s the horizon is 190 s,
+    // which excludes Bob's epoch 4 (180 s); origins answer in first-
+    // admission order, each oldest first.
+    const SnapshotArchive wrapped = wrapped_archive();
+    const std::vector<net::LinkId> both{1, 2};
+    const auto wrapped_probes =
+        wrapped.probes_for(both, 310 * kSecond, 300 * kSecond, exclude);
+    std::vector<std::pair<util::NodeId, util::SimTime>> seen;
+    for (const auto& p : wrapped_probes) seen.emplace_back(p.reporter, p.at);
+    EXPECT_EQ(seen,
+              (std::vector<std::pair<util::NodeId, util::SimTime>>{
+                  {kAlice, 225 * kSecond},
+                  {kAlice, 240 * kSecond},
+                  {kAlice, 255 * kSecond},
+                  {kAlice, 270 * kSecond},
+                  {kBob, 225 * kSecond},
+                  {kBob, 270 * kSecond}}));
+    std::vector<std::pair<util::NodeId, std::uint64_t>> bundle;
+    for (const auto& s :
+         wrapped.evidence_for(both, 310 * kSecond, 300 * kSecond, exclude)) {
+        bundle.emplace_back(s.origin, s.epoch);
+    }
+    EXPECT_EQ(bundle, (std::vector<std::pair<util::NodeId, std::uint64_t>>{
+                          {kAlice, 15},
+                          {kAlice, 16},
+                          {kAlice, 17},
+                          {kAlice, 18},
+                          {kBob, 5},
+                          {kBob, 6}}));
+}
+
+TEST(SnapshotArchive, MemberIndexedAndNodeIdAddsShareOneTable) {
+    const auto shared = [](tomography::TomographicSnapshot s) {
+        return std::make_shared<const tomography::TomographicSnapshot>(
+            std::move(s));
+    };
+    SnapshotArchive archive;
+    // A NodeId add opens Alice's table; a member-indexed add reaches it
+    // (the same replay floor) and appends to it.
+    ASSERT_EQ(archive.add(vsnap(kAlice, 1, 10 * kSecond), 10 * kSecond),
+              ArchiveAdd::kArchived);
+    EXPECT_EQ(archive.add(shared(vsnap(kAlice, 1, 20 * kSecond)), 7,
+                          20 * kSecond, 41),
+              ArchiveAdd::kRejectedEpoch);
+    EXPECT_EQ(archive.add(shared(vsnap(kAlice, 2, 20 * kSecond)), 7,
+                          20 * kSecond, 42),
+              ArchiveAdd::kArchived);
+    // And the other way round for Bob.
+    ASSERT_EQ(archive.add(shared(vsnap(kBob, 5, 20 * kSecond)), 3,
+                          20 * kSecond, 43),
+              ArchiveAdd::kArchived);
+    EXPECT_EQ(archive.add(vsnap(kBob, 5, 30 * kSecond), 30 * kSecond),
+              ArchiveAdd::kRejectedEpoch);
+    EXPECT_EQ(archive.add(vsnap(kBob, 6, 30 * kSecond), 30 * kSecond, 44),
+              ArchiveAdd::kArchived);
+    EXPECT_EQ(archive.add(shared(vsnap(kBob, 6, 30 * kSecond)), 3,
+                          30 * kSecond, 45),
+              ArchiveAdd::kRejectedEpoch);
+
+    EXPECT_EQ(archive.size(), 4u);
+    EXPECT_EQ(epochs_of(archive.snapshots_from(kAlice)),
+              (std::vector<std::uint64_t>{1, 2}));
+    EXPECT_EQ(epochs_of(archive.snapshots_from(kBob)),
+              (std::vector<std::uint64_t>{5, 6}));
+    EXPECT_EQ(archive.digest_of(kAlice, 2), 42u);
+    EXPECT_EQ(archive.digest_of(kBob, 5), 43u);
+    EXPECT_EQ(archive.digest_of(kBob, 6), 44u);
 }
 
 TEST(SnapshotArchive, ReceiversShareOneSnapshot) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "net/topology_gen.h"
+#include "util/metrics.h"
 
 namespace concilium::runtime {
 namespace {
@@ -465,6 +466,56 @@ TEST(Cluster, StatsAccumulateAcrossWorkload) {
     EXPECT_GT(rounds, 150u);
     EXPECT_LT(rounds, 800u);
     EXPECT_GE(cluster.stats().snapshots_published, rounds);
+}
+
+// Snapshot gossip checks each seal's signature once: a seal delivered to k
+// peers costs one verification (a cache miss) and k - 1 reads of the
+// verdict the seal keeps (cache hits).  An equivocator's twin is one more
+// seal per publication, shared by all of its odd-ranked peers.
+TEST(Cluster, EachSealIsVerifiedOnceAcrossItsPeers) {
+    RuntimeWorld world(5, 30);
+    MemberIndex equivocator = 0;
+    while (world.overlay->routing_peers(equivocator).size() < 3) {
+        ++equivocator;
+    }
+    std::vector<NodeBehavior> behaviors(world.overlay->size());
+    behaviors[equivocator].equivocate_snapshots = true;
+    auto& registry = util::metrics::Registry::global();
+    auto& hits = registry.counter("crypto.verify.cache_hit");
+    auto& misses = registry.counter("crypto.verify.cache_miss");
+    const std::int64_t hits_before = hits.value();
+    const std::int64_t misses_before = misses.value();
+
+    Cluster cluster = world.make_cluster({}, behaviors);
+    cluster.start();
+    world.sim.run_until(10 * util::kMinute);
+    // Silence every member, then let the copies in flight land: offline
+    // members publish nothing but still receive.
+    for (MemberIndex m = 0; m < world.overlay->size(); ++m) {
+        cluster.set_online(m, false);
+    }
+    world.sim.run_until(world.sim.now() + util::kMinute);
+
+    std::uint64_t published = 0;
+    std::uint64_t peer_copies_beyond_first = 0;
+    for (MemberIndex m = 0; m < world.overlay->size(); ++m) {
+        // Epochs count publications from 1.
+        const std::uint64_t epochs =
+            cluster.journal(m).replay(1).next_epoch - 1;
+        const std::size_t k = world.overlay->routing_peers(m).size();
+        ASSERT_GE(k, 1u);
+        published += epochs;
+        peer_copies_beyond_first += epochs * (k - 1);
+    }
+    const std::uint64_t twins = cluster.stats().equivocations_published;
+    ASSERT_GT(twins, 0u);
+    EXPECT_EQ(published, cluster.stats().snapshots_published);
+    EXPECT_EQ(cluster.stats().snapshots_rejected, 0u);
+    EXPECT_EQ(static_cast<std::uint64_t>(misses.value() - misses_before),
+              published + twins);
+    // The equivocator's peers split between two seals, one miss each.
+    EXPECT_EQ(static_cast<std::uint64_t>(hits.value() - hits_before),
+              peer_copies_beyond_first - twins);
 }
 
 TEST(Cluster, OfflineNodeIsBlamedLikeADropperAndRecovers) {

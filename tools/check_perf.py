@@ -20,7 +20,11 @@ pre-refactor baseline.
 
 Higher-is-better keys: *_per_sec.  Lower-is-better keys: wall_seconds,
 build_seconds, bytes_per_diagnosis.  Counts (events, probes, hosts) are
-workload descriptors, not scores; they are reported but never gated.
+workload descriptors, not scores; they are reported but never gated.  A
+rate `<count>_per_sec` is scored only when both snapshots carry the same
+`<count>`: a change that does the same simulation in fewer events would
+otherwise read as an events/sec regression.  Such a rate is printed as
+unscored, with both counts.
 """
 
 import argparse
@@ -31,7 +35,8 @@ from gatelib import make_die
 
 die = make_die("check_perf")
 
-HIGHER_IS_BETTER = lambda k: k.endswith("_per_sec")  # noqa: E731
+RATE_SUFFIX = "_per_sec"
+HIGHER_IS_BETTER = lambda k: k.endswith(RATE_SUFFIX)  # noqa: E731
 LOWER_IS_BETTER = ("wall_seconds", "build_seconds", "bytes_per_diagnosis")
 
 
@@ -75,6 +80,12 @@ def main():
     failures = []
     any_scored = False
     for key in scored_keys(new, base):
+        if HIGHER_IS_BETTER(key):
+            count = key[:-len(RATE_SUFFIX)]
+            if new.get(count) != base.get(count):
+                print(f"  {key:<24} unscored: {count} differ "
+                      f"(baseline {base.get(count)}, new {new.get(count)})")
+                continue
         any_scored = True
         n, b = float(new[key]), float(base[key])
         if b == 0.0:
