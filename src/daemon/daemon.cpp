@@ -12,61 +12,6 @@ namespace concilium::daemon {
 
 namespace {
 
-/// Every Cluster::Stats field by name, in declaration order; the checkpoint
-/// format and the soak report both enumerate through here so the two can
-/// never disagree about what "the stats" are.
-template <typename Fn>
-void for_each_stat(const runtime::Cluster::Stats& s, Fn&& fn) {
-    fn("messages", s.messages);
-    fn("delivered", s.delivered);
-    fn("dropped_by_forwarder", s.dropped_by_forwarder);
-    fn("dropped_by_network", s.dropped_by_network);
-    fn("guilty_verdicts", s.guilty_verdicts);
-    fn("innocent_verdicts", s.innocent_verdicts);
-    fn("accusations_filed", s.accusations_filed);
-    fn("revisions_pushed", s.revisions_pushed);
-    fn("revisions_applied", s.revisions_applied);
-    fn("snapshots_published", s.snapshots_published);
-    fn("snapshots_rejected", s.snapshots_rejected);
-    fn("lightweight_rounds", s.lightweight_rounds);
-    fn("heavyweight_sessions", s.heavyweight_sessions);
-    fn("commitments_issued", s.commitments_issued);
-    fn("commitments_refused", s.commitments_refused);
-    fn("reputation_votes", s.reputation_votes);
-    fn("advertisements_accepted", s.advertisements_accepted);
-    fn("advertisements_rejected", s.advertisements_rejected);
-    fn("forward_retransmissions", s.forward_retransmissions);
-    fn("snapshot_retries", s.snapshot_retries);
-    fn("snapshot_deliveries_failed", s.snapshot_deliveries_failed);
-    fn("duplicates_suppressed", s.duplicates_suppressed);
-    fn("churn_leaves", s.churn_leaves);
-    fn("churn_rejoins", s.churn_rejoins);
-    fn("crashes", s.crashes);
-    fn("restarts", s.restarts);
-    fn("journal_replays", s.journal_replays);
-    fn("recovery_announcements", s.recovery_announcements);
-    fn("recovery_repairs_accepted", s.recovery_repairs_accepted);
-    fn("recovery_repairs_rejected", s.recovery_repairs_rejected);
-    fn("stewardships_resumed", s.stewardships_resumed);
-    fn("stewardships_abandoned", s.stewardships_abandoned);
-    fn("insufficient_verdicts", s.insufficient_verdicts);
-    fn("verdicts_retracted", s.verdicts_retracted);
-    fn("partition_activations", s.partition_activations);
-    fn("partition_heals", s.partition_heals);
-    fn("partition_blocked_packets", s.partition_blocked_packets);
-    fn("resync_rounds", s.resync_rounds);
-    fn("equivocations_published", s.equivocations_published);
-    fn("replays_published", s.replays_published);
-    fn("slanders_filed", s.slanders_filed);
-    fn("spam_puts", s.spam_puts);
-    fn("collusions_pushed", s.collusions_pushed);
-    fn("snapshots_rejected_stale", s.snapshots_rejected_stale);
-    fn("snapshots_rejected_epoch", s.snapshots_rejected_epoch);
-    fn("equivocation_proofs_filed", s.equivocation_proofs_filed);
-    fn("revisions_rejected", s.revisions_rejected);
-    fn("dht_puts_rejected", s.dht_puts_rejected);
-}
-
 /// Cluster rng substream id: keeps the cluster's randomness independent of
 /// any other consumer of the trace seed (the generator scripts use the raw
 /// seed; message keys come from the trace itself).
@@ -458,11 +403,9 @@ Checkpoint Daemon::build_checkpoint() const {
     ck.checkpoint_every = opts_.checkpoint_every;
     ck.messages_fed = messages_fed_;
     ck.checkpoints_written = checkpoints_written_;
-    for_each_stat(cluster_->stats(),
-                  [&ck](const char* name, std::size_t value) {
-                      ck.stats.emplace_back(name,
-                                            static_cast<std::uint64_t>(value));
-                  });
+    for (const runtime::StatRow& row : runtime::kStatTable) {
+        ck.stats.emplace_back(row.name, cluster_->stats().*row.field);
+    }
     const std::size_t n = world_->overlay_net().size();
     ck.journals.reserve(n);
     for (std::size_t m = 0; m < n; ++m) {

@@ -20,117 +20,35 @@
 // equivocators, replayers, slanderers, accusation spammers, and verdict
 // colluders -- each paired here with its self-verifying defense.
 //
-// Every event the cluster schedules -- probe rounds, packet deliveries,
-// timers, snapshot deliveries, churn, crashes and partitions -- is a POD
-// record on the EventSim queue, fanned out by one registered handler.  The
-// few payloads that do not fit in an event's integer operands (a sealed
-// snapshot, relayed blame evidence, a recovery announcement, a steward
-// handoff) wait in the cluster's slot table until their event fires.
+// Cluster is thin: five owners (runtime/owners.h) -- Prober, EvidenceGossip,
+// Stewardship, FaultDriver, Adversary -- each keep one concern's state over
+// one Shared context.  Every event is a POD record on the EventSim queue,
+// and Cluster's one handler forwards each op to the owner that runs it;
+// payloads too big for an event's operands (sealed snapshots, evidence,
+// announcements, handoffs) wait in Shared's slot table until it fires.
+// RuntimeParams, Stats and MessageOutcome live in runtime/owners.h too.
 
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
-#include <memory>
-#include <optional>
-#include <set>
-#include <unordered_map>
-#include <utility>
-#include <variant>
 #include <vector>
 
-#include "core/accusation.h"
-#include "core/blame.h"
-#include "core/reputation.h"
-#include "core/trace.h"
-#include "core/validation.h"
-#include "core/verdicts.h"
-#include "dht/dht.h"
-#include "net/chaos.h"
-#include "net/event_sim.h"
-#include "net/link_state.h"
-#include "net/transport.h"
-#include "core/equivocation.h"
-#include "overlay/network.h"
-#include "runtime/archive.h"
-#include "runtime/attack.h"
-#include "runtime/journal.h"
-#include "runtime/retry.h"
-#include "tomography/overlay_trees.h"
-#include "tomography/probing.h"
-#include "tomography/snapshot.h"
-#include "util/metrics.h"
-#include "util/rng.h"
+#include "runtime/owners.h"
 
 namespace concilium::runtime {
 
-struct RuntimeParams {
-    /// Routing-state validation applied to the advertisements exchanged at
-    /// start() (Section 3.1).
-    core::ValidationParams validation;
-    /// Lightweight probe inter-arrival: uniform in [0, this] (Section 3.2).
-    util::SimTime probe_interval_max = 120 * util::kSecond;
-    /// Retries sent to silent leaves before escalating.
-    int lightweight_retries = 2;
-    /// Heavyweight session shape (Duffield's full scheme).
-    tomography::HeavyweightParams heavyweight{
-        .probe_count = 100, .spacing = 50 * util::kMillisecond};
-    /// Per-node floor between *periodic* heavyweight sessions.
-    util::SimTime heavyweight_min_gap = 1 * util::kMinute;
-    /// Floor for *reactive* sessions (unacknowledged message): fresh
-    /// evidence matters more than probe budget when blame is being decided.
-    util::SimTime reactive_heavyweight_min_gap = 10 * util::kSecond;
-    core::BlameParams blame;
-    core::VerdictParams verdicts;
-    tomography::SnapshotParams snapshot;
-    /// Steward acknowledgment timeout.
-    util::SimTime ack_timeout = 5 * util::kSecond;
-    /// Delay between a timeout and the steward's judgment, leaving time for
-    /// reactive heavyweight snapshots and downstream revisions to arrive.
-    util::SimTime judgment_grace = 8 * util::kSecond;
-    /// Control-plane (snapshot / revision) dissemination latency.
-    util::SimTime control_latency = 200 * util::kMillisecond;
-    int dht_replication = 4;
-    /// Per-writer quota on DHT values stored under one key (0 = unlimited);
-    /// contains accusation spam without touching honest accusers.
-    int dht_per_writer_quota = 8;
-    /// Reputation votes needed before a peer is considered poor.
-    int reputation_threshold = 3;
-    /// No-confidence votes older than this stop counting toward
-    /// reputation_threshold (0 = votes never expire).
-    util::SimTime reputation_vote_expiry = 30 * util::kMinute;
-    /// A snapshot delivered more than this after its probed_at is rejected
-    /// by the receiving archive as a replay/stale advertisement.
-    util::SimTime snapshot_max_transit = util::kMinute;
-    /// Newest-wins cap on archived snapshots per origin.
-    std::size_t archive_max_per_origin = 64;
-    net::TransportParams transport;
-    /// Steward retransmission of an unacknowledged message before judging:
-    /// attempts beyond the first re-send over the same IP path with
-    /// exponential backoff + jitter.  The default (1) preserves the
-    /// paper's judge-on-first-timeout behavior; chaos runs raise it so
-    /// transient IP loss does not masquerade as a malicious drop.
-    RetryPolicy forward_retry{};
-    /// Snapshot-exchange retry, used when a chaos plan makes the control
-    /// plane lossy (see set_chaos).  A peer whose delivery exhausts the
-    /// budget simply lacks that snapshot -- the judge's evidence degrades
-    /// gracefully instead of wedging diagnosis.
-    RetryPolicy snapshot_retry{.max_attempts = 3,
-                               .base_delay = 300 * util::kMillisecond};
-    /// Crash recovery (RECOVERY.md): an in-flight stewardship whose
-    /// forward is older than this at restart is abandoned with a signed
-    /// handoff instead of resumed (the ack, if any, is long lost and the
-    /// upstream judgment has already run its course).
-    util::SimTime recovery_resume_horizon = 30 * util::kSecond;
-};
-
 class Cluster {
   public:
+    using Stats = runtime::Stats;
+    using MessageOutcome = runtime::MessageOutcome;
+    using CompletionFn = runtime::CompletionFn;
+
     Cluster(net::EventSim& sim, const net::FailureTimeline& timeline,
             const overlay::OverlayNetwork& net,
             const tomography::OverlayTrees& trees, RuntimeParams params,
             std::vector<NodeBehavior> behaviors, util::Rng rng);
+    Cluster(const Cluster&) = delete;  // the EventSim handler holds `this`
+    Cluster& operator=(const Cluster&) = delete;
 
     /// Schedules every node's first probe round.  Call once, then drive the
     /// EventSim.
@@ -144,11 +62,8 @@ class Cluster {
     /// forwarded packets may be reordered or duplicated.  Call before
     /// start().  The plan must outlive the cluster; nullptr detaches.
     void set_chaos(const net::FaultPlan* plan) noexcept {
-        chaos_ = plan;
-        transport_.set_chaos(plan);
-    }
-    [[nodiscard]] const net::FaultPlan* chaos() const noexcept {
-        return chaos_;
+        s_.chaos = plan;
+        s_.transport.set_chaos(plan);
     }
 
     /// Takes a node off the network / brings it back (our extension: the
@@ -156,109 +71,36 @@ class Cluster {
     /// node answers no probes, forwards no messages, relays no acks, and
     /// publishes no snapshots -- indistinguishable, to the protocol, from a
     /// total message dropper, and blamed accordingly.
-    void set_online(overlay::MemberIndex m, bool online);
-    [[nodiscard]] bool is_online(overlay::MemberIndex m) const {
-        return online_.at(m);
+    void set_online(overlay::MemberIndex m, bool online) {
+        s_.online.at(m) = online;
     }
-
-    struct MessageOutcome {
-        bool delivered = false;
-        bool network_blamed = false;
-        /// Degraded mode (RECOVERY.md): the diagnosis closed with no
-        /// verdict at all because the evidence covering the judged hop
-        /// was hollowed out by a crash or partition.  Nobody is blamed.
-        bool insufficient_evidence = false;
-        /// Final accused node (after revisions), when a node is blamed.
-        std::optional<util::NodeId> blamed;
-        /// Route positions, for ground-truth scoring by callers.
-        std::vector<overlay::MemberIndex> route;
-        /// Simulation-only ground truth (never visible to protocol logic):
-        /// which hop actually dropped the message, or whether the IP
-        /// network ate the message / its acknowledgment (and on which
-        /// route segment).
-        std::optional<std::size_t> true_drop_hop;
-        bool true_network_drop = false;
-        std::optional<std::size_t> true_network_segment;
-    };
-    /// The caller-facing completion callback: the one closure the cluster
-    /// stores, per message, never per event.
-    using CompletionFn =
-        std::function<void(const MessageOutcome&)>;  // hot-path-lint: boundary
+    [[nodiscard]] bool is_online(overlay::MemberIndex m) const {
+        return s_.online.at(m);
+    }
 
     /// Sends an application message from `from` toward the root of
     /// `dest_key`.  The callback fires when the sender either receives the
     /// acknowledgment or completes its diagnosis.
     std::uint64_t send(overlay::MemberIndex from, const util::NodeId& dest_key,
-                       CompletionFn on_complete = {});
+                       CompletionFn on_complete = {}) {
+        return stewardship_.send(from, dest_key, std::move(on_complete));
+    }
 
-    struct Stats {
-        std::size_t messages = 0;
-        std::size_t delivered = 0;
-        std::size_t dropped_by_forwarder = 0;  ///< ground truth
-        std::size_t dropped_by_network = 0;    ///< ground truth (incl. acks)
-        std::size_t guilty_verdicts = 0;
-        std::size_t innocent_verdicts = 0;
-        std::size_t accusations_filed = 0;
-        std::size_t revisions_pushed = 0;
-        std::size_t revisions_applied = 0;
-        std::size_t snapshots_published = 0;
-        std::size_t snapshots_rejected = 0;  ///< bad signature on receipt
-        std::size_t lightweight_rounds = 0;
-        std::size_t heavyweight_sessions = 0;
-        std::size_t commitments_issued = 0;
-        std::size_t commitments_refused = 0;
-        std::size_t reputation_votes = 0;
-        std::size_t advertisements_accepted = 0;
-        std::size_t advertisements_rejected = 0;
-        std::size_t forward_retransmissions = 0;
-        std::size_t snapshot_retries = 0;
-        std::size_t snapshot_deliveries_failed = 0;  ///< retry budget spent
-        std::size_t duplicates_suppressed = 0;
-        std::size_t churn_leaves = 0;
-        std::size_t churn_rejoins = 0;
-        // --- crash recovery + partitions (RECOVERY.md) --------------------
-        std::size_t crashes = 0;
-        std::size_t restarts = 0;
-        std::size_t journal_replays = 0;
-        std::size_t recovery_announcements = 0;
-        std::size_t recovery_repairs_accepted = 0;
-        std::size_t recovery_repairs_rejected = 0;
-        std::size_t stewardships_resumed = 0;
-        std::size_t stewardships_abandoned = 0;
-        std::size_t insufficient_verdicts = 0;  ///< degraded-mode abstentions
-        std::size_t verdicts_retracted = 0;     ///< after announcements
-        std::size_t partition_activations = 0;
-        std::size_t partition_heals = 0;
-        std::size_t partition_blocked_packets = 0;
-        std::size_t resync_rounds = 0;  ///< heal-time anti-entropy probes
-        // --- attack-campaign activity (what the adversary did) -----------
-        std::size_t equivocations_published = 0;  ///< per-peer variant rounds
-        std::size_t replays_published = 0;        ///< stale re-advertisements
-        std::size_t slanders_filed = 0;           ///< forged accusations
-        std::size_t spam_puts = 0;                ///< junk DHT insertions
-        std::size_t collusions_pushed = 0;        ///< fabricated revisions
-        // --- defense outcomes (what the protocol caught) -----------------
-        std::size_t snapshots_rejected_stale = 0;  ///< archive transit check
-        std::size_t snapshots_rejected_epoch = 0;  ///< archive replay floor
-        std::size_t equivocation_proofs_filed = 0;
-        std::size_t revisions_rejected = 0;  ///< failed re-verification
-        std::size_t dht_puts_rejected = 0;   ///< writer quota exhausted
-    };
-    [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
+    [[nodiscard]] const Stats& stats() const noexcept { return s_.stats; }
 
     [[nodiscard]] const SnapshotArchive& archive(overlay::MemberIndex m) const {
-        return nodes_.at(m).archive;
+        return gossip_.archive(m);
     }
-    [[nodiscard]] const dht::Dht& repository() const noexcept { return dht_; }
+    [[nodiscard]] const dht::Dht& repository() const noexcept { return s_.dht; }
     [[nodiscard]] const core::ReputationBook& reputation() const noexcept {
-        return reputation_;
+        return stewardship_.reputation();
     }
 
     /// Peers that rejected m's routing advertisement during the start()
     /// exchange (empty set == everyone accepted it).
     [[nodiscard]] const std::vector<overlay::MemberIndex>&
     advertisement_rejecters(overlay::MemberIndex m) const {
-        return ad_rejecters_.at(m);
+        return faults_.advertisement_rejecters(m);
     }
 
     /// Fetches and deserializes the accusations stored against a member,
@@ -276,25 +118,30 @@ class Cluster {
     /// Independently verifies an accusation against this cluster's key
     /// registry, exactly as a prospective peer would before sanctioning.
     [[nodiscard]] core::AccusationCheck verify(
-        const core::FaultAccusation& accusation) const;
+        const core::FaultAccusation& accusation) const {
+        return stewardship_.verifier().verify(accusation);
+    }
 
     /// Independently verifies an equivocation proof against the accused
     /// member's registered key.
     [[nodiscard]] core::EquivocationCheck verify(
         const core::EquivocationProof& proof,
-        overlay::MemberIndex accused) const;
+        overlay::MemberIndex accused) const {
+        return core::verify_equivocation_proof(
+            proof, s_.net->member(accused).keys.public_key(), s_.registry);
+    }
 
     /// The node's durable journal (its "disk"): written on every epoch
     /// advance, verdict, stewardship transition, and vote; replayed on
     /// restart after a crash.
     [[nodiscard]] const NodeJournal& journal(overlay::MemberIndex m) const {
-        return journals_.at(m);
+        return s_.journals.at(m);
     }
 
     /// True while m is crashed (offline with amnesia, as opposed to a
     /// graceful churn leave which keeps its volatile state).
     [[nodiscard]] bool is_crashed(overlay::MemberIndex m) const {
-        return crashed_.at(m);
+        return faults_.is_crashed(m);
     }
 
     /// Attaches an opt-in diagnosis journal: every message that completes
@@ -302,343 +149,22 @@ class Cluster {
     /// its forwarder chain, every judgment's Equation 2-3 blame inputs,
     /// and the final verdict.  Pass nullptr to detach.  The trace must
     /// outlive the cluster (or be detached first).
-    void set_trace(core::DiagnosisTrace* trace) noexcept { trace_ = trace; }
+    void set_trace(core::DiagnosisTrace* trace) noexcept {
+        stewardship_.set_trace(trace);
+    }
 
   private:
-    struct StewardRecord {
-        bool forwarded = false;
-        bool acked = false;
-        /// Message copy seen at this hop (dedupes retransmissions and
-        /// chaos-duplicated packets).
-        bool received = false;
-        std::optional<core::ForwardingCommitment> commitment;  ///< from next
-        std::optional<core::BlameEvidence> judgment;  ///< own verdict vs next
-        /// The Equation 2-3 terms behind `judgment` (kept for the trace).
-        std::optional<core::BlameBreakdown> breakdown;
-        util::SimTime judged_at = 0;
-        bool judgment_guilty = false;
-        /// Revision evidence pushed up from downstream stewards, in chain
-        /// order (next hop's judgment first).
-        std::vector<core::BlameEvidence> pushed;
-        bool judged = false;
-        /// Degraded mode: the judgment abstained (insufficient evidence)
-        /// instead of convicting.
-        bool judgment_insufficient = false;
-        /// Signed abandonment received from the next hop after it
-        /// restarted: proof the "drop" was a crash.
-        std::optional<StewardHandoff> handoff;
-    };
-
-    struct MessageContext {
-        std::uint64_t id = 0;
-        std::vector<overlay::MemberIndex> route;
-        util::SimTime sent_at = 0;
-        std::vector<StewardRecord> stewards;
-        CompletionFn on_complete;
-        bool completed = false;
-        // Ground truth for stats.
-        std::optional<std::size_t> dropped_by_hop;
-        bool dropped_by_network = false;
-        std::optional<std::size_t> network_drop_segment;
-    };
-
-    /// A snapshot sealed for dissemination: the signed payload is serialized
-    /// once at publication, signed and digested over those same bytes, and
-    /// its digest interned once.  Every per-peer delivery (and retry) shares
-    /// this immutable slab by reference, and every archive that admits it
-    /// holds an aliasing pointer into it, so all receivers share one copy.
-    /// The first receipt checks the signature and records the verdict in
-    /// the seal; every later receipt reads it.  That is exact: no two seals
-    /// carry the same signed payload, since origin epochs never repeat and
-    /// an equivocator's twin is sealed once per publication.
-    struct PublishedSnapshot {
-        tomography::TomographicSnapshot snapshot;
-        /// Publisher's member index (snapshots are always self-originated,
-        /// so it is also the sender of every delivery attempt); receivers
-        /// resolve the origin key through it without a NodeId map lookup
-        /// per delivery.
-        overlay::MemberIndex origin_m = 0;
-        std::vector<std::uint8_t> payload;  ///< signed_payload(), serialized once
-        util::DigestInterner::Id digest_id = util::DigestInterner::kInvalidId;
-        /// The signature verdict; empty until the first receipt checks it.
-        mutable std::optional<bool> signature_ok;
-    };
-    using SnapshotRef = std::shared_ptr<const PublishedSnapshot>;
-    /// One publication on its way to the origin's routing peers: the seal,
-    /// and an equivocator's twin (null for everyone else).
-    struct FanOut {
-        SnapshotRef seal;
-        SnapshotRef twin;
-        /// The copy for the peer at this rank of routing_peers: odd ranks
-        /// get the twin when there is one.
-        [[nodiscard]] const SnapshotRef& copy_for(std::size_t rank) const {
-            return twin != nullptr && rank % 2 == 1 ? twin : seal;
-        }
-    };
-    /// Signs `snapshot` with m's key and seals it: the one place a
-    /// published snapshot is signed.
-    [[nodiscard]] SnapshotRef seal(overlay::MemberIndex m,
-                                   tomography::TomographicSnapshot snapshot);
-    /// The archive entry for a sealed snapshot: a pointer to its snapshot
-    /// that keeps the whole seal alive.
-    [[nodiscard]] static SnapshotArchive::SnapshotPtr archived(
-        const SnapshotRef& published) {
-        return {published, &published->snapshot};
-    }
-
-    struct NodeState {
-        SnapshotArchive archive;
-        core::VerdictLedger ledger;
-        util::SimTime last_heavyweight = -(1LL << 60);
-        /// Next snapshot publication counter (epoch 0 = unversioned).
-        std::uint64_t next_epoch = 1;
-        /// Replayer state: the first favorable snapshot (sealed),
-        /// re-advertised verbatim every later round.
-        SnapshotRef replay_stash{};
-        /// Commitments this node collected as a steward, by issuing member
-        /// -- a colluder's raw material for fabricated revisions.  Keyed by
-        /// dense MemberIndex; NodeIds resolve at the call boundary.
-        std::unordered_map<overlay::MemberIndex, core::ForwardingCommitment>
-            collected{};
-        /// Round-robin victim cursors for slander / spam rounds.
-        std::size_t slander_cursor = 0;
-        std::size_t spam_cursor = 0;
-        /// Verified recovery announcements received, by announcing member:
-        /// the basis for verdict retraction and accusation abstention.
-        std::unordered_map<overlay::MemberIndex,
-                           std::vector<RecoveryAnnouncement>>
-            recovery_seen{};
-    };
-
-    // --- POD event dispatch ------------------------------------------------
-    /// Every cluster event rides EventSim's POD queue: an op code plus two
-    /// integer operands, fanned out by one registered handler.  An op that
-    /// carries a parked payload keeps its slot in c's low 32 bits.
-    enum class Op : std::uint32_t {
-        kProbeRound,         ///< b = member
-        kSlanderRound,       ///< b = member
-        kSpamRound,          ///< b = member
-        kPeerRefresh,        ///< b = member (heavyweight refresh, periodic gap)
-        kDeliverToHop,       ///< b = message, c = hop
-        kDeliverAck,         ///< b = message, c = hop
-        kAckTimeout,         ///< b = message, c = hop
-        kJudge,              ///< b = message, c = hop
-        kForwardRetry,       ///< b = message, c = hop << 32 | attempt
-        kMaybeComplete,      ///< b = message
-        kFabricatedRevision, ///< b = message, c = hop
-        kRelayRevision,      ///< b = message, c = to_hop << 32 | slot
-        kHandoff,            ///< b = message, c = to_hop << 32 | slot
-        kFanOutSnapshot,     ///< b = origin, c = slot (lossless fan-out)
-        kDeliverSnapshot,    ///< b = peer, c = slot
-        kSnapshotRetry,      ///< b = peer, c = attempt << 32 | slot
-        kAnnouncement,       ///< b = peer, c = slot
-        kResync,             ///< b = member (heal-time anti-entropy probe)
-        kChurnLeave,         ///< b = member
-        kChurnRejoin,        ///< b = member
-        kCrash,              ///< b = member
-        kRestart,            ///< b = member
-        kPartitionStart,
-        kPartitionHeal,
-    };
     static void dispatch_event(void* ctx, std::uint32_t a, std::uint64_t b,
                                std::uint64_t c);
+    /// Forwards each op to its owner.
     void run_event(Op op, std::uint64_t b, std::uint64_t c);
-    void post(util::SimTime delay, Op op, std::uint64_t b,
-              std::uint64_t c = 0) {
-        sim_->post_after(delay, handler_, static_cast<std::uint32_t>(op), b,
-                         c);
-    }
-    void post_at(util::SimTime t, Op op, std::uint64_t b = 0) {
-        sim_->post_at(t, handler_, static_cast<std::uint32_t>(op), b);
-    }
-    /// Retry-timer body: re-send unless the ack landed in the meantime.
-    void forward_retry(std::uint64_t msg_id, std::size_t hop, int attempt);
 
-    /// The slot table: payloads too big for an event's operands wait here
-    /// between post and dispatch.  Freed slots are reused, so a warmed-up
-    /// run parks without allocating.
-    using Parked = std::variant<SnapshotRef, FanOut, core::BlameEvidence,
-                                RecoveryAnnouncement, StewardHandoff>;
-    /// Posts op with `payload` parked: c = hi << 32 | slot.
-    void post_parked(util::SimTime delay, Op op, std::uint64_t b,
-                     Parked payload, std::uint64_t hi = 0);
-    /// Takes the payload out of the slot named by c's low 32 bits and
-    /// frees the slot.
-    template <class T>
-    [[nodiscard]] T unpark(std::uint64_t c);
-
-    // --- routing-state exchange -------------------------------------------
-    void exchange_routing_state();
-    /// m's signed jump-table advertisement as of now; a suppressor's is
-    /// cut down to its advertised fraction and re-signed.
-    [[nodiscard]] overlay::JumpTableAdvertisement routing_advertisement(
-        overlay::MemberIndex m) const;
-
-    // --- probing ---------------------------------------------------------
-    /// Schedules m's next probe, slander or spam round (op) a uniform
-    /// [0, probe_interval_max] from now.
-    void schedule_round(Op op, overlay::MemberIndex m);
-    void run_probe_round(overlay::MemberIndex m);
-    /// One probe round without rescheduling the next: the heal-time resync
-    /// and post-restart refresh path.
-    void probe_round_once(overlay::MemberIndex m);
-    void run_heavyweight(overlay::MemberIndex m);
-    void publish_snapshot(overlay::MemberIndex m,
-                          tomography::TomographicSnapshot snapshot);
-    /// Sends one publication to every routing peer of its origin m.  On a
-    /// lossless control plane that is one event, which delivers to the
-    /// peers in routing_peers order -- the order separate same-time posts
-    /// would fire in.  Under chaos every copy is its own send_snapshot.
-    void fan_out(overlay::MemberIndex m, FanOut fan);
-    /// One delivery attempt of a sealed snapshot from its origin to peer
-    /// over the chaos plan's lossy control plane.
-    void send_snapshot(overlay::MemberIndex peer, SnapshotRef snapshot,
-                       int attempt);
-    /// Receipt at peer: signature check, archive, equivocation scan.
-    void deliver_snapshot(overlay::MemberIndex peer,
-                          const SnapshotRef& published);
-
-    // --- attack campaign + evidence-integrity defenses ---------------------
-    /// Updates the digest record after some archive admitted `published`.
-    void note_admitted(const PublishedSnapshot& published);
-    /// Cross-peer digest exchange: after archiving `published` at `holder`,
-    /// compare interned digest ids against what the origin's other routing
-    /// peers hold for the same epoch; only an id mismatch builds and
-    /// verifies a full self-verifying proof for the DHT.
-    void detect_equivocation(overlay::MemberIndex holder,
-                             const PublishedSnapshot& published);
-    void run_slander_round(overlay::MemberIndex m);
-    void run_spam_round(overlay::MemberIndex m);
-    /// Colluder reaction to its own drop: push a fabricated guilty revision
-    /// against the hop it framed, upstream toward the sender.
-    void push_fabricated_revision(std::uint64_t msg_id, std::size_t hop);
-
-    // --- chaos -------------------------------------------------------------
-    void schedule_churn();
-    /// Extra delivery delay when a per-packet chaos effect fires (0 when no
-    /// plan is attached or the draw misses); counts each firing in `fired`.
-    util::SimTime chaos_extra_delay(double rate,
-                                    util::metrics::Counter& fired);
-
-    // --- crash recovery + partitions (RECOVERY.md) --------------------------
-    void schedule_recovery_faults();
-    /// Crash-stop: offline plus amnesia -- every volatile structure is
-    /// reset; only the journal survives.
-    void crash_node(overlay::MemberIndex m);
-    /// Journal replay, recovery handshake, stewardship resume/abandon.
-    void restart_node(overlay::MemberIndex m);
-    void recovery_handshake(overlay::MemberIndex m,
-                            const NodeJournal::RecoveredState& recovered);
-    void accept_recovery_announcement(overlay::MemberIndex peer,
-                                      const RecoveryAnnouncement& announcement);
-    void deliver_handoff(std::uint64_t msg_id, std::size_t to_hop,
-                         const StewardHandoff& handoff);
-    void heal_partition();
-    /// True when the active partition separates members a and b right now.
-    [[nodiscard]] bool partition_blocks(overlay::MemberIndex a,
-                                        overlay::MemberIndex b) const;
-    /// True when this run carries crash/partition faults: guilty verdicts
-    /// then require post-incident evidence coverage.
-    [[nodiscard]] bool degraded_mode() const noexcept {
-        return chaos_ != nullptr && chaos_->has_recovery_faults();
-    }
-    /// Degraded-mode conviction bar: every link of the judged segment
-    /// carries an admitted probe observation from on-or-after the message
-    /// time by a reporter other than the suspect.
-    [[nodiscard]] bool post_incident_coverage(
-        const core::BlameEvidence& evidence, util::SimTime message_time) const;
-    /// True when any verified announcement from `suspect` (as seen by
-    /// `observer`) covers time t.
-    [[nodiscard]] bool announced_down(overlay::MemberIndex observer,
-                                      overlay::MemberIndex suspect,
-                                      util::SimTime t) const;
-    /// True when `accused` is a route steward whose own judgment abstained
-    /// as insufficient: a blame chain cannot end on an abstainer.
-    [[nodiscard]] bool accused_abstained(const MessageContext& ctx,
-                                         const util::NodeId& accused) const;
-
-    // --- messaging ---------------------------------------------------------
-    void deliver_to_hop(std::uint64_t msg_id, std::size_t hop);
-    void forward_from_hop(std::uint64_t msg_id, std::size_t hop);
-    /// One physical transmission of the message from `hop` toward hop + 1;
-    /// schedules bounded backoff retransmissions while the ack is missing.
-    void transmit_to_next(std::uint64_t msg_id, std::size_t hop, int attempt);
-    void start_ack_return(std::uint64_t msg_id);
-    void deliver_ack_to_hop(std::uint64_t msg_id, std::size_t hop);
-    void on_ack_timeout(std::uint64_t msg_id, std::size_t hop);
-    void judge_next_hop(std::uint64_t msg_id, std::size_t hop);
-    void push_revision_upstream(std::uint64_t msg_id, std::size_t hop);
-    void relay_revision(std::uint64_t msg_id, core::BlameEvidence evidence,
-                        std::size_t to_hop);
-    void maybe_complete(std::uint64_t msg_id);
-
-    core::BlameEvidence build_evidence(const MessageContext& ctx,
-                                       std::size_t judge_hop,
-                                       core::BlameBreakdown* breakdown_out =
-                                           nullptr) const;
-    void record_trace(const MessageContext& ctx,
-                      const MessageOutcome& outcome);
-    void file_accusation(const MessageContext& ctx);
-
-    /// The third-party verification context every node shares: this
-    /// cluster's key registry, blame/verdict parameters, and link map.
-    [[nodiscard]] core::AccusationVerifier make_verifier() const;
-
-    /// IP link path for route segment hop -> hop+1, as a span into the
-    /// trees' arena (empty when no IP path exists).  Zero-allocation: this
-    /// runs once per packet transmission and once per judgment.
-    [[nodiscard]] std::span<const net::LinkId> hop_path(
-        const MessageContext& ctx, std::size_t hop) const;
-    [[nodiscard]] const NodeBehavior& behavior(overlay::MemberIndex m) const;
-    [[nodiscard]] std::vector<tomography::LeafBehavior> leaf_behaviors(
-        overlay::MemberIndex m) const;
-    [[nodiscard]] std::optional<crypto::PublicKey> key_of(
-        const util::NodeId& id) const;
-
-    net::EventSim* sim_;
-    const net::FailureTimeline* timeline_;
-    const overlay::OverlayNetwork* net_;
-    const tomography::OverlayTrees* trees_;
-    RuntimeParams params_;
-    std::vector<NodeBehavior> behaviors_;
-    util::Rng rng_;
-    net::Transport transport_;
-    crypto::KeyRegistry registry_;
-    /// Snapshot payload digests interned to dense ids, shared across every
-    /// node's archive so cross-archive digest comparison is an integer test.
-    util::DigestInterner interner_;
-    /// NodeId -> member index, resolved once where ids enter from the wire.
-    std::unordered_map<util::NodeId, overlay::MemberIndex, util::NodeIdHash>
-        member_of_;  // hot-path-lint: boundary
-    std::vector<NodeState> nodes_;
-    dht::Dht dht_;
-    core::ReputationBook reputation_;
-    std::unordered_map<std::uint64_t, MessageContext> messages_;
-    std::uint64_t next_message_id_ = 1;
-    std::vector<bool> online_;
-    std::vector<NodeJournal> journals_;
-    std::vector<bool> crashed_;
-    std::vector<util::SimTime> crashed_at_;
-    std::vector<std::vector<overlay::MemberIndex>> ad_rejecters_;
-    /// (origin member, epoch) pairs already covered by a filed equivocation
-    /// proof, so repeated digest conflicts do not re-file.
-    std::set<std::pair<overlay::MemberIndex, std::uint64_t>> proofs_filed_;
-    /// The digest record, per origin member and then indexed by epoch
-    /// (epochs are dense per origin): the digest id of the first copy any
-    /// archive admitted, kMixedDigests once a copy with another digest was
-    /// admitted as well, kInvalidId while none was.  Archives evict by age
-    /// and cap and lose everything in a crash, but digest_of ignores age, so
-    /// the record is never pruned or cleared: it must cover every digest any
-    /// archive ever held.
-    std::vector<std::vector<util::DigestInterner::Id>> admitted_digests_;
-    static constexpr util::DigestInterner::Id kMixedDigests =
-        util::DigestInterner::kInvalidId - 1;
-    Stats stats_;
-    core::DiagnosisTrace* trace_ = nullptr;
-    const net::FaultPlan* chaos_ = nullptr;
-    net::EventSim::HandlerId handler_ = 0;
-    std::vector<Parked> parked_;
-    std::vector<std::uint32_t> free_parked_;
+    Shared s_;
+    EvidenceGossip gossip_;
+    Prober prober_;
+    Stewardship stewardship_;
+    FaultDriver faults_;
+    Adversary adversary_;
 };
 
 }  // namespace concilium::runtime

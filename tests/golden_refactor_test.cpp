@@ -1,12 +1,15 @@
-// Golden seams for the memory-layout and event-API refactors.
+// Golden seams for the memory-layout, event-API and runtime-split
+// refactors.
 //
 // The memory-architecture refactors (flat storage, calendar queue, interned
 // digests, the flat probe tree and bit-packed probe sessions, the CSR
 // oracle and the chunked parallel tree build, shared archives and the
 // digest record that gates the equivocation scan, member-indexed ring
-// archives), the move of every runtime event onto EventSim's POD queue and
-// the one-event snapshot fan-out with its per-seal signature verdict must
-// be behaviour-preserving: routes, overlay trees, verdicts, generated
+// archives), the move of every runtime event onto EventSim's POD queue,
+// the one-event snapshot fan-out with its per-seal signature verdict, and
+// the split of runtime::Cluster into five state-owning parts (a crash now
+// being each part forgetting its own node state) must be
+// behaviour-preserving: routes, overlay trees, verdicts, generated
 // topologies, probing results, whole cluster runs, lossless and lossy, and
 // filed equivocation proofs are required to come out byte-identical before
 // and after.

@@ -156,9 +156,16 @@ TEST(ClusterRecovery, JournaledEpochSurvivesRestartWithoutEquivocating) {
     Cluster cluster = world.make_cluster();
     cluster.set_chaos(&plan);
     cluster.start();
+    // The crash erases the victim's archive; the restart refills it.
+    world.sim.run_until(6 * kMinute - 1);
+    EXPECT_GT(cluster.archive(victim).size(), 0u);
+    world.sim.run_until(6 * kMinute);
+    ASSERT_TRUE(cluster.is_crashed(victim));
+    EXPECT_EQ(cluster.archive(victim).size(), 0u);
     // Long enough for several snapshot publications on both sides of the
     // crash/restart cycle.
     world.sim.run_until(20 * kMinute);
+    EXPECT_GT(cluster.archive(victim).size(), 0u);
 
     // The journal checkpointed epochs beyond the initial one, and the
     // restarted node resumed above them.
@@ -241,7 +248,7 @@ TEST(ClusterRecovery, PartitionBlocksCrossCutTrafficThenHealsAndDelivers) {
 
 // A churn window that ends inside a crash must not revive the node: a
 // rejoin leaves a crashed node down, wiped state and all, and only
-// restart_node brings it back.
+// the restart brings it back.
 TEST(ClusterRecovery, ChurnRejoinDuringACrashLeavesTheNodeDown) {
     RecoveryWorld world;
     const MemberIndex node = 5;

@@ -12,8 +12,8 @@ The event contract (DESIGN.md, "POD event records"): every simulation event
 is a POD record on EventSim's queue, so scheduling never allocates.  A
 std::function in src/net/ or src/runtime/ is a closure the hot path could
 start carrying again, so it too must be a sanctioned boundary.  The one
-boundary today is runtime::Cluster::CompletionFn, the caller-facing
-completion callback stored once per message.
+boundary today is runtime::CompletionFn (Cluster::CompletionFn), the
+caller-facing completion callback stored once per message.
 
 The metrics contract (OBSERVABILITY.md): an instrument is looked up by
 name once and then updated through the reference.  A by-name lookup takes

@@ -4,7 +4,9 @@
 Four artifacts name the metrics instruments and they drift independently:
 
   1. literal registration sites -- counter("...") / gauge("...") /
-     histogram("...") / series("...") calls in src/ and bench/
+     histogram("...") / series("...") calls in src/ and bench/, and the
+     metrics the kStatTable[] rows in src/runtime/owners.h mirror (each
+     stat count adds to its row's mirror through one cached lookup)
   2. the kWellKnown[] / kWellKnownSeries[] catalogue in src/util/metrics.cpp
      (pre-registers every instrument so snapshots never omit a namespace)
   3. tools/metrics_schema_keys.txt (the exact key set check_metrics.py
@@ -41,6 +43,10 @@ CATALOGUE_ENTRY = re.compile(
 
 SERIES_ENTRY = re.compile(r"\{\"([^\"]+)\"")
 
+# A mirrored metric name inside a kStatTable[] row.
+MIRROR = re.compile(r"\"([a-z0-9_]+(?:\.[a-z0-9_]+)+)\"")
+STAT_TABLE = "src/runtime/owners.h"
+
 
 def scrape_registrations(root):
     names = {}
@@ -54,6 +60,18 @@ def scrape_registrations(root):
             for m in REGISTRATION.finditer(text):
                 names.setdefault(m.group(1), path.relative_to(root))
     return names
+
+
+def scrape_stat_mirrors(root):
+    text = (root / STAT_TABLE).read_text(encoding="utf-8")
+    start = text.find("kStatTable[]")
+    end = text.find("};", start)
+    if start < 0 or end < 0:
+        die(f"{STAT_TABLE}: cannot locate kStatTable[]")
+    mirrors = [m.group(1) for m in MIRROR.finditer(text[start:end])]
+    if not mirrors:
+        die(f"{STAT_TABLE}: kStatTable[] parse came up empty")
+    return mirrors
 
 
 def parse_catalogue(root):
@@ -95,6 +113,9 @@ def parse_schema(root):
 def main(argv):
     root = pathlib.Path(argv[1] if len(argv) > 1 else ".").resolve()
     registrations = scrape_registrations(root)
+    mirrors = scrape_stat_mirrors(root)
+    for name in mirrors:
+        registrations.setdefault(name, pathlib.Path(STAT_TABLE))
     deterministic, timing, series = parse_catalogue(root)
     catalogue = deterministic | timing | series
     schema = parse_schema(root)
@@ -123,8 +144,8 @@ def main(argv):
             f"{undocumented}")
 
     print(f"check_instrument_names: ok ({len(registrations)} registration "
-          f"sites, {len(catalogue)} catalogued instruments, "
-          f"{len(prefixes)} documented namespaces)")
+          f"sites, {len(mirrors)} stat mirrors, {len(catalogue)} catalogued "
+          f"instruments, {len(prefixes)} documented namespaces)")
 
 
 if __name__ == "__main__":
