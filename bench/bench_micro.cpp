@@ -201,10 +201,11 @@ void BM_HeavyweightSession(benchmark::State& state) {
     // One heavyweight session (100 stripes 50 ms apart, Cluster's default)
     // over a real Transport on a 48-leaf tree, the sampler asking the
     // transport for windows as Cluster does.  Every fourth tree link is
-    // down: with range(0) == 0 for the whole session (links stable, the
-    // rows after the first are word copies); with 1 from a staggered
-    // instant 1 s in until 3 s, so each of those links is asked about again
-    // twice and the stripes at its changes take the full forward pass.
+    // down: with range(0) == 0 for the whole session (links stable, one
+    // run that the first stripe opens and one append extends); with 1 from
+    // a staggered instant 1 s in until 3 s, so each of those links is asked
+    // about again twice and the stripes at its changes take the full
+    // forward pass.
     util::Rng rng(12);
     const auto topo = net::generate_topology(net::small_params(), rng);
     const auto hosts = topo.end_hosts();
@@ -225,7 +226,7 @@ void BM_HeavyweightSession(benchmark::State& state) {
                                    : net::DownInterval{0, 10 * util::kSecond});
     }
     timeline.finalize();
-    const net::Transport transport(timeline, util::Rng(13));
+    net::Transport transport(timeline, util::Rng(13));
     const tomography::HeavyweightParams params{.probe_count = 100};
     for (auto _ : state) {
         benchmark::DoNotOptimize(tomography::run_heavyweight_session(

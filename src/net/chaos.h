@@ -21,6 +21,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -175,6 +176,13 @@ struct FaultPlan {
     /// holds: 0 while a flap or outage has the link down, otherwise one
     /// minus the spike loss.
     [[nodiscard]] PassWindow pass_window(LinkId link, util::SimTime t) const;
+
+    /// One past the highest link id with a down interval or a loss spike:
+    /// every link at or beyond it always passes.  Valid once finalized.
+    [[nodiscard]] std::size_t link_bound() const noexcept {
+        return std::max(downs.link_bound(),
+                        step_begin_.empty() ? 0 : step_begin_.size() - 1);
+    }
 
     [[nodiscard]] bool has_packet_effects() const noexcept {
         return reorder_rate > 0.0 || duplicate_rate > 0.0;

@@ -88,6 +88,12 @@ class FailureTimeline {
 
     [[nodiscard]] const std::vector<DownInterval>& intervals(LinkId link) const;
 
+    /// One past the highest link id with a recorded down interval: every
+    /// link at or beyond it is always up.
+    [[nodiscard]] std::size_t link_bound() const noexcept {
+        return down_.size();
+    }
+
   private:
     /// Dense by LinkId (link ids are compact topology indices); links with
     /// no recorded failure hold an empty vector.  The traversal sampler asks

@@ -6,7 +6,24 @@
 
 namespace concilium::net {
 
-PassWindow Transport::pass_window(LinkId link, util::SimTime t) const {
+PassWindow Transport::pass_window(LinkId link, util::SimTime t) {
+    if (link >= memo_.size()) return compose(link, t);
+    Memo& m = memo_[link];
+    if (m.from <= t && t < m.until) return {m.probability, m.until};
+    const PassWindow w = compose(link, t);
+    m = {t, w.until, w.probability};
+    return w;
+}
+
+void Transport::set_chaos(const FaultPlan* plan) {
+    chaos_ = plan;
+    const std::size_t links = std::max(
+        timeline_->link_bound(),
+        plan == nullptr ? std::size_t{0} : plan->link_bound());
+    memo_.assign(links, Memo{});
+}
+
+PassWindow Transport::compose(LinkId link, util::SimTime t) const {
     const PassWindow scenario = timeline_->pass_window(link, t);
     if (scenario.probability == 0.0) return scenario;
     PassWindow w{1.0 - params_.healthy_link_loss, scenario.until};

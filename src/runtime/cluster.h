@@ -61,7 +61,7 @@ class Cluster {
     /// snapshot_retry); probe acknowledgments drop at ack_drop_rate; and
     /// forwarded packets may be reordered or duplicated.  Call before
     /// start().  The plan must outlive the cluster; nullptr detaches.
-    void set_chaos(const net::FaultPlan* plan) noexcept {
+    void set_chaos(const net::FaultPlan* plan) {
         s_.chaos = plan;
         s_.transport.set_chaos(plan);
     }

@@ -102,18 +102,33 @@ InferenceResult infer_link_loss(const ProbeTree& tree,
     };
 
     // gamma_hat[k]: fraction of stripes with a (nonce-valid) ack from some
-    // leaf in k's subtree.  A pass-through router's subtree holds exactly
-    // its only child's leaves, so bottom-up it copies the child's gamma.
+    // leaf in k's subtree, each run counted once per stripe it holds.  A
+    // logical leaf's subtree is its own slot, so its count is the slot's
+    // ack count, which one pass over the runs gives for every slot; the
+    // root and branch points test their subtree mask against each run.  A
+    // pass-through router's subtree holds exactly its only child's leaves,
+    // so bottom-up it copies the child's gamma.
+    const std::vector<int> acks = probes.ack_counts();
+    const auto own_gamma = [&](std::size_t k) {
+        const auto slot = static_cast<std::size_t>(leaf_slot[k]);
+        return static_cast<double>(acks[slot]) / stripes;
+    };
     std::vector<double> gamma(n);
     for (std::size_t k = n; k-- > 0;) {
         if (!is_logical(k)) {
             gamma[k] = gamma[static_cast<std::size_t>(first_child[k])];
             continue;
         }
-        int hits = 0;
-        for (std::size_t i = 0; i < probes.size(); ++i) {
-            const auto acks = probes.row(ProbePlane::kValidAck, i);
-            hits += rows_meet(acks, tree.subtree_leaves(k)) ? 1 : 0;
+        if (first_child[k] < 0 && leaf_slot[k] != ProbeTree::kNoLeaf) {
+            gamma[k] = own_gamma(k);
+            continue;
+        }
+        const auto mask = tree.subtree_leaves(k);
+        std::size_t hits = 0;
+        for (std::size_t r = 0; r < probes.runs(); ++r) {
+            if (rows_meet(probes.run_row(ProbePlane::kValidAck, r), mask)) {
+                hits += probes.run_stripes(r);
+            }
         }
         gamma[k] = static_cast<double>(hits) / stripes;
     }
@@ -154,12 +169,7 @@ InferenceResult infer_link_loss(const ProbeTree& tree,
             if (leaf_slot[k] != ProbeTree::kNoLeaf) {
                 // A probed interior endpoint: its own acks behave like a
                 // zero-loss virtual child, solved last.
-                const auto slot = static_cast<std::size_t>(leaf_slot[k]);
-                int own = 0;
-                for (std::size_t i = 0; i < probes.size(); ++i) {
-                    own += probes.test(ProbePlane::kValidAck, i, slot) ? 1 : 0;
-                }
-                child_gammas.push_back(static_cast<double>(own) / stripes);
+                child_gammas.push_back(own_gamma(k));
             }
             a_k = child_gammas.size() >= 2
                       ? solve_branch(gamma[k], child_gammas)

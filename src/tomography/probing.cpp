@@ -19,6 +19,7 @@ void count_probes(const ProbeMatrix& m) {
     using util::metrics::Registry;
     static auto& stripes =
         Registry::global().counter("tomography.stripes_sampled");
+    static auto& runs = Registry::global().counter("tomography.stripe_runs");
     static auto& issued =
         Registry::global().counter("tomography.probes_issued");
     static auto& lost = Registry::global().counter("tomography.probes_lost");
@@ -28,15 +29,17 @@ void count_probes(const ProbeMatrix& m) {
     static auto& fabricated =
         Registry::global().counter("tomography.acks_fabricated");
     std::int64_t ones[3] = {0, 0, 0};  // per plane
-    for (std::size_t i = 0; i < m.size(); ++i) {
+    for (std::size_t r = 0; r < m.runs(); ++r) {
+        const auto weight = static_cast<std::int64_t>(m.run_stripes(r));
         for (const ProbePlane p : {kReceived, kValidAck, kFabricatedAck}) {
-            for (const std::uint64_t w : m.row(p, i)) {
-                ones[static_cast<int>(p)] += std::popcount(w);
+            for (const std::uint64_t w : m.run_row(p, r)) {
+                ones[static_cast<int>(p)] += weight * std::popcount(w);
             }
         }
     }
     const auto probes = static_cast<std::int64_t>(m.size() * m.leaf_count());
     stripes.add(static_cast<std::int64_t>(m.size()));
+    runs.add(static_cast<std::int64_t>(m.runs()));
     issued.add(probes);
     lost.add(probes - ones[0]);
     acks.add(ones[1]);
@@ -59,7 +62,14 @@ ProbeMatrix sample_stripes(const ProbeTree& tree,
     const auto parent = tree.parent();
     const auto via = tree.via();
     const auto leaf_slot = tree.leaf_slot();
-    ProbeMatrix out(count, leaves);
+    ProbeMatrix out(leaves);
+    // The stripe being drawn: its received, valid-ack and fabricated-ack
+    // rows, in the matrix's plane order.
+    const std::size_t words = out.words();
+    std::vector<std::uint64_t> rows(3 * words, 0);
+    const std::span<std::uint64_t> received(rows.data(), words);
+    const std::span<std::uint64_t> valid(rows.data() + words, words);
+    const std::span<std::uint64_t> fabricated(rows.data() + 2 * words, words);
     // Leaves that may suppress or fabricate; every other leaf acks exactly
     // the probes it received and draws nothing.
     std::vector<std::uint32_t> misbehaving;
@@ -81,16 +91,28 @@ ProbeMatrix sample_stripes(const ProbeTree& tree,
         net::PassWindow{1.0, std::numeric_limits<util::SimTime>::min()});
     util::SimTime next_expiry = std::numeric_limits<util::SimTime>::min();
     bool any_drawn = false;
-    for (std::size_t i = 0; i < count; ++i) {
+    bool leaves_drew = false;
+    for (std::size_t i = 0; i < count;) {
         const util::SimTime t = t0 + static_cast<util::SimTime>(i) * spacing;
-        const auto received = out.row(kReceived, i);
-        const auto valid = out.row(kValidAck, i);
-        const auto fabricated = out.row(kFabricatedAck, i);
-
-        if (t < next_expiry && !any_drawn) {
-            const auto previous = out.row(kReceived, i - 1);
-            std::copy(previous.begin(), previous.end(), received.begin());
-        } else {
+        // Below the earliest window end, in a tree where no link draws, the
+        // stripe reaches what the previous one did, still in `received`.
+        const bool received_again = t < next_expiry && !any_drawn;
+        if (received_again && !leaves_drew) {
+            // Nothing can draw before the earliest window end, so every
+            // stripe until then repeats the last one: extend its run by
+            // all of them at once.
+            std::size_t same = count - i;
+            if (spacing > 0 &&
+                t + static_cast<util::SimTime>(same - 1) * spacing >=
+                    next_expiry) {
+                same = static_cast<std::size_t>(
+                    (next_expiry - t + spacing - 1) / spacing);
+            }
+            out.append(rows, same);
+            i += same;
+            continue;
+        }
+        if (!received_again) {
             // One Bernoulli draw per tree link, in links() order, models the
             // stripe's multicast emulation: packets issued back to back
             // share interior fate.  Rng::bernoulli draws only for a
@@ -98,6 +120,7 @@ ProbeMatrix sample_stripes(const ProbeTree& tree,
             // children, so a node is reached iff its parent was and its own
             // link passed.  A link is asked about again only once its
             // window has ended.
+            std::fill(received.begin(), received.end(), 0);
             next_expiry = net::kForever;
             any_drawn = false;
             for (std::size_t k = 1; k < reached.size(); ++k) {
@@ -125,25 +148,74 @@ ProbeMatrix sample_stripes(const ProbeTree& tree,
         // Then the leaves answer, in leaf-slot order.  An honest leaf acks
         // what it received; only the misbehaving ones draw.
         std::copy(received.begin(), received.end(), valid.begin());
+        std::fill(fabricated.begin(), fabricated.end(), 0);
+        leaves_drew = false;
         for (const std::uint32_t leaf : misbehaving) {
             const LeafBehavior& b = behaviors[leaf];
             const std::uint64_t bit = std::uint64_t{1} << (leaf % 64);
             if (test_bit(received, leaf)) {
-                if (rng.bernoulli(b.suppress_ack_probability)) {
-                    valid[leaf / 64] &= ~bit;
-                }
+                const double p = b.suppress_ack_probability;
+                leaves_drew = leaves_drew || (p > 0.0 && p < 1.0);
+                if (rng.bernoulli(p)) valid[leaf / 64] &= ~bit;
             } else if (b.fabricate_acks) {
                 // The nonce travelled inside the lost probe; a fabricated
                 // ack cannot echo it (Section 3.3).
                 fabricated[leaf / 64] |= bit;
             }
         }
+        out.append(rows);
+        ++i;
     }
     count_probes(out);
     return out;
 }
 
 }  // namespace
+
+std::vector<int> ProbeMatrix::ack_counts() const {
+    std::vector<int> counts(leaves_, 0);
+    for (std::size_t r = 0; r < runs(); ++r) {
+        const auto acks = run_row(kValidAck, r);
+        const auto weight = static_cast<int>(run_stripes(r));
+        for (std::size_t w = 0; w < acks.size(); ++w) {
+            for (auto bits = acks[w]; bits != 0; bits &= bits - 1) {
+                counts[64 * w + std::countr_zero(bits)] += weight;
+            }
+        }
+    }
+    return counts;
+}
+
+std::span<const std::uint64_t> ProbeMatrix::row(
+    ProbePlane p, std::size_t stripe) const noexcept {
+    // The first run whose end lies past the stripe.
+    const auto end =
+        std::upper_bound(bounds_.begin() + 1, bounds_.end(), stripe);
+    return run_row(p, static_cast<std::size_t>(end - bounds_.begin() - 1));
+}
+
+void ProbeMatrix::append(std::span<const std::uint64_t> rows,
+                         std::size_t stripes) {
+    if (rows.size() != 3 * words_) {
+        throw std::invalid_argument("ProbeMatrix::append: rows are " +
+                                    std::to_string(rows.size()) +
+                                    " words, expected " +
+                                    std::to_string(3 * words_));
+    }
+    if (stripes == 0) return;
+    if (runs() > 0 &&
+        std::equal(rows.begin(), rows.end(),
+                   bits_.end() - static_cast<std::ptrdiff_t>(rows.size()))) {
+        bounds_.back() += stripes;
+        return;
+    }
+    if (bounds_.empty()) {
+        bounds_.reserve(2);
+        bounds_.push_back(0);
+    }
+    bits_.insert(bits_.end(), rows.begin(), rows.end());
+    bounds_.push_back(bounds_.back() + stripes);
+}
 
 void ProbeMatrix::require_width(std::size_t leaves, const char* caller) const {
     if (leaves_ != leaves) {
@@ -185,15 +257,7 @@ HeavyweightResult run_heavyweight_session(
     result.started_at = t0;
     result.finished_at = t0 + params.probe_count * params.spacing;
 
-    result.ack_counts.assign(tree.leaves().size(), 0);
-    for (std::size_t i = 0; i < result.probes.size(); ++i) {
-        const auto acks = result.probes.row(kValidAck, i);
-        for (std::size_t w = 0; w < acks.size(); ++w) {
-            for (auto bits = acks[w]; bits != 0; bits &= bits - 1) {
-                ++result.ack_counts[64 * w + std::countr_zero(bits)];
-            }
-        }
-    }
+    result.ack_counts = result.probes.ack_counts();
     return result;
 }
 
@@ -217,8 +281,9 @@ LightweightResult run_lightweight_probe(
         }
         const auto stripe = sample_striped_probe(
             tree, pass_probability, t + r * util::kSecond, behaviors, rng);
+        const auto acks = stripe.run_row(kValidAck, 0);  // its only run
         for (std::size_t leaf = 0; leaf < n; ++leaf) {
-            if (stripe.test(kValidAck, 0, leaf)) responsive[leaf] = true;
+            if (test_bit(acks, leaf)) responsive[leaf] = true;
         }
     }
     return LightweightResult{std::move(responsive)};

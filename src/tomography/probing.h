@@ -12,8 +12,10 @@
 // ones (Section 3.3) -- fabricated acks carry an invalid nonce because the
 // nonce travelled only inside the lost probe.
 //
-// The outcomes of a run of stripes are one bit-packed stripe x leaf matrix
-// (ProbeMatrix), so the feedback checks and MINC read whole 64-leaf words.
+// The outcomes of a session are one bit-packed, run-length stripe x leaf
+// matrix (ProbeMatrix): consecutive stripes with equal rows are stored
+// once, so the feedback checks and MINC read whole 64-leaf words once per
+// link-state change rather than once per stripe.
 
 #pragma once
 
@@ -72,47 +74,75 @@ enum class ProbePlane : std::uint8_t {
     kFabricatedAck,  ///< the root saw an ack with an invalid nonce
 };
 
-/// Outcomes of a run of stripes for every leaf of one tree: per plane, one
-/// row of leaf-slot bits per stripe, ceil(leaves / 64) words per row.  A
-/// leaf's ack is valid or fabricated, never both, and the bits past the
-/// last leaf of a row are always zero.
+/// Outcomes of a session's stripes for every leaf of one tree, run-length
+/// encoded.  A run is a maximal stretch of consecutive stripes whose
+/// received, valid-ack and fabricated-ack rows are all equal, so no two
+/// adjacent runs are equal.  The matrix stores one row of leaf-slot bits
+/// per plane per run, ceil(leaves / 64) words each, and the stripes each
+/// run spans.  A leaf's ack is valid or fabricated, never both, and the bits
+/// past the last leaf of a row are always zero.  Consumers weight each run
+/// by its stripe count, so every count they take is the integer a
+/// stripe-by-stripe walk would take.
 class ProbeMatrix {
   public:
     ProbeMatrix() = default;
-    ProbeMatrix(std::size_t stripes, std::size_t leaves)
-        : stripes_(stripes), leaves_(leaves), words_((leaves + 63) / 64),
-          bits_(3 * stripes * words_, 0) {}
+    /// An empty session whose rows are `leaves` bits wide; append() adds
+    /// its stripes.
+    explicit ProbeMatrix(std::size_t leaves)
+        : leaves_(leaves), words_((leaves + 63) / 64) {}
 
     /// Number of stripes.
-    [[nodiscard]] std::size_t size() const noexcept { return stripes_; }
+    [[nodiscard]] std::size_t size() const noexcept {
+        return bounds_.empty() ? 0 : bounds_.back();
+    }
     [[nodiscard]] std::size_t leaf_count() const noexcept { return leaves_; }
     [[nodiscard]] std::size_t words() const noexcept { return words_; }
 
-    /// One stripe's row of one plane.
+    /// Number of runs.
+    [[nodiscard]] std::size_t runs() const noexcept {
+        return bounds_.empty() ? 0 : bounds_.size() - 1;
+    }
+    /// Stripes in run r (at least one).
+    [[nodiscard]] std::size_t run_stripes(std::size_t r) const noexcept {
+        return bounds_[r + 1] - bounds_[r];
+    }
+    /// Run r's row of one plane, which each of its stripes shares.
+    [[nodiscard]] std::span<const std::uint64_t> run_row(
+        ProbePlane p, std::size_t r) const noexcept {
+        return {bits_.data() + (3 * r + static_cast<std::size_t>(p)) * words_,
+                words_};
+    }
+
+    /// Per leaf slot, the stripes whose ack was nonce-valid.
+    [[nodiscard]] std::vector<int> ack_counts() const;
+
+    /// One stripe's row of one plane: its run's row, the run found by
+    /// binary search over the run ends.
     [[nodiscard]] std::span<const std::uint64_t> row(
-        ProbePlane p, std::size_t stripe) const noexcept {
-        const auto plane = static_cast<std::size_t>(p);
-        return {bits_.data() + (plane * stripes_ + stripe) * words_, words_};
-    }
-    [[nodiscard]] std::span<std::uint64_t> row(ProbePlane p,
-                                               std::size_t stripe) noexcept {
-        const auto plane = static_cast<std::size_t>(p);
-        return {bits_.data() + (plane * stripes_ + stripe) * words_, words_};
-    }
+        ProbePlane p, std::size_t stripe) const noexcept;
     [[nodiscard]] bool test(ProbePlane p, std::size_t stripe,
                             std::size_t leaf) const noexcept {
         return test_bit(row(p, stripe), leaf);
     }
+
+    /// Appends `stripes` stripes whose rows are `rows`: the received,
+    /// valid-ack and fabricated-ack rows in plane order, words() words
+    /// each.  They extend the last run when its rows equal `rows` and
+    /// start a new run otherwise.  Throws std::invalid_argument on a
+    /// wrongly sized `rows`.
+    void append(std::span<const std::uint64_t> rows, std::size_t stripes = 1);
 
     /// Throws std::invalid_argument, naming `caller`, unless the rows are
     /// `leaves` bits wide.
     void require_width(std::size_t leaves, const char* caller) const;
 
   private:
-    std::size_t stripes_ = 0;
     std::size_t leaves_ = 0;
     std::size_t words_ = 0;
-    std::vector<std::uint64_t> bits_;  ///< [plane][stripe][word]
+    std::vector<std::uint64_t> bits_;  ///< [run][plane][word]
+    /// Run r holds stripes [bounds_[r], bounds_[r + 1]); empty until the
+    /// first append, then {0, run ends...}.
+    std::vector<std::size_t> bounds_;
 };
 
 /// Samples one striped (multicast-emulating) probe of the tree at time t: a

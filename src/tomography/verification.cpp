@@ -10,8 +10,8 @@ std::vector<bool> detect_fabricators(std::size_t leaf_count,
                                      const ProbeMatrix& probes) {
     probes.require_width(leaf_count, "detect_fabricators");
     std::vector<std::uint64_t> fabricated(probes.words(), 0);
-    for (std::size_t i = 0; i < probes.size(); ++i) {
-        const auto row = probes.row(kFabricatedAck, i);
+    for (std::size_t r = 0; r < probes.runs(); ++r) {
+        const auto row = probes.run_row(kFabricatedAck, r);
         for (std::size_t w = 0; w < row.size(); ++w) fabricated[w] |= row[w];
     }
     std::vector<bool> flagged(leaf_count);
@@ -50,13 +50,15 @@ std::vector<bool> detect_suppressors(const ProbeTree& tree,
         }
         if (!any_sibling) continue;  // no cross-check possible
 
+        // A run counts once per stripe it holds.
         int evidence = 0;
         int acked_given_evidence = 0;
-        for (std::size_t i = 0; i < probes.size(); ++i) {
-            const auto acks = probes.row(kValidAck, i);
+        for (std::size_t r = 0; r < probes.runs(); ++r) {
+            const auto acks = probes.run_row(kValidAck, r);
             if (!rows_meet(acks, siblings)) continue;
-            ++evidence;
-            if (test_bit(acks, leaf)) ++acked_given_evidence;
+            const auto weight = static_cast<int>(probes.run_stripes(r));
+            evidence += weight;
+            if (test_bit(acks, leaf)) acked_given_evidence += weight;
         }
         if (evidence < params.min_evidence) continue;
         const double conditional = static_cast<double>(acked_given_evidence) /
@@ -71,14 +73,25 @@ std::vector<bool> detect_suppressors(const ProbeTree& tree,
 ProbeMatrix exclude_leaves(const ProbeMatrix& probes,
                            const std::vector<bool>& excluded) {
     probes.require_width(excluded.size(), "exclude_leaves");
-    ProbeMatrix out = probes;
+    const std::size_t words = probes.words();
+    std::vector<std::uint64_t> keep(words, ~std::uint64_t{0});
     for (std::size_t leaf = 0; leaf < excluded.size(); ++leaf) {
-        if (!excluded[leaf]) continue;
-        const std::uint64_t keep = ~(std::uint64_t{1} << (leaf % 64));
-        for (std::size_t i = 0; i < out.size(); ++i) {
-            out.row(kValidAck, i)[leaf / 64] &= keep;
-            out.row(kFabricatedAck, i)[leaf / 64] &= keep;
+        if (excluded[leaf]) {
+            keep[leaf / 64] &= ~(std::uint64_t{1} << (leaf % 64));
         }
+    }
+    // Mask each run's feedback; append() merges runs the mask made equal.
+    ProbeMatrix out(probes.leaf_count());
+    std::vector<std::uint64_t> rows(3 * words);
+    for (std::size_t r = 0; r < probes.runs(); ++r) {
+        for (const ProbePlane p : {kReceived, kValidAck, kFabricatedAck}) {
+            const auto in = probes.run_row(p, r);
+            const std::size_t base = static_cast<std::size_t>(p) * words;
+            for (std::size_t w = 0; w < words; ++w) {
+                rows[base + w] = p == kReceived ? in[w] : in[w] & keep[w];
+            }
+        }
+        out.append(rows, probes.run_stripes(r));
     }
     return out;
 }

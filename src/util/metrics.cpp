@@ -135,6 +135,7 @@ constexpr WellKnown kWellKnown[] = {
     {WellKnown::kCounter, "net.packets_dropped"},
     // tomography — probing and MINC inference.
     {WellKnown::kCounter, "tomography.stripes_sampled"},
+    {WellKnown::kCounter, "tomography.stripe_runs"},
     {WellKnown::kCounter, "tomography.probes_issued"},
     {WellKnown::kCounter, "tomography.probes_lost"},
     {WellKnown::kCounter, "tomography.probe_acks"},

@@ -2,15 +2,19 @@
 // and Transport each answer "the probability at t, and until when it
 // holds".  Every window is checked against a brute-force reference that
 // scans the raw intervals and spikes the way the per-instant query did.
+// Transport answers from a per-link memo of the last window it composed,
+// so its queries come in an order that a memo could get wrong.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "net/chaos.h"
 #include "net/link_state.h"
+#include "net/topology.h"
 #include "net/transport.h"
 #include "util/rng.h"
 
@@ -194,6 +198,9 @@ TEST(PassWindow, FaultPlanWindowsMatchBruteForce) {
     }
 }
 
+// Every link's queries, shuffled together, so that times go backwards as
+// well as forwards; each is asked twice in a row, and the second answer
+// (from the memo) equals the first.
 TEST(PassWindow, TransportWindowsMatchBruteForceAndPassProbability) {
     for (const std::uint64_t seed : {1, 2, 3, 4, 5}) {
         const RawWorld w = random_world(seed);
@@ -203,21 +210,87 @@ TEST(PassWindow, TransportWindowsMatchBruteForceAndPassProbability) {
                             TransportParams{.healthy_link_loss =
                                                 w.healthy_loss});
         transport.set_chaos(&plan);
+        std::vector<std::pair<LinkId, util::SimTime>> queries;
         for (LinkId l = 0; l < 10; ++l) {
             for (const util::SimTime t : query_times(w, l)) {
-                const PassWindow window = transport.pass_window(l, t);
-                expect_window_holds(window, t, w.breakpoints(l),
-                                    [&](util::SimTime at) {
-                                        return w.transport_pass(l, at);
-                                    });
-                expect_window_holds(window, t, w.breakpoints(l),
-                                    [&](util::SimTime at) {
-                                        return transport.pass_probability(
-                                            l, at);
-                                    });
+                queries.emplace_back(l, t);
+            }
+        }
+        util::Rng order(seed + 100);
+        order.shuffle(queries);
+        for (const auto& [l, t] : queries) {
+            const PassWindow window = transport.pass_window(l, t);
+            const PassWindow again = transport.pass_window(l, t);
+            EXPECT_EQ(again.probability, window.probability);
+            EXPECT_EQ(again.until, window.until);
+            expect_window_holds(window, t, w.breakpoints(l),
+                                [&](util::SimTime at) {
+                                    return w.transport_pass(l, at);
+                                });
+            expect_window_holds(window, t, w.breakpoints(l),
+                                [&](util::SimTime at) {
+                                    return transport.pass_probability(l, at);
+                                });
+        }
+    }
+}
+
+// After each set_chaos, every answer equals a fresh Transport's under the
+// same plan, though the windows composed under the previous plan are still
+// open at the query times.  Link 1 has scenario data, so the memo covers
+// it from construction on.
+TEST(PassWindow, SetChaosStartsTheMemoOver) {
+    FailureTimeline timeline;
+    timeline.add_down(1, {200 * kSecond, 300 * kSecond});
+    timeline.finalize();
+    FaultPlan a;
+    a.downs.add_down(1, {0, 100 * kSecond});
+    a.add_spike({/*link=*/3, 0, 100 * kSecond, 0.25});
+    a.finalize();
+    FaultPlan b;
+    b.add_spike({/*link=*/1, 0, 100 * kSecond, 0.5});
+    b.finalize();
+    Transport transport(timeline, util::Rng(1));
+    const FaultPlan* const plans[] = {&a, nullptr, &b, &a};
+    for (const FaultPlan* plan : plans) {
+        transport.set_chaos(plan);
+        Transport fresh(timeline, util::Rng(1));
+        fresh.set_chaos(plan);
+        for (const LinkId l : {1U, 3U}) {
+            for (const util::SimTime t : {10 * kSecond, 50 * kSecond}) {
+                const PassWindow got = transport.pass_window(l, t);
+                const PassWindow want = fresh.pass_window(l, t);
+                EXPECT_EQ(got.probability, want.probability)
+                    << "link " << l << " t=" << t;
+                EXPECT_EQ(got.until, want.until) << "link " << l << " t=" << t;
             }
         }
     }
+}
+
+// A link beyond everything the timeline and the plan hold never changes:
+// it is composed afresh, and the memo, sized from their data, does not
+// grow to reach it.
+TEST(PassWindow, InvalidLinkBypassesTheMemo) {
+    FailureTimeline timeline;
+    timeline.add_down(2, {0, kSecond});
+    timeline.finalize();
+    FaultPlan plan;
+    plan.add_spike({/*link=*/5, 0, kSecond, 0.5});
+    plan.finalize();
+    Transport transport(timeline, util::Rng(1),
+                        TransportParams{.healthy_link_loss = 0.25});
+    EXPECT_EQ(transport.memo_size(), 3U);
+    transport.set_chaos(&plan);
+    EXPECT_EQ(transport.memo_size(), 6U);
+    for (const LinkId l : {LinkId{6}, kInvalidLink}) {
+        for (const util::SimTime t : {util::SimTime{0}, 5 * kSecond}) {
+            const PassWindow w = transport.pass_window(l, t);
+            EXPECT_EQ(w.probability, 1.0 - 0.25);
+            EXPECT_EQ(w.until, kForever);
+        }
+    }
+    EXPECT_EQ(transport.memo_size(), 6U);
 }
 
 TEST(PassWindow, IntervalStartAndExclusiveEnd) {

@@ -7,6 +7,7 @@
 #include "net/link_state.h"
 #include "net/paths.h"
 #include "net/transport.h"
+#include "probe_reference.h"
 #include "tomography/probing.h"
 #include "tomography/tree.h"
 #include "tomography/verification.h"
@@ -330,6 +331,75 @@ TEST_F(ProbeFixture, WindowedSourceIsAskedAgainOnlyWhenAWindowEnds) {
                      HeavyweightParams{.probe_count = 2, .spacing = -1}, {},
                      rng),
                  std::invalid_argument);
+}
+
+// A session over links that never change is one run, and every stripe
+// accessor answers with that run's rows: from a windowed source, where the
+// sampler extends the run by a window's stripes at once, and from a
+// per-instant one alike.
+TEST_F(ProbeFixture, StableSessionIsOneRun) {
+    net::FailureTimeline timeline;
+    timeline.finalize();
+    net::Transport transport(timeline, util::Rng(23));
+    util::Rng rng(24);
+    const auto check = [&](PassProbabilityFn pass) {
+        const auto session = run_heavyweight_session(
+            *tree, pass, 0, HeavyweightParams{.probe_count = 100}, {}, rng);
+        const ProbeMatrix& m = session.probes;
+        ASSERT_EQ(m.size(), 100U);
+        ASSERT_EQ(m.runs(), 1U);
+        EXPECT_EQ(m.run_stripes(0), 100U);
+        for (std::size_t i = 0; i < m.size(); ++i) {
+            for (const ProbePlane p : reference::kPlanes) {
+                EXPECT_TRUE(std::ranges::equal(m.row(p, i), m.run_row(p, 0)))
+                    << "stripe " << i;
+            }
+        }
+        EXPECT_EQ(session.ack_counts, std::vector<int>(3, 100));
+    };
+    check(transport);
+    check(make_pass_fn());
+}
+
+// A fractional link and a leaf that suppresses at 0.3 make most stripes
+// their own run; every consumer still counts what a walk over the stripes
+// counts (probe_reference.h).
+TEST_F(ProbeFixture, DrawnRunsMatchAStripeByStripeReference) {
+    util::Rng rng(25);
+    const std::vector<LeafBehavior> behaviors{
+        {}, {.suppress_ack_probability = 0.3}, {}};
+    const auto session = reference::expect_runs_match_stripes(
+        *tree, make_pass_fn({{links[3], 0.25}}), 0,
+        HeavyweightParams{.probe_count = 100}, behaviors, rng);
+    const ProbeMatrix& m = session.probes;
+    EXPECT_GT(m.runs(), m.size() / 2);
+    // Silencing the suppressor merges runs that only its acks told apart.
+    EXPECT_LT(exclude_leaves(m, {false, true, false}).runs(), m.runs());
+}
+
+// A link that goes down mid-session and comes back splits the session into
+// three runs, and the leaf behind it fabricates acks only in the middle
+// one.
+TEST_F(ProbeFixture, LinkDownMidSessionMatchesAStripeByStripeReference) {
+    using util::kMillisecond;
+    using util::kSecond;
+    net::FailureTimeline timeline;
+    timeline.add_down(links[1], {2500 * kMillisecond, 4 * kSecond});
+    timeline.finalize();
+    net::Transport transport(timeline, util::Rng(26));
+    const std::vector<LeafBehavior> behaviors{{.fabricate_acks = true}, {}, {}};
+    util::Rng rng(27);
+    const auto session = reference::expect_runs_match_stripes(
+        *tree, transport, 0, HeavyweightParams{.probe_count = 100}, behaviors,
+        rng);
+    const ProbeMatrix& m = session.probes;
+    ASSERT_EQ(m.runs(), 3U);
+    EXPECT_EQ(m.run_stripes(0), 50U);
+    EXPECT_EQ(m.run_stripes(1), 30U);
+    EXPECT_EQ(m.run_stripes(2), 20U);
+    EXPECT_FALSE(test_bit(m.run_row(kFabricatedAck, 0), 0));
+    EXPECT_TRUE(test_bit(m.run_row(kFabricatedAck, 1), 0));
+    EXPECT_EQ(session.ack_counts, (std::vector<int>{70, 70, 100}));
 }
 
 }  // namespace

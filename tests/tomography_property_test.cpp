@@ -1,13 +1,18 @@
 // Property sweeps for the tomography stack: MINC inference on randomly
 // generated trees with randomly placed loss must recover the planted rates
-// on identifiable links, and overlay tree construction must be consistent
+// on identifiable links, run-length sessions must count what a walk over
+// their stripes counts, and overlay tree construction must be consistent
 // with the overlay's routing state.
 
 #include <gtest/gtest.h>
 
 #include <unordered_map>
+#include <utility>
 
+#include "net/chaos.h"
 #include "net/topology_gen.h"
+#include "net/transport.h"
+#include "probe_reference.h"
 #include "tomography/inference.h"
 #include "tomography/overlay_trees.h"
 #include "tomography/probing.h"
@@ -110,6 +115,59 @@ TEST_P(MincRandomTreeProperty, CleanTreeInfersClean) {
     for (const auto& e : result.links) {
         EXPECT_NEAR(e.loss, 0.0, 1e-9);
         EXPECT_TRUE(e.observable);
+    }
+}
+
+// Sessions through a Transport on random trees, with random leaf
+// behaviours and random scenario downs, chaos downs and loss spikes that
+// start and end mid-session: the runs are maximal, and ack counts, both
+// feedback checks, exclusion, MINC and the probe counters equal the
+// stripe-by-stripe reference (probe_reference.h).
+TEST_P(MincRandomTreeProperty, RunsMatchAStripeByStripeReference) {
+    const auto [branch, depth, seed] = GetParam();
+    util::Rng rng(static_cast<std::uint64_t>(seed) * 15485863 + 29);
+    RandomTree world(branch, depth, rng);
+    const auto& tree = *world.tree;
+    if (tree.leaves().empty()) GTEST_SKIP();
+    constexpr util::SimTime kMs = util::kMillisecond;
+    const auto links = tree.links();
+    const auto random_link = [&] {
+        return links[rng.uniform_index(links.size())];
+    };
+    // A random stretch inside the five 5-s sessions below.
+    const auto stretch = [&](std::int64_t max_ms) {
+        const util::SimTime start = rng.uniform_int(0, 25'000) * kMs;
+        return std::pair{start, start + rng.uniform_int(1, max_ms) * kMs};
+    };
+    net::FailureTimeline timeline;
+    net::FaultPlan plan;
+    for (int i = 0; i < 3; ++i) {
+        const auto [down_start, down_end] = stretch(4'000);
+        timeline.add_down(random_link(), {down_start, down_end});
+        const auto [flap_start, flap_end] = stretch(4'000);
+        plan.downs.add_down(random_link(), {flap_start, flap_end});
+        const auto [spike_start, spike_end] = stretch(6'000);
+        plan.add_spike({random_link(), spike_start, spike_end,
+                        rng.uniform(0.05, 0.5)});
+    }
+    timeline.finalize();
+    plan.finalize();
+    net::Transport transport(
+        timeline, util::Rng(static_cast<std::uint64_t>(seed)),
+        net::TransportParams{.healthy_link_loss = seed == 3 ? 0.02 : 0.0});
+    transport.set_chaos(&plan);
+    std::vector<LeafBehavior> behaviors(tree.leaves().size());
+    for (LeafBehavior& b : behaviors) {
+        if (rng.bernoulli(0.2)) {
+            b.suppress_ack_probability =
+                rng.bernoulli(0.5) ? 1.0 : rng.uniform(0.1, 0.9);
+        }
+        b.fabricate_acks = rng.bernoulli(0.15);
+    }
+    for (int k = 0; k < 5; ++k) {
+        reference::expect_runs_match_stripes(
+            tree, transport, k * 5 * util::kSecond,
+            HeavyweightParams{.probe_count = 100}, behaviors, rng);
     }
 }
 
