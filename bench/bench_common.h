@@ -14,7 +14,6 @@
 #pragma once
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -36,6 +35,7 @@
 #include "sim/scenario.h"
 #include "util/json.h"
 #include "util/metrics.h"
+#include "util/rate_spec.h"
 #include "util/spans.h"
 
 namespace concilium::bench {
@@ -208,24 +208,16 @@ struct TrialOut {
     }
 };
 
-/// Strict non-negative integer parse; rejects the empty string, trailing
-/// junk, signs, and overflow (strtoull would silently yield 0 or wrap).
+/// A count flag's value through util::parse_number (the whole token, no
+/// sign, no overflow); a bad one prints the reason and exits 2 with usage.
 inline std::uint64_t parse_u64(const char* argv0, const char* flag,
                                const char* text) {
-    if (text[0] == '\0' || text[0] == '-' || text[0] == '+') {
-        std::fprintf(stderr, "%s: expected a non-negative integer, got '%s'\n",
-                     flag, text);
+    try {
+        return util::parse_number<std::uint64_t>(flag, text, 0, UINT64_MAX);
+    } catch (const std::invalid_argument& e) {
+        std::fprintf(stderr, "%s\n", e.what());
         usage(argv0);
     }
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long value = std::strtoull(text, &end, 10);
-    if (end == text || *end != '\0' || errno == ERANGE) {
-        std::fprintf(stderr, "%s: expected a non-negative integer, got '%s'\n",
-                     flag, text);
-        usage(argv0);
-    }
-    return value;
 }
 
 /// Bench-specific flag hook for parse_args: called with the current argv

@@ -49,7 +49,8 @@ int main(int argc, char** argv) {
             }
             if (std::strcmp(arg_values[i], "--io-faults-seed") == 0 &&
                 i + 1 < arg_count) {
-                io_faults_seed = std::strtoull(arg_values[++i], nullptr, 10);
+                io_faults_seed = bench::parse_u64(
+                    arg_values[0], "--io-faults-seed", arg_values[++i]);
                 return true;
             }
             return false;

@@ -9,6 +9,11 @@ namespace concilium::core {
 
 namespace {
 
+/// Availability probes run at least once a minute or two; an entry's
+/// freshness timestamp much older than a probe period plus dissemination
+/// slack is stale.
+constexpr util::SimTime kMaxEntryAge = 5 * util::kMinute;
+
 // Validation outcomes live in the `overlay.` namespace: they describe the
 // overlay's routing-state exchange, regardless of which layer runs the check.
 void record_validation_outcome(AdvertisementCheck check) {
@@ -120,7 +125,7 @@ AdvertisementCheck validate_advertisement(
                                              registry)) {
             return AdvertisementCheck::kBadEntryTimestamp;
         }
-        if (now - e.freshness.at > params.max_entry_age) {
+        if (now - e.freshness.at > kMaxEntryAge) {
             return AdvertisementCheck::kStaleEntry;
         }
     }
@@ -173,7 +178,7 @@ AdvertisementCheck validate_leaf_advertisement(
                                                  registry)) {
                 return AdvertisementCheck::kBadEntryTimestamp;
             }
-            if (now - e.freshness.at > params.max_entry_age) {
+            if (now - e.freshness.at > kMaxEntryAge) {
                 return AdvertisementCheck::kStaleEntry;
             }
         }

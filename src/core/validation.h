@@ -40,9 +40,6 @@ struct ValidationParams {
     /// Density-test threshold; Section 4.1 chooses it from the analytic
     /// error model.
     double gamma = 1.5;
-    /// Availability probes run at least once a minute or two; anything much
-    /// older than a probe period plus dissemination slack is stale.
-    util::SimTime max_entry_age = 5 * util::kMinute;
 };
 
 /// Full validation pipeline for one advertisement, judged against the local

@@ -8,17 +8,22 @@
 // matters -- the next start on the same checkpoint directory replays and
 // resumes, byte-identical to a run that was never interrupted.
 
+#include <climits>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "daemon/daemon.h"
 #include "daemon/http.h"
 #include "daemon/workload.h"
 #include "util/metrics.h"
+#include "util/rate_spec.h"
 #include "util/spans.h"
 
 namespace {
@@ -84,10 +89,12 @@ int main(int argc, char** argv) {
     std::string io_fault_at;
     std::string io_ops_out;
     std::uint64_t io_faults_seed = 0;
-    long http_port = -1;  // -1 = no server
+    std::optional<std::uint16_t> http_port;  // empty = no server
     int pace_ms = 0;
     daemon::DaemonOptions opts;
 
+    // The most whole sim seconds a SimTime (in microseconds) can hold.
+    constexpr std::uint64_t kMaxSeconds = INT64_MAX / util::kSecond;
     for (int i = 1; i < argc; ++i) {
         const std::string_view arg = argv[i];
         const auto value = [&]() -> const char* {
@@ -98,20 +105,32 @@ int main(int argc, char** argv) {
             }
             return argv[++i];
         };
+        const auto count = [&](std::uint64_t lo, std::uint64_t hi) {
+            try {
+                return util::parse_number(arg, value(), lo, hi);
+            } catch (const std::invalid_argument& e) {
+                std::fprintf(stderr, "conciliumd: %s\n", e.what());
+                std::exit(usage(argv[0]));
+            }
+        };
+        const auto seconds = [&](std::uint64_t lo) {
+            return static_cast<util::SimTime>(count(lo, kMaxSeconds)) *
+                   util::kSecond;
+        };
         if (arg == "--trace") {
             trace_path = value();
         } else if (arg == "--checkpoint-dir") {
             checkpoint_dir = value();
         } else if (arg == "--checkpoint-every-sec") {
-            opts.checkpoint_every = std::atoll(value()) * util::kSecond;
+            opts.checkpoint_every = seconds(1);
         } else if (arg == "--tick-sec") {
-            opts.tick = std::atoll(value()) * util::kSecond;
+            opts.tick = seconds(1);
         } else if (arg == "--settle-sec") {
-            opts.settle = std::atoll(value()) * util::kSecond;
+            opts.settle = seconds(0);
         } else if (arg == "--pace-ms") {
-            pace_ms = std::atoi(value());
+            pace_ms = static_cast<int>(count(0, INT_MAX));
         } else if (arg == "--http-port") {
-            http_port = std::atol(value());
+            http_port = static_cast<std::uint16_t>(count(0, UINT16_MAX));
         } else if (arg == "--port-file") {
             port_file = value();
         } else if (arg == "--state-out") {
@@ -121,12 +140,11 @@ int main(int argc, char** argv) {
         } else if (arg == "--spans-out") {
             spans_out = value();
         } else if (arg == "--checkpoint-keep") {
-            opts.checkpoint_keep =
-                static_cast<std::size_t>(std::atoll(value()));
+            opts.checkpoint_keep = count(0, SIZE_MAX);
         } else if (arg == "--io-faults") {
             io_faults_text = value();
         } else if (arg == "--io-faults-seed") {
-            io_faults_seed = std::strtoull(value(), nullptr, 10);
+            io_faults_seed = count(0, UINT64_MAX);
         } else if (arg == "--io-fault-at") {
             io_fault_at = value();
         } else if (arg == "--io-ops-out") {
@@ -180,8 +198,8 @@ int main(int argc, char** argv) {
     }
     daemon::Daemon& d = *daemon_ptr;
 
-    // Quarantine and degradation notices must reach the operator even with
-    // logging off (the default); they go to stderr as they appear.
+    // Quarantine and degradation notices must reach the operator; they go
+    // to stderr as they appear.
     std::size_t notes_printed = 0;
     const auto flush_io_notes = [&] {
         const auto& notes = d.io_notes();
@@ -193,7 +211,7 @@ int main(int argc, char** argv) {
     flush_io_notes();
 
     daemon::HttpServer server;
-    if (http_port >= 0) {
+    if (http_port.has_value()) {
         daemon::HttpServer::Handlers handlers;
         handlers.metrics_text = [] {
             return util::metrics::Registry::global().snapshot().to_text();
@@ -206,8 +224,7 @@ int main(int argc, char** argv) {
             return util::spans::Recorder::global().to_chrome_json();
         };
         try {
-            server.start(static_cast<std::uint16_t>(http_port),
-                         std::move(handlers));
+            server.start(*http_port, std::move(handlers));
         } catch (const std::exception& e) {
             std::fprintf(stderr, "conciliumd: %s\n", e.what());
             return 1;

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "runtime/retry.h"
 #include "util/metrics.h"
 
 namespace concilium::daemon {
@@ -88,6 +89,14 @@ void apply_role(runtime::NodeBehavior& b, AttackRole role) {
 }
 
 }  // namespace
+
+/// Bounded retry for *loud* checkpoint-write failures (EIO/ENOSPC).  When
+/// the budget is exhausted the daemon degrades -- checkpointing disarms,
+/// the run continues, /healthz and daemon.io.* say so -- instead of dying
+/// mid-run.
+constexpr runtime::RetryPolicy kIoRetry{.max_attempts = 3,
+                                        .base_delay = 2 * util::kMillisecond,
+                                        .max_delay = 50 * util::kMillisecond};
 
 /// Substream id for checkpoint-write retry jitter; disjoint from
 /// kClusterStream and util::FaultFs's kFaultStream so durability policy
@@ -434,7 +443,7 @@ void Daemon::write_checkpoint(bool on_cadence) {
         } catch (const std::runtime_error& e) {
             ins.io_write_errors.add(1);
             const int next_attempt = attempt + 1;
-            if (!opts_.io_retry.allows(next_attempt)) {
+            if (!kIoRetry.allows(next_attempt)) {
                 // Budget exhausted: disarm checkpointing and keep running.
                 // A long run that loses its disk should finish its science
                 // and say so on /healthz, not die at 90%.
@@ -449,7 +458,7 @@ void Daemon::write_checkpoint(bool on_cadence) {
             }
             ins.io_write_retries.add(1);
             const util::SimTime backoff =
-                opts_.io_retry.delay_before(next_attempt, io_retry_rng_);
+                kIoRetry.delay_before(next_attempt, io_retry_rng_);
             std::this_thread::sleep_for(std::chrono::microseconds(backoff));
         }
     }

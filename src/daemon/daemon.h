@@ -31,7 +31,6 @@
 #include "daemon/workload.h"
 #include "net/chaos.h"
 #include "runtime/cluster.h"
-#include "runtime/retry.h"
 #include "sim/scenario.h"
 #include "util/faultfs.h"
 
@@ -56,20 +55,7 @@ struct DaemonOptions {
     /// Defaults to a private passthrough; tests and the fault harness hand
     /// in a FaultFs armed with an injection schedule.
     std::shared_ptr<util::FaultFs> io;
-    /// Bounded retry for *loud* checkpoint-write failures (EIO/ENOSPC).
-    /// When the budget is exhausted the daemon degrades -- checkpointing
-    /// disarms, the run continues, /healthz and daemon.io.* say so --
-    /// instead of dying mid-run.
-    runtime::RetryPolicy io_retry = default_io_retry();
     runtime::RuntimeParams params;
-
-    [[nodiscard]] static runtime::RetryPolicy default_io_retry() {
-        runtime::RetryPolicy p;
-        p.max_attempts = 3;
-        p.base_delay = 2 * util::kMillisecond;
-        p.max_delay = 50 * util::kMillisecond;
-        return p;
-    }
 };
 
 class Daemon {
@@ -135,8 +121,8 @@ class Daemon {
         return health_degraded_.load(std::memory_order_relaxed);
     }
     /// One human-readable line per checkpoint quarantined or write budget
-    /// exhausted during construction/run, for the operator's stderr
-    /// (logging is off by default; these must not be silent).
+    /// exhausted during construction/run, for the operator's stderr (the
+    /// library prints nothing itself; these must not be silent).
     [[nodiscard]] const std::vector<std::string>& io_notes() const noexcept {
         return io_notes_;
     }
@@ -180,7 +166,7 @@ class Daemon {
     /// of sim progress, faults or no faults.
     std::shared_ptr<util::FaultFs> io_;
     bool checkpoint_armed_ = false;
-    util::Rng io_retry_rng_;  ///< jitter stream for io_retry backoff
+    util::Rng io_retry_rng_;  ///< jitter stream for kIoRetry backoff
     std::vector<std::string> io_notes_;
 
     /// Replay-and-resume state (set when a valid checkpoint was loaded).

@@ -6,6 +6,19 @@
 
 namespace concilium::net {
 
+namespace {
+
+// The failure model's fixed shape (Section 4.2); only the fraction of bad
+// links varies.
+constexpr util::SimTime kMeanDowntime = 15 * util::kMinute;
+constexpr util::SimTime kStddevDowntime = util::SimTime(7.5 * util::kMinute);
+constexpr util::SimTime kMinDowntime = 30 * util::kSecond;
+/// Beta distribution over path depth.
+constexpr double kDepthBetaAlpha = 0.9;
+constexpr double kDepthBetaBeta = 0.6;
+
+}  // namespace
+
 void FailureTimeline::add_down(LinkId link, DownInterval interval) {
     if (interval.end <= interval.start) return;
     if (link >= down_.size()) down_.resize(link + 1);
@@ -131,26 +144,25 @@ FailureTimeline generate_failure_timeline(
     const double target_down =
         params.fraction_bad * static_cast<double>(universe.size());
     const double rate_per_us =
-        target_down / static_cast<double>(params.mean_downtime);
+        target_down / static_cast<double>(kMeanDowntime);
     const double mean_gap_us = 1.0 / rate_per_us;
 
     // Warm up long enough that failures straddling t=0 are in steady state.
-    const util::SimTime warmup = 4 * params.mean_downtime;
+    const util::SimTime warmup = 4 * kMeanDowntime;
     double t = -static_cast<double>(warmup);
     const double horizon = static_cast<double>(duration);
     while (t < horizon) {
         t += rng.exponential(mean_gap_us);
         if (t >= horizon) break;
         const PathView& path = *nonempty[rng.uniform_index(nonempty.size())];
-        const double depth =
-            rng.beta(params.depth_beta_alpha, params.depth_beta_beta);
+        const double depth = rng.beta(kDepthBetaAlpha, kDepthBetaBeta);
         auto index = static_cast<std::size_t>(
             depth * static_cast<double>(path.links.size()));
         index = std::min(index, path.links.size() - 1);
         const double downtime_us = std::max(
-            static_cast<double>(params.min_downtime),
-            rng.normal(static_cast<double>(params.mean_downtime),
-                       static_cast<double>(params.stddev_downtime)));
+            static_cast<double>(kMinDowntime),
+            rng.normal(static_cast<double>(kMeanDowntime),
+                       static_cast<double>(kStddevDowntime)));
         const auto start = static_cast<util::SimTime>(t);
         const auto end = start + static_cast<util::SimTime>(downtime_us);
         if (end <= 0) continue;

@@ -104,21 +104,17 @@ class FailureTimeline {
 };
 
 struct FailureModelParams {
-    double fraction_bad = 0.05;            ///< links concurrently down
-    util::SimTime mean_downtime = 15 * util::kMinute;
-    util::SimTime stddev_downtime = util::SimTime(7.5 * util::kMinute);
-    double depth_beta_alpha = 0.9;         ///< beta distribution over path depth
-    double depth_beta_beta = 0.6;
-    util::SimTime min_downtime = 30 * util::kSecond;
+    double fraction_bad = 0.05;  ///< links concurrently down
 };
 
 /// Generates a failure timeline for [0, duration).
 ///
 /// candidate_paths plays the role of "(overlay host, random routing peer)"
-/// pairs: every injection picks one path uniformly, then a Beta(alpha, beta)
+/// pairs: every injection picks one path uniformly, then a Beta(0.9, 0.6)
 /// draw selects the failing link's position along that path (0 = the
-/// picking host's edge, 1 = the peer's edge; the U-shaped Beta(0.9, 0.6)
-/// puts most mass at the edges).  The injection rate is calibrated so that,
+/// picking host's edge, 1 = the peer's edge; the U-shaped Beta puts most
+/// mass at the edges), and the link stays down for a normal 15 +/- 7.5
+/// minutes, at least 30 seconds.  The injection rate is calibrated so that,
 /// in steady state, `fraction_bad` of the links appearing in candidate_paths
 /// are down; a warm-up period before t=0 reaches steady state by the start.
 FailureTimeline generate_failure_timeline(

@@ -52,7 +52,7 @@ bool Transport::sample_traversal(std::span<const LinkId> links,
             dropped.add(1);
             return false;
         }
-        cross += params_.per_hop_latency;
+        cross += kPerHopLatency;
     }
     delivered.add(1);
     return true;

@@ -18,8 +18,10 @@
 
 namespace concilium::net {
 
+/// The fixed cost of crossing one link.
+inline constexpr util::SimTime kPerHopLatency = 2 * util::kMillisecond;
+
 struct TransportParams {
-    util::SimTime per_hop_latency = 2 * util::kMillisecond;
     double healthy_link_loss = 0.0;  ///< residual loss on an up link
 };
 
@@ -55,16 +57,12 @@ class Transport {
     }
 
     /// Samples a single packet traversal of `links` starting at time t.
-    /// Each link is crossed per_hop_latency later than the previous one.
+    /// Each link is crossed kPerHopLatency later than the previous one.
     /// Returns true when the packet reaches the end of the path.
     bool sample_traversal(std::span<const LinkId> links, util::SimTime t);
 
     [[nodiscard]] util::SimTime latency(std::size_t hops) const noexcept {
-        return static_cast<util::SimTime>(hops) * params_.per_hop_latency;
-    }
-
-    [[nodiscard]] const TransportParams& params() const noexcept {
-        return params_;
+        return static_cast<util::SimTime>(hops) * kPerHopLatency;
     }
 
     /// Attaches a chaos plan: flap / correlated-outage intervals and loss

@@ -61,12 +61,12 @@ void OverlayNetwork::build_leaf_sets() {
     const std::size_t n = members_.size();
     leaf_sets_.reserve(n);
     for (MemberIndex i = 0; i < n; ++i) {
-        leaf_sets_.emplace_back(members_[i].id(), params_.leaf_half);
+        leaf_sets_.emplace_back(members_[i].id(), LeafSet::kDefaultHalf);
     }
     // Positions of each member in ring order.
     std::vector<std::size_t> position(n);
     for (std::size_t k = 0; k < n; ++k) position[sorted_[k]] = k;
-    const auto half = static_cast<std::size_t>(params_.leaf_half);
+    const auto half = static_cast<std::size_t>(LeafSet::kDefaultHalf);
     for (MemberIndex i = 0; i < n; ++i) {
         const std::size_t k = position[i];
         std::vector<MemberIndex> cw;

@@ -40,7 +40,6 @@ struct Member {
 
 struct OverlayParams {
     util::OverlayGeometry geometry{.digits = 32};
-    int leaf_half = LeafSet::kDefaultHalf;
 };
 
 class OverlayNetwork {

@@ -44,14 +44,14 @@ void Adversary::slander_round(overlay::MemberIndex m) {
                 // withheld.
                 auto bundle = gossip_.archive(m).evidence_for(
                     e.path_links, e.message_time,
-                    s_.params.blame.delta + 5 * util::kMinute, e.suspect);
+                    kBlame.delta + 5 * util::kMinute, e.suspect);
                 std::erase_if(bundle,
                               [&](const tomography::TomographicSnapshot& s) {
                                   const util::SimTime skew =
                                       s.probed_at >= e.message_time
                                           ? s.probed_at - e.message_time
                                           : e.message_time - s.probed_at;
-                                  return skew <= s_.params.blame.delta;
+                                  return skew <= kBlame.delta;
                               });
                 if (bundle.size() > 4) bundle.resize(4);
                 e.snapshots = std::move(bundle);

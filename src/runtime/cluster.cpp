@@ -7,6 +7,8 @@ namespace concilium::runtime {
 namespace {
 
 const NodeBehavior kHonest{};
+/// Replicas each DHT value is stored on.
+constexpr int kDhtReplication = 4;
 
 // Every value stored under T's DHT key for member m, read as an arbitrary
 // third party would and decoded with T::deserialize.  A malformed value
@@ -38,15 +40,13 @@ Shared::Shared(net::EventSim& sim, const net::FailureTimeline& timeline,
       behaviors(std::move(behaviors)), rng(rng),
       transport(timeline, this->rng.fork(), params.transport),
       online(net.size(), true), journals(net.size()),
-      dht(net, params.dht_replication, params.dht_per_writer_quota) {
+      dht(net, kDhtReplication, params.dht_per_writer_quota) {
     if (!this->behaviors.empty() && this->behaviors.size() != net.size()) {
         throw std::invalid_argument(
             "Cluster: behaviors must match overlay size");
     }
-    member_of.reserve(net.size());
     for (overlay::MemberIndex m = 0; m < net.size(); ++m) {
         registry.register_key(net.member(m).keys);
-        member_of.emplace(net.member(m).id(), m);
     }
 }
 
@@ -75,9 +75,9 @@ const NodeBehavior& Shared::behavior(overlay::MemberIndex m) const {
 }
 
 std::optional<crypto::PublicKey> Shared::key_of(const util::NodeId& id) const {
-    const auto it = member_of.find(id);
-    if (it == member_of.end()) return std::nullopt;
-    return net->member(it->second).keys.public_key();
+    const auto m = net->index_of(id);
+    if (!m.has_value()) return std::nullopt;
+    return net->member(*m).keys.public_key();
 }
 
 bool Shared::partition_blocks(overlay::MemberIndex a,

@@ -58,9 +58,10 @@ class Cluster {
     /// outages, and loss spikes fold into every packet via the transport;
     /// the churn schedule drives set_online(); snapshot dissemination
     /// becomes lossy (sampled over the member-to-peer IP path, retried per
-    /// snapshot_retry); probe acknowledgments drop at ack_drop_rate; and
-    /// forwarded packets may be reordered or duplicated.  Call before
-    /// start().  The plan must outlive the cluster; nullptr detaches.
+    /// kSnapshotRetryPolicy in evidence_gossip.cpp); probe acknowledgments
+    /// drop at ack_drop_rate; and forwarded packets may be reordered or
+    /// duplicated.  Call before start().  The plan must outlive the
+    /// cluster; nullptr detaches.
     void set_chaos(const net::FaultPlan* plan) {
         s_.chaos = plan;
         s_.transport.set_chaos(plan);

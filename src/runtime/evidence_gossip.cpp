@@ -6,6 +6,13 @@ namespace concilium::runtime {
 
 namespace {
 
+/// Snapshot-exchange retry, used when a chaos plan makes the control plane
+/// lossy (see Cluster::set_chaos).  A peer whose delivery exhausts the
+/// budget simply lacks that snapshot -- the judge's evidence degrades
+/// gracefully instead of wedging diagnosis.
+constexpr RetryPolicy kSnapshotRetryPolicy{
+    .max_attempts = 3, .base_delay = 300 * util::kMillisecond};
+
 // Inverts every link observation and path bucket of a snapshot: the
 // report of a node lying about its own probes.
 void invert_report(tomography::TomographicSnapshot& snapshot) {
@@ -66,7 +73,7 @@ void EvidenceGossip::publish(overlay::MemberIndex m,
     // the epoch so equivocating twins are distinguishable in the trace.
     const util::SimTime now = s_.sim->now();
     util::spans::sim_span(util::spans::SpanType::kSnapshotExchange, now,
-                          now + s_.params.control_latency, /*causal=*/m,
+                          now + kControlLatency, /*causal=*/m,
                           static_cast<std::int64_t>(snapshot.epoch));
     // Sign, serialize and digest exactly once; every per-peer delivery
     // (and the node's own archive) reuses the sealed slab.
@@ -91,9 +98,8 @@ void EvidenceGossip::publish(overlay::MemberIndex m,
 void EvidenceGossip::fan_out(overlay::MemberIndex m, FanOut fan) {
     if (s_.chaos == nullptr) {
         // Lossless control plane (the paper's assumption): every copy lands
-        // control_latency from now.
-        s_.post_parked(s_.params.control_latency, Op::kFanOutSnapshot, m,
-                       std::move(fan));
+        // kControlLatency from now.
+        s_.post_parked(kControlLatency, Op::kFanOutSnapshot, m, std::move(fan));
         return;
     }
     std::size_t rank = 0;
@@ -183,7 +189,7 @@ void EvidenceGossip::send(overlay::MemberIndex peer, SnapshotRef snapshot,
     static auto& snapshot_attempts = util::metrics::Registry::global().counter(
         "runtime.retry.snapshot_attempts");
     snapshot_attempts.add(1);
-    util::SimTime latency = s_.params.control_latency;
+    util::SimTime latency = kControlLatency;
     bool delivered = true;
     if (s_.partition_blocks(m, peer)) {
         // The cut swallows this copy; the retry arm below may land a later
@@ -203,12 +209,12 @@ void EvidenceGossip::send(overlay::MemberIndex peer, SnapshotRef snapshot,
         return;
     }
     const int next = attempt + 1;
-    if (!s_.params.snapshot_retry.allows(next)) {
+    if (!kSnapshotRetryPolicy.allows(next)) {
         s_.count<&Stats::snapshot_deliveries_failed>();
         return;
     }
     s_.count<&Stats::snapshot_retries>();
-    const auto backoff = s_.params.snapshot_retry.delay_before(next, s_.rng);
+    const auto backoff = kSnapshotRetryPolicy.delay_before(next, s_.rng);
     s_.post_parked(backoff, Op::kSnapshotRetry, peer, std::move(snapshot),
                    static_cast<std::uint64_t>(next));
 }

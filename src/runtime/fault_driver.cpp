@@ -94,7 +94,7 @@ void FaultDriver::restart(overlay::MemberIndex m) {
     s_.count<&Stats::restarts>();
     s_.count<&Stats::journal_replays>();
     const NodeJournal::RecoveredState recovered =
-        s_.journals[m].replay(s_.params.verdicts.window);
+        s_.journals[m].replay(kVerdicts.window);
     // Without the journaled epoch floor the restarted node would re-issue
     // epochs its peers already archived -- and read as an equivocator.
     gossip_.resume_epochs(m, recovered.next_epoch);
@@ -131,8 +131,7 @@ void FaultDriver::recovery_handshake(
             control_blocked.add(1);
             continue;
         }
-        s_.post_parked(s_.params.control_latency, Op::kAnnouncement, peer,
-                       announcement);
+        s_.post_parked(kControlLatency, Op::kAnnouncement, peer, announcement);
         if (accepts(ad, peer)) {
             s_.count<&Stats::recovery_repairs_accepted>();
         } else {

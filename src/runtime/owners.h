@@ -49,38 +49,11 @@ struct RuntimeParams {
     core::ValidationParams validation;
     /// Lightweight probe inter-arrival: uniform in [0, this] (Section 3.2).
     util::SimTime probe_interval_max = 120 * util::kSecond;
-    /// Retries sent to silent leaves before escalating.
-    int lightweight_retries = 2;
-    /// Heavyweight session shape (Duffield's full scheme).
-    tomography::HeavyweightParams heavyweight{
-        .probe_count = 100, .spacing = 50 * util::kMillisecond};
     /// Per-node floor between *periodic* heavyweight sessions.
     util::SimTime heavyweight_min_gap = 1 * util::kMinute;
-    /// Floor for *reactive* sessions (unacknowledged message): fresh
-    /// evidence matters more than probe budget when blame is being decided.
-    util::SimTime reactive_heavyweight_min_gap = 10 * util::kSecond;
-    core::BlameParams blame;
-    core::VerdictParams verdicts;
-    tomography::SnapshotParams snapshot;
-    /// Steward acknowledgment timeout.
-    util::SimTime ack_timeout = 5 * util::kSecond;
-    /// Delay between a timeout and the steward's judgment, leaving time for
-    /// reactive heavyweight snapshots and downstream revisions to arrive.
-    util::SimTime judgment_grace = 8 * util::kSecond;
-    /// Control-plane (snapshot / revision) dissemination latency.
-    util::SimTime control_latency = 200 * util::kMillisecond;
-    int dht_replication = 4;
     /// Per-writer quota on DHT values stored under one key (0 = unlimited);
     /// contains accusation spam without touching honest accusers.
     int dht_per_writer_quota = 8;
-    /// No-confidence votes older than this stop counting in the
-    /// reputation book's time-aware queries (0 = votes never expire).
-    util::SimTime reputation_vote_expiry = 30 * util::kMinute;
-    /// A snapshot delivered more than this after its probed_at is rejected
-    /// by the receiving archive as a replay/stale advertisement.
-    util::SimTime snapshot_max_transit = util::kMinute;
-    /// Newest-wins cap on archived snapshots per origin.
-    std::size_t archive_max_per_origin = 64;
     net::TransportParams transport;
     /// Steward retransmission of an unacknowledged message before judging:
     /// attempts beyond the first re-send over the same IP path with
@@ -88,18 +61,27 @@ struct RuntimeParams {
     /// paper's judge-on-first-timeout behavior; chaos runs raise it so
     /// transient IP loss does not masquerade as a malicious drop.
     RetryPolicy forward_retry{};
-    /// Snapshot-exchange retry, used when a chaos plan makes the control
-    /// plane lossy (see set_chaos).  A peer whose delivery exhausts the
-    /// budget simply lacks that snapshot -- the judge's evidence degrades
-    /// gracefully instead of wedging diagnosis.
-    RetryPolicy snapshot_retry{.max_attempts = 3,
-                               .base_delay = 300 * util::kMillisecond};
-    /// Crash recovery (RECOVERY.md): an in-flight stewardship whose
-    /// forward is older than this at restart is abandoned with a signed
-    /// handoff instead of resumed (the ack, if any, is long lost and the
-    /// upstream judgment has already run its course).
-    util::SimTime recovery_resume_horizon = 30 * util::kSecond;
 };
+
+// The protocol's fixed values read here or by two or more owners (DESIGN.md,
+// "Config surface"); a value that one .cpp file reads is a constant there.
+
+/// Blame (Section 4.3): probe accuracy a = 0.9, admission window
+/// Delta = 60 s, the fuzzy OR taken as max.
+inline constexpr core::BlameParams kBlame{};
+/// Verdicts (Section 4.3): guilty at 40% blame or more; an accusation once
+/// m = 6 of the last w = 100 verdicts against a suspect are guilty.
+inline constexpr core::VerdictParams kVerdicts{};
+/// Control-plane (snapshot / revision) dissemination latency.
+inline constexpr util::SimTime kControlLatency = 200 * util::kMillisecond;
+/// No-confidence votes older than this stop counting in the reputation
+/// book's time-aware queries.
+inline constexpr util::SimTime kReputationVoteExpiry = 30 * util::kMinute;
+/// A snapshot delivered more than this after its probed_at is rejected by
+/// the receiving archive as a replay/stale advertisement.
+inline constexpr util::SimTime kSnapshotMaxTransit = util::kMinute;
+/// Newest-wins cap on archived snapshots per origin.
+inline constexpr std::size_t kArchiveMaxPerOrigin = 64;
 
 /// Cluster::Stats: one counter per protocol event, in checkpoint order.
 struct Stats {
@@ -328,9 +310,6 @@ struct Shared {
     util::Rng rng;
     net::Transport transport;
     crypto::KeyRegistry registry;
-    /// NodeId -> member index, resolved once where ids enter from the wire.
-    std::unordered_map<util::NodeId, overlay::MemberIndex, util::NodeIdHash>
-        member_of;  // hot-path-lint: boundary
     std::vector<bool> online;
     std::vector<NodeJournal> journals;
     dht::Dht dht;
@@ -413,9 +392,8 @@ class EvidenceGossip {
     explicit EvidenceGossip(Shared& s)
         : s_(s),
           blank_{.archive = SnapshotArchive(
-                     s.params.blame.delta + 5 * util::kMinute,
-                     s.params.snapshot_max_transit,
-                     s.params.archive_max_per_origin)},
+                     kBlame.delta + 5 * util::kMinute, kSnapshotMaxTransit,
+                     kArchiveMaxPerOrigin)},
           nodes_(s.net->size(), blank_), admitted_digests_(s.net->size()) {}
 
     /// Seals m's snapshot and sends it to m's routing peers.  A replayer
@@ -539,9 +517,9 @@ class Stewardship {
     Stewardship(Shared& s, Prober& prober, const EvidenceGossip& gossip,
                 const FaultDriver& faults)
         : s_(s), prober_(prober), gossip_(gossip), faults_(faults),
-          blank_{.ledger = core::VerdictLedger(s.params.verdicts)},
+          blank_{.ledger = core::VerdictLedger(kVerdicts)},
           nodes_(s.net->size(), blank_),
-          reputation_(s.params.reputation_vote_expiry) {}
+          reputation_(kReputationVoteExpiry) {}
 
     std::uint64_t send(overlay::MemberIndex from, const util::NodeId& dest_key,
                        CompletionFn on_complete);

@@ -5,6 +5,21 @@
 
 namespace concilium::runtime {
 
+namespace {
+
+/// Retries sent to silent leaves before escalating.
+constexpr int kLightweightRetries = 2;
+/// Heavyweight session shape (Duffield's full scheme).
+constexpr tomography::HeavyweightParams kHeavyweight{
+    .probe_count = 100, .spacing = 50 * util::kMillisecond};
+/// Floor for *reactive* sessions (unacknowledged message): fresh evidence
+/// matters more than probe budget when blame is being decided.
+constexpr util::SimTime kReactiveHeavyweightMinGap = 10 * util::kSecond;
+/// A link (chain) whose inferred loss reaches 0.5 is reported down.
+constexpr tomography::SnapshotParams kSnapshot{};
+
+}  // namespace
+
 std::vector<tomography::LeafBehavior> Prober::leaf_behaviors(
     overlay::MemberIndex m) const {
     std::vector<tomography::LeafBehavior> out;
@@ -43,7 +58,7 @@ std::vector<tomography::LeafBehavior> Prober::leaf_behaviors(
 }
 
 void Prober::react(overlay::MemberIndex m) {
-    run_heavyweight(m, s_.params.reactive_heavyweight_min_gap);
+    run_heavyweight(m, kReactiveHeavyweightMinGap);
     for (const overlay::MemberIndex peer : s_.net->routing_peers(m)) {
         const auto delay = static_cast<util::SimTime>(
             s_.rng.uniform(0.0, 2.0 * util::kSecond));
@@ -61,8 +76,7 @@ void Prober::probe_once(overlay::MemberIndex m) {
     if (tree.leaves().empty()) return;
     const auto behaviors = leaf_behaviors(m);
     const auto light = tomography::run_lightweight_probe(
-        tree, s_.transport, now, s_.params.lightweight_retries, behaviors,
-        s_.rng);
+        tree, s_.transport, now, kLightweightRetries, behaviors, s_.rng);
 
     bool any_silent = false;
     tomography::TomographicSnapshot snap;
@@ -111,7 +125,7 @@ void Prober::run_heavyweight(overlay::MemberIndex m, util::SimTime gap) {
     last_heavyweight_[m] = now;
     const auto behaviors = leaf_behaviors(m);
     const auto session = tomography::run_heavyweight_session(
-        tree, s_.transport, now, s_.params.heavyweight, behaviors, s_.rng);
+        tree, s_.transport, now, kHeavyweight, behaviors, s_.rng);
 
     // Feedback verification (Section 3.3): exclude fabricators (invalid
     // nonces) and suppressors (implausible conditional ack rates) before
@@ -127,7 +141,7 @@ void Prober::run_heavyweight(overlay::MemberIndex m, util::SimTime gap) {
     const auto cleaned = tomography::exclude_leaves(session.probes, excluded);
     const auto inference = tomography::infer_link_loss(tree, cleaned);
     auto snapshot = tomography::summarize_inference(
-        s_.net->member(m).id(), now, tree, inference, s_.params.snapshot,
+        s_.net->member(m).id(), now, tree, inference, kSnapshot,
         s_.trees->leaf_ids(m));
 
     // An excluded leaf's silenced feedback makes its last mile *look* dead;

@@ -8,6 +8,17 @@ namespace {
 
 using util::metrics::Registry;
 
+/// Steward acknowledgment timeout.
+constexpr util::SimTime kAckTimeoutDelay = 5 * util::kSecond;
+/// Delay between a timeout and the steward's judgment, leaving time for
+/// reactive heavyweight snapshots and downstream revisions to arrive.
+constexpr util::SimTime kJudgmentGrace = 8 * util::kSecond;
+/// Crash recovery (RECOVERY.md): an in-flight stewardship whose forward is
+/// older than this at restart is abandoned with a signed handoff instead
+/// of resumed (the ack, if any, is long lost and the upstream judgment has
+/// already run its course).
+constexpr util::SimTime kRecoveryResumeHorizon = 30 * util::kSecond;
+
 // A per-sim-minute windowed series (geometry matches the kWellKnownSeries
 // catalogue in util/metrics.cpp).  Its callers keep the result in a
 // function-local static.
@@ -100,8 +111,8 @@ void Stewardship::forward_from_hop(std::uint64_t msg_id, std::size_t hop) {
             // The colluder waits out the upstream timeout, then pushes a
             // fabricated guilty revision framing its next hop for the drop
             // it just committed.
-            s_.post(s_.params.ack_timeout + s_.params.judgment_grace,
-                    Op::kFabricatedRevision, msg_id, hop);
+            s_.post(kAckTimeoutDelay + kJudgmentGrace, Op::kFabricatedRevision,
+                    msg_id, hop);
         }
         return;  // upstream stewards will time out
     }
@@ -128,7 +139,7 @@ void Stewardship::forward_from_hop(std::uint64_t msg_id, std::size_t hop) {
     ctx.stewards[hop].forwarded = true;
     s_.journals[m].record_steward_open(msg_id, hop, now,
                                        ctx.stewards[hop].commitment);
-    s_.post(s_.params.ack_timeout, Op::kAckTimeout, msg_id, hop);
+    s_.post(kAckTimeoutDelay, Op::kAckTimeout, msg_id, hop);
 
     transmit_to_next(msg_id, hop, 1);
 }
@@ -254,7 +265,7 @@ void Stewardship::on_ack_timeout(std::uint64_t msg_id, std::size_t hop) {
     // refresh uses the (shorter) reactive floor: its tree covers the very
     // path it is about to rule on.
     prober_.react(ctx.route[hop]);
-    s_.post(s_.params.judgment_grace, Op::kJudge, msg_id, hop);
+    s_.post(kJudgmentGrace, Op::kJudge, msg_id, hop);
 }
 
 core::BlameEvidence Stewardship::build_evidence(
@@ -265,14 +276,13 @@ core::BlameEvidence Stewardship::build_evidence(
         m, ctx.route[judge_hop + 1], ctx.id, ctx.sent_at,
         [&](core::BlameEvidence& ev) {
             ev.snapshots = gossip_.archive(m).evidence_for(
-                ev.path_links, ctx.sent_at, s_.params.blame.delta,
-                ev.suspect);
+                ev.path_links, ctx.sent_at, kBlame.delta, ev.suspect);
             if (ctx.stewards[judge_hop].commitment.has_value()) {
                 ev.commitment = *ctx.stewards[judge_hop].commitment;
             }
             breakdown = core::compute_blame(
                 ev.path_links, core::probes_from_snapshots(ev.snapshots),
-                ctx.sent_at, ev.suspect, s_.params.blame);
+                ctx.sent_at, ev.suspect, kBlame);
             ev.claimed_blame = breakdown.blame;
         });
 }
@@ -289,7 +299,7 @@ void Stewardship::judge_next_hop(std::uint64_t msg_id, std::size_t hop) {
     core::BlameBreakdown breakdown;
     core::BlameEvidence ev = build_evidence(ctx, hop, breakdown);
     const bool guilty =
-        core::is_guilty_verdict(ev.claimed_blame, s_.params.verdicts);
+        core::is_guilty_verdict(ev.claimed_blame, kVerdicts);
     // Degraded-mode conviction bar (RECOVERY.md): with crash or partition
     // faults in play, the empty-evidence presumption ("otherwise, B was
     // faulty") would convict every node that merely crashed or sat across
@@ -347,9 +357,8 @@ void Stewardship::judge_next_hop(std::uint64_t msg_id, std::size_t hop) {
     if (hop == 0) {
         // Give downstream revisions time to climb the chain, then settle.
         const auto settle =
-            s_.params.control_latency *
-                static_cast<util::SimTime>(ctx.route.size() + 2) +
-            s_.params.judgment_grace;
+            kControlLatency * static_cast<util::SimTime>(ctx.route.size() + 2) +
+            kJudgmentGrace;
         s_.post(settle, Op::kMaybeComplete, msg_id);
     }
 }
@@ -362,7 +371,7 @@ void Stewardship::push_revision_upstream(std::uint64_t msg_id,
     s_.count<&Stats::revisions_pushed>();
     // Each steward presents the verdict to its upstream neighbor, which
     // relays it further unless it withholds revisions itself (Section 3.5).
-    s_.post_parked(s_.params.control_latency, Op::kRelayRevision, msg_id,
+    s_.post_parked(kControlLatency, Op::kRelayRevision, msg_id,
                    *ctx.stewards[hop].judgment, hop - 1);
 }
 
@@ -374,7 +383,7 @@ void Stewardship::relay_revision(std::uint64_t msg_id,
     s_.count<&Stats::revisions_applied>();
     if (to_hop == 0) return;
     if (s_.behavior(ctx.route[to_hop]).refuse_revisions) return;
-    s_.post_parked(s_.params.control_latency, Op::kRelayRevision, msg_id,
+    s_.post_parked(kControlLatency, Op::kRelayRevision, msg_id,
                    std::move(evidence), to_hop - 1);
 }
 
@@ -396,7 +405,7 @@ void Stewardship::push_fabricated_revision(std::uint64_t msg_id,
             e.claimed_blame = 1.0;
         });
     s_.count<&Stats::collusions_pushed>();
-    s_.post_parked(s_.params.control_latency, Op::kRelayRevision, msg_id,
+    s_.post_parked(kControlLatency, Op::kRelayRevision, msg_id,
                    std::move(ev), hop - 1);
 }
 
@@ -418,8 +427,7 @@ void Stewardship::maybe_complete(std::uint64_t msg_id) {
         // diagnosis closes without blaming anyone (RECOVERY.md).
         return complete(ctx, {.insufficient_evidence = true});
     }
-    if (!core::is_guilty_verdict(sender.judgment->claimed_blame,
-                                 s_.params.verdicts)) {
+    if (!core::is_guilty_verdict(sender.judgment->claimed_blame, kVerdicts)) {
         return complete(ctx, {.network_blamed = true});
     }
     MessageOutcome outcome;
@@ -452,13 +460,12 @@ void Stewardship::maybe_complete(std::uint64_t msg_id) {
         }
         if (network) break;
     }
-    const auto accused_it = s_.member_of.find(accused);
+    const auto accused_m = s_.net->index_of(accused);
     if (network) {
         outcome.network_blamed = true;
     } else if (accused_abstained(ctx, accused) ||
-               (accused_it != s_.member_of.end() &&
-                announced_down(ctx.route[0], accused_it->second,
-                               ctx.sent_at))) {
+               (accused_m.has_value() &&
+                announced_down(ctx.route[0], *accused_m, ctx.sent_at))) {
         // The final accused either abstained from its own judgment (it
         // demonstrably forwarded, then lost its channel to the next hop
         // across a cut -- the abstention reaches the sender over the
@@ -474,7 +481,7 @@ void Stewardship::maybe_complete(std::uint64_t msg_id) {
         // guilty verdicts in the sender's window (Section 3.4).
         const overlay::MemberIndex sender_m = ctx.route[0];
         if (nodes_[sender_m].ledger.guilty_count(sender.judgment->suspect) >=
-                s_.params.verdicts.accusation_threshold &&
+                kVerdicts.accusation_threshold &&
             sender.commitment.has_value()) {
             core::FaultAccusation accusation;
             accusation.accuser = s_.net->member(sender_m).id();
@@ -494,11 +501,11 @@ void Stewardship::maybe_complete(std::uint64_t msg_id) {
                 accusation.signature = s_.net->member(sender_m).keys.sign(
                     accusation.signed_payload());
                 const auto accused_member =
-                    s_.member_of.find(accusation.accused());
-                if (accused_member != s_.member_of.end()) {
+                    s_.net->index_of(accusation.accused());
+                if (accused_member.has_value()) {
                     s_.dht.put(sender_m,
                                core::FaultAccusation::dht_key(
-                                   s_.net->member(accused_member->second)
+                                   s_.net->member(*accused_member)
                                        .keys.public_key()),
                                accusation.serialize());
                     s_.count<&Stats::accusations_filed>();
@@ -557,19 +564,19 @@ core::AccusationVerifier Stewardship::verifier() const {
     return core::AccusationVerifier(
         s_.registry,
         [this](const util::NodeId& id) { return s_.key_of(id); },
-        s_.params.blame, s_.params.verdicts,
+        kBlame, kVerdicts,
         // Path claims are checked against the verifier's own link map: the
         // judge's claimed path must be the actual IP path between the two
         // nodes (Section 3.4 bundles the routing state for this purpose).
         [this](const util::NodeId& judge, const util::NodeId& suspect,
                std::span<const net::LinkId> links) {
-            const auto j = s_.member_of.find(judge);
-            const auto x = s_.member_of.find(suspect);
-            if (j == s_.member_of.end() || x == s_.member_of.end() ||
-                !s_.trees->leaf_slot(j->second, x->second).has_value()) {
+            const auto j = s_.net->index_of(judge);
+            const auto x = s_.net->index_of(suspect);
+            if (!j.has_value() || !x.has_value() ||
+                !s_.trees->leaf_slot(*j, *x).has_value()) {
                 return false;
             }
-            const auto truth = s_.trees->path_links(j->second, x->second);
+            const auto truth = s_.trees->path_links(*j, *x);
             return std::equal(links.begin(), links.end(), truth.begin(),
                               truth.end());
         });
@@ -587,9 +594,9 @@ void Stewardship::restore(overlay::MemberIndex m,
     for (const auto& [issuer, commitment] : recovered.collected) {
         // The journal keys by durable NodeId; resolve to the dense member
         // index once, here at the replay boundary.
-        const auto issuer_it = s_.member_of.find(issuer);
-        if (issuer_it == s_.member_of.end()) continue;
-        node.collected.insert_or_assign(issuer_it->second, commitment);
+        const auto issuer_m = s_.net->index_of(issuer);
+        if (!issuer_m.has_value()) continue;
+        node.collected.insert_or_assign(*issuer_m, commitment);
     }
 }
 
@@ -605,9 +612,9 @@ void Stewardship::resume(overlay::MemberIndex m,
         if (hop + 1 >= ctx.route.size() || ctx.route[hop] != m) continue;
         StewardRecord& steward = ctx.stewards[hop];
         if (ctx.completed || steward.acked || steward.judged) continue;
-        if (now - j.forwarded_at <= s_.params.recovery_resume_horizon) {
+        if (now - j.forwarded_at <= kRecoveryResumeHorizon) {
             s_.count<&Stats::stewardships_resumed>();
-            s_.post(s_.params.ack_timeout, Op::kAckTimeout, j.message_id, hop);
+            s_.post(kAckTimeoutDelay, Op::kAckTimeout, j.message_id, hop);
             transmit_to_next(j.message_id, hop, 1);
             continue;
         }
@@ -621,8 +628,7 @@ void Stewardship::resume(overlay::MemberIndex m,
         if (hop == 0) {
             // The abandoning steward is the sender itself: close out the
             // diagnosis so the completion callback still fires.
-            s_.post(s_.params.control_latency, Op::kMaybeComplete,
-                    j.message_id);
+            s_.post(kControlLatency, Op::kMaybeComplete, j.message_id);
             continue;
         }
         const overlay::MemberIndex up = ctx.route[hop - 1];
@@ -636,17 +642,17 @@ void Stewardship::resume(overlay::MemberIndex m,
         const StewardHandoff handoff = make_steward_handoff(
             s_.net->member(m).id(), j.message_id, j.hop, crashed_at, now,
             s_.net->member(m).keys);
-        s_.post_parked(s_.params.control_latency, Op::kHandoff, j.message_id,
-                       handoff, hop - 1);
+        s_.post_parked(kControlLatency, Op::kHandoff, j.message_id, handoff,
+                       hop - 1);
     }
 }
 
 void Stewardship::accept_recovery_announcement(
     overlay::MemberIndex peer, const RecoveryAnnouncement& announcement) {
     if (!s_.online[peer]) return;
-    const auto announcer = s_.member_of.find(announcement.node);
-    if (announcer == s_.member_of.end()) return;
-    const auto& key = s_.net->member(announcer->second).keys.public_key();
+    const auto announcer = s_.net->index_of(announcement.node);
+    if (!announcer.has_value()) return;
+    const auto& key = s_.net->member(*announcer).keys.public_key();
     if (!verify_recovery_announcement(announcement, key, s_.registry)) {
         return;  // a forged outage claim buys nothing
     }
@@ -654,7 +660,7 @@ void Stewardship::accept_recovery_announcement(
         Registry::global().counter("recovery.announcements_delivered");
     announcements_delivered.add(1);
     Node& node = nodes_[peer];
-    node.recovery_seen[announcer->second].push_back(announcement);
+    node.recovery_seen[*announcer].push_back(announcement);
     const int retracted = node.ledger.retract_guilty(
         announcement.node, announcement.crashed_at, announcement.restarted_at);
     if (retracted > 0) {
@@ -698,7 +704,7 @@ bool Stewardship::post_incident_coverage(const core::BlameEvidence& evidence,
             if (p.link != link) continue;
             if (p.reporter == evidence.suspect) continue;
             if (p.at < message_time ||
-                p.at > message_time + s_.params.blame.delta) {
+                p.at > message_time + kBlame.delta) {
                 continue;
             }
             covered = true;

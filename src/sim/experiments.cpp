@@ -7,6 +7,10 @@ namespace concilium::sim {
 
 namespace {
 
+/// Attribution experiment: probability of injecting a forwarder drop on an
+/// otherwise healthy route sample.
+constexpr double kForwarderDropProbability = 0.5;
+
 /// Per-host result of one Figure-4 trial: the coverage / voucher values
 /// for every forest size this host can contribute to.
 struct CoverageTrial {
@@ -203,7 +207,7 @@ AttributionExperimentResult run_attribution_experiment(
             }
             // Optionally inject a faulty forwarder at a random interior hop.
             std::optional<std::size_t> dropper;
-            if (rng.bernoulli(params.forwarder_drop_probability)) {
+            if (rng.bernoulli(kForwarderDropProbability)) {
                 dropper = 1 + rng.uniform_index(hops.size() - 2);
             }
 

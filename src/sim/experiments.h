@@ -86,9 +86,6 @@ struct AttributionExperimentParams {
     /// final (guilty == blame its first hop).  This is the paper's Section
     /// 3.5 mechanism ablated away.
     bool enable_revision = true;
-    /// Probability of injecting a forwarder drop on an otherwise healthy
-    /// route sample.
-    double forwarder_drop_probability = 0.5;
     /// Only judge routes with at least this many overlay nodes; longer
     /// routes exercise deeper revision chains.
     std::size_t min_route_length = 3;

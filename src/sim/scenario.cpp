@@ -9,6 +9,9 @@ namespace concilium::sim {
 
 namespace {
 
+/// Lightweight probe inter-arrival upper bound (Section 3.2).
+constexpr util::SimTime kMaxProbeTime = 120 * util::kSecond;
+
 /// generate_topology runs in the constructor's member-initializer list, so
 /// the phase span wraps it through this helper.
 net::Topology timed_topology(const net::TopologyParams& params,
@@ -146,8 +149,7 @@ std::vector<core::ProbeResult> Scenario::gather_probes(
             // Probe times are keyed per (query, reporter): one stripe tests
             // every link of the reporter's tree at once.
             util::Rng time_rng(mix(mix(params_.seed, query_id), reporter));
-            const auto times =
-                renewal_times(time_rng, lo, hi, params_.max_probe_time);
+            const auto times = renewal_times(time_rng, lo, hi, kMaxProbeTime);
             if (times.empty()) continue;
             util::Rng noise_rng(
                 mix(mix(params_.seed, query_id), mix(reporter, link)));

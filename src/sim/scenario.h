@@ -7,7 +7,7 @@
 // simulated instant.
 //
 // Probe evidence follows the paper's assumptions: lightweight probes fire
-// with inter-arrival times uniform in [0, max_probe_time] (Section 3.2), a
+// with inter-arrival times uniform in [0, 120 s] (Section 3.2), a
 // probe classifies a link's up/down state with accuracy a = 0.9 (Section
 // 4.3), and colluding peers flip their reported results strategically --
 // "when a non-faulty node was being judged, malicious peers would always
@@ -46,8 +46,6 @@ struct ScenarioParams {
     overlay::OverlayParams overlay;
     net::FailureModelParams failures;
     util::SimTime duration = 2 * util::kHour;  ///< "two virtual hours"
-    /// Lightweight probe inter-arrival upper bound (Section 3.2).
-    util::SimTime max_probe_time = 120 * util::kSecond;
     core::BlameParams blame;  ///< accuracy 0.9, Delta = 60 s
     /// Fraction of nodes that collude and flip probe reports (Section 4.3).
     double malicious_fraction = 0.0;

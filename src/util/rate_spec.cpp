@@ -1,10 +1,11 @@
 #include "util/rate_spec.h"
 
-#include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 namespace concilium::util {
@@ -20,8 +21,33 @@ std::string known_kinds(std::span<const RateSpecKind> kinds) {
     return out;
 }
 
-/// Strict [0, 1] rate parse; rejects empty text, trailing junk, and
-/// non-finite values (strtod alone would accept "1e3x" prefixes or "nan").
+/// The whole of `text` as one T, or nothing: from_chars takes no blank and
+/// no '+' (nor, for an unsigned T, a '-'), and reports overflow instead of
+/// wrapping; a real must also be finite (strtod would accept "1e3x"
+/// prefixes, " 5" or "nan").
+template <class T>
+std::optional<T> whole_number(std::string_view text) {
+    if (text.empty()) return std::nullopt;
+    T value{};
+    const char* last = text.data() + text.size();
+    const auto [end, ec] = std::from_chars(text.data(), last, value);
+    if (ec != std::errc{} || end != last) return std::nullopt;
+    if constexpr (std::is_floating_point_v<T>) {
+        if (!std::isfinite(value)) return std::nullopt;
+    }
+    return value;
+}
+
+std::string show(std::uint64_t v) { return std::to_string(v); }
+
+std::string show(double v) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%g", v);
+    return buf;
+}
+
+/// Strict [0, 1] rate parse; rejects empty text, anything but one whole
+/// finite decimal, and values outside [0, 1].
 double parse_rate(std::string_view option, std::string_view noun,
                   std::string_view kind, std::string_view text) {
     const std::string owned(text);
@@ -30,15 +56,14 @@ double parse_rate(std::string_view option, std::string_view noun,
                                         std::string(kind) +
                                         "' has an empty rate");
     }
-    errno = 0;
-    char* end = nullptr;
-    const double value = std::strtod(owned.c_str(), &end);
-    if (end != owned.c_str() + owned.size() || !std::isfinite(value)) {
+    const std::optional<double> parsed = whole_number<double>(text);
+    if (!parsed.has_value()) {
         throw_bad_rate_spec(option, std::string(noun) + " '" +
                                         std::string(kind) +
                                         "' has a malformed rate '" + owned +
                                         "'");
     }
+    const double value = *parsed;
     if (value < 0.0 || value > 1.0) {
         throw_bad_rate_spec(option, std::string(noun) + " '" +
                                         std::string(kind) + "' rate " + owned +
@@ -99,6 +124,24 @@ void parse_rate_spec(std::string_view text, std::string_view option,
             parse_rate(option, noun, name, pair.substr(colon + 1));
     }
 }
+
+template <class T>
+T parse_number(std::string_view flag, std::string_view text, T lo, T hi) {
+    const std::optional<T> value = whole_number<T>(text);
+    if (!value.has_value() || !(*value >= lo && *value <= hi)) {
+        throw std::invalid_argument(
+            std::string(flag) + ": expected a " +
+            (std::is_floating_point_v<T> ? "number" : "count") + " in [" +
+            show(lo) + ", " + show(hi) + "], got '" + std::string(text) +
+            "'");
+    }
+    return *value;
+}
+
+template std::uint64_t parse_number(std::string_view, std::string_view,
+                                    std::uint64_t, std::uint64_t);
+template double parse_number(std::string_view, std::string_view, double,
+                             double);
 
 void check_rate_bounds(std::string_view option, double rate) {
     if (!(rate >= 0.0) || rate > 1.0) {

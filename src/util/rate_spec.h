@@ -1,5 +1,6 @@
-// Strict "kind:rate[,kind:rate]*" spec parsing, shared by the chaos and
-// attack command-line surfaces.
+// Strict command-line values: the "kind:rate[,kind:rate]*" spec shared by
+// the chaos and attack surfaces, and the one numeric flag parser every
+// binary uses.
 //
 // net::FaultSpec (`--chaos flap:0.02,...`) and runtime::AttackCampaign
 // (`--attack equivocate:0.05,...`) expose the same grammar with the same
@@ -8,11 +9,13 @@
 // std::invalid_argument naming the offending token.  Both parsers live
 // here now, parameterized by the option name ("--chaos"), the noun used in
 // diagnostics ("fault" / "attack"), and the kind vocabulary, so the
-// rejection semantics are specified -- and tested -- exactly once.
+// rejection semantics are specified -- and tested -- exactly once.  Both
+// read numbers with the same whole-token decimal parse.
 
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <string>
 #include <string_view>
@@ -41,8 +44,9 @@ struct RateSpecKind {
 ///   - "unknown <noun> kind '<name>' (known: ...)"
 ///   - "<noun> '<name>' given twice"
 ///   - "<noun> '<name>' has an empty rate"
-///   - "<noun> '<name>' has a malformed rate '<text>'"  (strict strtod:
-///     trailing junk and non-finite values rejected)
+///   - "<noun> '<name>' has a malformed rate '<text>'"  (the whole token
+///     must be a finite decimal: trailing junk, blanks, a leading '+' and
+///     non-finite values are rejected)
 ///   - "<noun> '<name>' rate <text> is outside [0, 1]"
 void parse_rate_spec(std::string_view text, std::string_view option,
                      std::string_view noun,
@@ -52,6 +56,21 @@ void parse_rate_spec(std::string_view text, std::string_view option,
 /// The [0, 1] bound check used by programmatic set_rate() calls; throws
 /// "<option>: rate <rate> is outside [0, 1]".  Written so NaN fails too.
 void check_rate_bounds(std::string_view option, double rate);
+
+/// Strict numeric flag value: the whole of `text` must be one number in
+/// [lo, hi], else std::invalid_argument("<flag>: expected a count|number in
+/// [lo, hi], got '<text>'") is thrown.  A count (std::uint64_t) is decimal
+/// digits only -- no sign, blank, exponent or trailing junk -- and is
+/// refused on overflow, never wrapped.  A number (double) is a finite
+/// decimal with no leading blank or '+'; whether it may be negative is the
+/// range's business.
+template <class T>
+[[nodiscard]] T parse_number(std::string_view flag, std::string_view text,
+                             T lo, T hi);
+extern template std::uint64_t parse_number(std::string_view, std::string_view,
+                                           std::uint64_t, std::uint64_t);
+extern template double parse_number(std::string_view, std::string_view,
+                                    double, double);
 
 /// Canonical spec text: enabled kinds (rate != 0) in table order as
 /// "kind:rate" with %g formatting; parse_rate_spec() round-trips it.

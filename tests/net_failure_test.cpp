@@ -185,8 +185,7 @@ TEST(Transport, TraversalSucceedsOverHealthyPath) {
     timeline.finalize();
     Transport transport(timeline, util::Rng(2));
     EXPECT_TRUE(transport.sample_traversal(path.links, 0));
-    EXPECT_EQ(transport.latency(path.hops()),
-              2 * transport.params().per_hop_latency);
+    EXPECT_EQ(transport.latency(path.hops()), 2 * kPerHopLatency);
 }
 
 TEST(Transport, TraversalFailsWhenLinkDown) {

@@ -1,13 +1,15 @@
 // The shared "kind:rate" spec parser (util/rate_spec.h): rejection
 // semantics and canonical formatting, tested once against a synthetic
 // vocabulary.  net::FaultSpec and runtime::AttackCampaign both delegate
-// here, so their own tests only need to cover kind wiring.
+// here, so their own tests only need to cover kind wiring.  Also the
+// numeric flag parser every binary's command line goes through.
 
 #include "util/rate_spec.h"
 
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 
@@ -107,6 +109,51 @@ TEST(RateSpec, FormatEmitsTableOrderAndRoundTrips) {
     EXPECT_EQ(parse(text), rates);
     const std::array<double, 3> empty = {};
     EXPECT_EQ(format_rate_spec(kKinds, empty), "");
+}
+
+std::uint64_t count(std::string_view text) {
+    return parse_number<std::uint64_t>("--n", text, 0, UINT64_MAX);
+}
+
+std::uint64_t port(std::string_view text) {
+    return parse_number<std::uint64_t>("--http-port", text, 0, 65535);
+}
+
+TEST(ParseNumber, CountRefusesJunkSignsOverflowAndTheEmptyToken) {
+    for (const char* bad : {"5x", "abc", "zz", "1e3", " 1", "1 ", "-1", "+1",
+                            "-0", "", "18446744073709551616"}) {
+        EXPECT_THROW(count(bad), std::invalid_argument) << "'" << bad << "'";
+    }
+    EXPECT_EQ(count("0"), 0u);
+    EXPECT_EQ(count("18446744073709551615"), UINT64_MAX);
+    EXPECT_EQ(thrown_what([] { count("5x"); }),
+              "--n: expected a count in [0, 18446744073709551615], got '5x'");
+}
+
+TEST(ParseNumber, PortAcceptsItsRangeEdgesAndRefusesBeyond) {
+    EXPECT_EQ(port("0"), 0u);
+    EXPECT_EQ(port("65535"), 65535u);
+    EXPECT_THROW(port("65536"), std::invalid_argument);
+    EXPECT_EQ(thrown_what([] { port("70000"); }),
+              "--http-port: expected a count in [0, 65535], got '70000'");
+}
+
+TEST(ParseNumber, NumberIsOneFiniteDecimalInRange) {
+    const auto fraction = [](std::string_view text) {
+        return parse_number("--collusion", text, 0.0, 1.0);
+    };
+    EXPECT_DOUBLE_EQ(fraction("0"), 0.0);
+    EXPECT_DOUBLE_EQ(fraction("1"), 1.0);
+    EXPECT_DOUBLE_EQ(fraction("0.25"), 0.25);
+    EXPECT_DOUBLE_EQ(fraction("2.5e-1"), 0.25);
+    for (const char* bad : {"7", "-0.5", "+0.5", " 0.5", "0.5x", "nan", "inf",
+                            "", "1e400"}) {
+        EXPECT_THROW(fraction(bad), std::invalid_argument) << "'" << bad << "'";
+    }
+    EXPECT_EQ(thrown_what([&] { fraction("7"); }),
+              "--collusion: expected a number in [0, 1], got '7'");
+    // A negative number is the range's business, not the parser's.
+    EXPECT_DOUBLE_EQ(parse_number("--x", "-0.5", -1.0, 1.0), -0.5);
 }
 
 }  // namespace

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "util/logging.h"
 #include "util/rng.h"
 #include "util/time.h"
 
@@ -108,16 +107,6 @@ TEST(SimTime, UnitConversions) {
     EXPECT_EQ(kHour, 3600 * kSecond);
     EXPECT_DOUBLE_EQ(to_seconds(90 * kSecond), 90.0);
     EXPECT_EQ(from_seconds(2.5), 2'500'000);
-}
-
-TEST(Logging, LevelGateWorks) {
-    const LogLevel old = log_level();
-    set_log_level(LogLevel::kError);
-    EXPECT_EQ(log_level(), LogLevel::kError);
-    // Below-threshold logging is a no-op (no crash, no assertion).
-    log_debug("invisible ", 42);
-    log_info("also invisible");
-    set_log_level(old);
 }
 
 }  // namespace

@@ -18,9 +18,12 @@
 //                                               recorder armed and print the
 //                                               Chrome trace-event JSON
 
+#include <cfloat>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <stdexcept>
 #include <string>
 
 #include "core/bandwidth.h"
@@ -32,6 +35,7 @@
 #include "sim/scenario.h"
 #include "util/json.h"
 #include "util/metrics.h"
+#include "util/rate_spec.h"
 #include "util/spans.h"
 
 namespace {
@@ -51,6 +55,7 @@ struct Options {
     bool json = false;
 };
 
+/// Throws std::invalid_argument naming the flag on a bad numeric value.
 Options parse(int argc, char** argv, int first) {
     Options o;
     for (int i = first; i < argc; ++i) {
@@ -62,20 +67,26 @@ Options parse(int argc, char** argv, int first) {
             }
             return argv[++i];
         };
+        const auto count = [&] {
+            return util::parse_number<std::uint64_t>(a, next(), 0, UINT64_MAX);
+        };
+        const auto fraction = [&] {
+            return util::parse_number(a, next(), 0.0, 1.0);
+        };
         if (a == "--full") {
             o.full = true;
         } else if (a == "--seed") {
-            o.seed = std::strtoull(next(), nullptr, 10);
+            o.seed = count();
         } else if (a == "--nodes") {
-            o.nodes = std::strtod(next(), nullptr);
+            o.nodes = util::parse_number(a, next(), 1.0, DBL_MAX);
         } else if (a == "--collusion") {
-            o.collusion = std::strtod(next(), nullptr);
+            o.collusion = fraction();
         } else if (a == "--messages") {
-            o.messages = std::strtoull(next(), nullptr, 10);
+            o.messages = count();
         } else if (a == "--droppers") {
-            o.droppers = std::strtod(next(), nullptr);
+            o.droppers = fraction();
         } else if (a == "--jobs") {
-            o.jobs = std::strtoull(next(), nullptr, 10);
+            o.jobs = count();
         } else if (a == "--json") {
             o.json = true;
         } else {
@@ -352,7 +363,14 @@ int main(int argc, char** argv) {
         return 2;
     }
     const std::string cmd = argv[1];
-    const Options o = parse(argc, argv, 2);
+    Options o;
+    try {
+        o = parse(argc, argv, 2);
+    } catch (const std::invalid_argument& e) {
+        std::fprintf(stderr, "concilium: %s\n", e.what());
+        usage();
+        return 2;
+    }
     if (cmd == "topology") return cmd_topology(o);
     if (cmd == "occupancy") return cmd_occupancy(o);
     if (cmd == "gamma") return cmd_gamma(o);
