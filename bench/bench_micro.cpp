@@ -40,8 +40,7 @@ overlay::OverlayNetwork make_net(std::size_t n, std::uint64_t seed) {
         members.push_back(
             overlay::Member{std::move(adm.certificate), std::move(adm.keys)});
     }
-    return overlay::OverlayNetwork(std::move(members), overlay::OverlayParams{},
-                                   rng);
+    return overlay::OverlayNetwork(std::move(members), rng);
 }
 
 void BM_SignVerify(benchmark::State& state) {
@@ -115,8 +114,8 @@ void BM_DensityErrorIntegral(benchmark::State& state) {
 BENCHMARK(BM_DensityErrorIntegral);
 
 // A self-rescheduling POD event chain: each dispatch posts the next event,
-// so the benchmark measures steady-state calendar-queue throughput on the
-// path the Cluster's converted per-packet/per-judgment events take.
+// so the benchmark measures steady-state event-heap throughput on the path
+// the Cluster's per-packet/per-judgment events take.
 struct PodChain {
     net::EventSim* sim = nullptr;
     net::EventSim::HandlerId handler = 0;
@@ -134,7 +133,7 @@ void BM_EventSimPodDispatch(benchmark::State& state) {
     PodChain chain;
     chain.sim = &sim;
     chain.handler = sim.register_handler(&chain, &PodChain::dispatch);
-    // 64 concurrent chains spread over the wheel.
+    // 64 concurrent chains: the heap holds 64 events throughout.
     for (int i = 0; i < 64; ++i) sim.post_after(i, chain.handler);
     for (auto _ : state) {
         sim.run_until(sim.now() + 10000);
@@ -278,8 +277,7 @@ void BM_AdvertisementValidation(benchmark::State& state) {
         members.push_back(
             overlay::Member{std::move(adm.certificate), std::move(adm.keys)});
     }
-    const overlay::OverlayNetwork net(std::move(members),
-                                      overlay::OverlayParams{}, rng);
+    const overlay::OverlayNetwork net(std::move(members), rng);
     std::unordered_map<util::NodeId, crypto::PublicKey, util::NodeIdHash> keys;
     crypto::KeyRegistry registry;
     for (overlay::MemberIndex i = 0; i < net.size(); ++i) {
@@ -290,7 +288,6 @@ void BM_AdvertisementValidation(benchmark::State& state) {
     const auto ad = overlay::make_advertisement(
         net, 3, now, [&](overlay::MemberIndex) { return now; });
     core::ValidationParams params;
-    params.geometry = net.params().geometry;
     params.gamma = 2.0;
     const auto key_of = [&](const util::NodeId& id)
         -> std::optional<crypto::PublicKey> {

@@ -8,9 +8,9 @@
 // Run: ./colluding_probes [seed]
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "core/verdicts.h"
+#include "seed_arg.h"
 #include "sim/experiments.h"
 
 using namespace concilium;
@@ -35,8 +35,7 @@ sim::BlameExperimentResult measure(double malicious, std::uint64_t seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
-    const std::uint64_t seed =
-        argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 11;
+    const std::uint64_t seed = examples::seed_arg(argc, argv, 11);
 
     std::printf("measuring per-drop conviction rates (threshold 40%%)...\n\n");
     const auto honest = measure(0.0, seed);

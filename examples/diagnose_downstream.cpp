@@ -7,17 +7,16 @@
 // Run: ./diagnose_downstream [seed]
 
 #include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 
 #include "core/steward.h"
+#include "seed_arg.h"
 #include "sim/scenario.h"
 
 using namespace concilium;
 
 int main(int argc, char** argv) {
-    const std::uint64_t seed =
-        argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 3;
+    const std::uint64_t seed = examples::seed_arg(argc, argv, 3);
 
     sim::ScenarioParams params;
     params.topology = net::small_params();

@@ -8,18 +8,17 @@
 // Run: ./event_driven [seed]
 
 #include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 
 #include "core/reputation.h"
 #include "runtime/cluster.h"
+#include "seed_arg.h"
 #include "sim/scenario.h"
 
 using namespace concilium;
 
 int main(int argc, char** argv) {
-    const std::uint64_t seed =
-        argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 9;
+    const std::uint64_t seed = examples::seed_arg(argc, argv, 9);
 
     // --- the world -----------------------------------------------------
     sim::ScenarioParams wp;

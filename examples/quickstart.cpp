@@ -10,18 +10,17 @@
 // Run: ./quickstart [seed]
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "core/accusation.h"
 #include "core/verdicts.h"
 #include "dht/dht.h"
+#include "seed_arg.h"
 #include "sim/scenario.h"
 
 using namespace concilium;
 
 int main(int argc, char** argv) {
-    const std::uint64_t seed =
-        argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 7;
+    const std::uint64_t seed = examples::seed_arg(argc, argv, 7);
 
     // --- 1. The world -----------------------------------------------------
     sim::ScenarioParams params;

@@ -10,20 +10,19 @@
 // Run: ./routing_audit [seed]
 
 #include <cstdio>
-#include <cstdlib>
 #include <unordered_map>
 
 #include "core/validation.h"
 #include "crypto/certificates.h"
 #include "overlay/advertisement.h"
 #include "overlay/density.h"
+#include "seed_arg.h"
 #include "util/rng.h"
 
 using namespace concilium;
 
 int main(int argc, char** argv) {
-    const std::uint64_t seed =
-        argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 5;
+    const std::uint64_t seed = examples::seed_arg(argc, argv, 5);
 
     // A 300-node overlay admitted through one CA.
     crypto::CertificateAuthority ca(seed);
@@ -34,8 +33,7 @@ int main(int argc, char** argv) {
         members.push_back(
             overlay::Member{std::move(adm.certificate), std::move(adm.keys)});
     }
-    const overlay::OverlayNetwork net(std::move(members),
-                                      overlay::OverlayParams{}, rng);
+    const overlay::OverlayNetwork net(std::move(members), rng);
 
     std::unordered_map<util::NodeId, crypto::PublicKey, util::NodeIdHash> keys;
     crypto::KeyRegistry registry;
@@ -53,19 +51,20 @@ int main(int argc, char** argv) {
     // The analytic occupancy model guides the gamma choice (Section 4.1).
     const double n_est = net.estimate_population(0);
     const auto model =
-        overlay::occupancy_model(n_est, net.params().geometry);
+        overlay::occupancy_model(n_est, overlay::OverlayNetwork::kGeometry);
     std::printf("population estimate from leaf spacing: %.0f (truth: %zu)\n",
                 n_est, net.size());
     std::printf("expected occupied jump slots mu_phi = %.1f (sd %.1f)\n",
                 model.mean_count(), model.stddev_count());
-    const auto gamma_choice = overlay::optimal_gamma(
-        n_est, n_est, 0.2 * n_est, net.params().geometry, 1.0, 4.0, 151);
+    const auto gamma_choice =
+        overlay::optimal_gamma(n_est, n_est, 0.2 * n_est,
+                               overlay::OverlayNetwork::kGeometry, 1.0, 4.0,
+                               151);
     std::printf("gamma* for c = 20%%: %.2f (analytic FP %.4f, FN %.4f)\n\n",
                 gamma_choice.gamma, gamma_choice.false_positive,
                 gamma_choice.false_negative);
 
     core::ValidationParams params;
-    params.geometry = net.params().geometry;
     params.gamma = std::max(1.8, gamma_choice.gamma);  // headroom at small N
     const util::SimTime now = 30 * util::kMinute;
     const double local_density = net.secure_table(0).density();

@@ -3,6 +3,7 @@
 #include <unordered_set>
 
 #include "crypto/tokens.h"
+#include "overlay/network.h"
 #include "util/metrics.h"
 
 namespace concilium::core {
@@ -13,6 +14,8 @@ namespace {
 /// freshness timestamp much older than a probe period plus dissemination
 /// slack is stale.
 constexpr util::SimTime kMaxEntryAge = 5 * util::kMinute;
+/// Advertisements are judged in the overlay's own table geometry.
+constexpr util::OverlayGeometry kGeometry = overlay::OverlayNetwork::kGeometry;
 
 // Validation outcomes live in the `overlay.` namespace: they describe the
 // overlay's routing-state exchange, regardless of which layer runs the check.
@@ -104,11 +107,11 @@ AdvertisementCheck validate_advertisement(
 
     std::unordered_set<int> seen_slots;
     for (const overlay::AdvertisedEntry& e : ad.entries) {
-        if (e.row < 0 || e.row >= params.geometry.rows() || e.col < 0 ||
-            e.col >= params.geometry.columns()) {
+        if (e.row < 0 || e.row >= kGeometry.rows() || e.col < 0 ||
+            e.col >= kGeometry.columns()) {
             return AdvertisementCheck::kMalformedEntry;
         }
-        const int slot = e.row * params.geometry.columns() + e.col;
+        const int slot = e.row * kGeometry.columns() + e.col;
         if (!seen_slots.insert(slot).second) {
             return AdvertisementCheck::kMalformedEntry;
         }
@@ -131,7 +134,7 @@ AdvertisementCheck validate_advertisement(
     }
 
     if (overlay::jump_table_too_sparse(
-            local_density, ad.density(params.geometry), params.gamma)) {
+            local_density, ad.density(kGeometry), params.gamma)) {
         return AdvertisementCheck::kTooSparse;
     }
     return AdvertisementCheck::kOk;

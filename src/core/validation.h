@@ -36,7 +36,6 @@ enum class AdvertisementCheck {
 const char* to_string(AdvertisementCheck check);
 
 struct ValidationParams {
-    util::OverlayGeometry geometry{.digits = 32};
     /// Density-test threshold; Section 4.1 chooses it from the analytic
     /// error model.
     double gamma = 1.5;

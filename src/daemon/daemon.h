@@ -4,7 +4,7 @@
 // trace's directives, runtime::Cluster driven by the trace's records -- and
 // advances it in fixed sim-time ticks.  Ticks exist for three reasons: they
 // bound how much workload is scheduled ahead (a weeks-long trace streams
-// instead of loading into the calendar queue at once), they are the points
+// instead of loading into the event queue at once), they are the points
 // where checkpoints are cut and stop flags honored, and they give the live
 // mode something to pace against wall time so a scraper can watch a run in
 // flight.

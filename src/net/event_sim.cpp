@@ -24,29 +24,17 @@ util::metrics::Counter& events_executed() {
     return c;
 }
 
-util::metrics::Gauge& queue_depth_max() {
-    static auto& g =
-        util::metrics::Registry::global().gauge("net.queue_depth_max");
-    return g;
-}
-
-// High-water marks use set_max (commutative), so the deterministic metrics
-// section stays byte-identical across --jobs values.
+// The high-water mark uses set_max (commutative), so the deterministic
+// metrics section stays byte-identical across --jobs values.
 util::metrics::Gauge& queue_high_water() {
     static auto& g = util::metrics::Registry::global().gauge(
         "net.eventsim.queue_high_water");
     return g;
 }
 
-util::metrics::Gauge& overflow_high_water() {
-    static auto& g = util::metrics::Registry::global().gauge(
-        "net.eventsim.overflow_high_water");
-    return g;
-}
-
 // Per-sim-minute queue-depth high-water series (geometry matches the
 // kWellKnownSeries catalogue).  Max mode commutes, so the exported windows
-// are byte-identical across --jobs values like the gauges above.
+// are byte-identical across --jobs values like the gauge above.
 util::metrics::SeriesMetric& queue_depth_by_minute() {
     static auto& s = util::metrics::Registry::global().series(
         "net.eventsim.queue_depth.by_minute", util::kMinute, 240,
@@ -70,21 +58,10 @@ void EventSim::insert(Record r) {
             "EventSim: pending events exceed max_pending "
             "(runaway scheduling?)");
     }
-    if (r.at < wheel_end()) {
-        auto& bucket = wheel_[(static_cast<std::uint64_t>(r.at) >> kWidthShift) &
-                              kBucketMask];
-        bucket.push_back(r);
-        std::push_heap(bucket.begin(), bucket.end(), Later{});
-        ++wheel_count_;
-    } else {
-        overflow_.push_back(r);
-        std::push_heap(overflow_.begin(), overflow_.end(), Later{});
-        overflow_high_water().set_max(static_cast<double>(overflow_.size()));
-    }
+    queue_.push_back(r);
+    std::push_heap(queue_.begin(), queue_.end(), Later{});
     events_scheduled().add(1);
-    const auto depth = static_cast<double>(pending());
-    queue_depth_max().set_max(depth);
-    queue_high_water().set_max(depth);
+    queue_high_water().set_max(static_cast<double>(queue_.size()));
 }
 
 void EventSim::post_at(util::SimTime t, HandlerId handler, std::uint32_t a,
@@ -97,59 +74,12 @@ void EventSim::post_after(util::SimTime delay, HandlerId handler,
     post_at(now_ + delay, handler, a, b, c);
 }
 
-void EventSim::drain_overflow() {
-    const util::SimTime end = wheel_end();
-    while (!overflow_.empty() && overflow_.front().at < end) {
-        std::pop_heap(overflow_.begin(), overflow_.end(), Later{});
-        Record r = overflow_.back();
-        overflow_.pop_back();
-        auto& bucket = wheel_[(static_cast<std::uint64_t>(r.at) >> kWidthShift) &
-                              kBucketMask];
-        bucket.push_back(r);
-        std::push_heap(bucket.begin(), bucket.end(), Later{});
-        ++wheel_count_;
-    }
-}
-
-void EventSim::advance_cursor_to(util::SimTime at) {
-    const auto target = static_cast<std::uint64_t>(at) >> kWidthShift;
-    if (target <= cur_slot_) return;
-    cur_slot_ = target;
-    drain_overflow();
-}
-
 bool EventSim::pop_next(util::SimTime horizon, Record& out) {
-    if (pending() == 0) return false;
-    for (;;) {
-        auto& bucket = wheel_[cur_slot_ & kBucketMask];
-        if (!bucket.empty()) {
-            if (bucket.front().at > horizon) return false;
-            std::pop_heap(bucket.begin(), bucket.end(), Later{});
-            out = bucket.back();
-            bucket.pop_back();
-            --wheel_count_;
-            return true;
-        }
-        if (wheel_count_ == 0) {
-            // Whole wheel empty: the earliest remaining event is the
-            // overflow top.  Jump straight to its bucket (or stop at the
-            // horizon's) instead of stepping through empty laps.
-            const util::SimTime at = overflow_.front().at;
-            if (at > horizon) {
-                advance_cursor_to(horizon);
-                return false;
-            }
-            advance_cursor_to(at);
-            continue;
-        }
-        // Advance one bucket; the cursor never passes the horizon's bucket,
-        // so clamped future inserts cannot land behind it.
-        const util::SimTime next_start =
-            static_cast<util::SimTime>(cur_slot_ + 1) << kWidthShift;
-        if (next_start > horizon) return false;
-        ++cur_slot_;
-        drain_overflow();
-    }
+    if (queue_.empty() || queue_.front().at > horizon) return false;
+    std::pop_heap(queue_.begin(), queue_.end(), Later{});
+    out = queue_.back();
+    queue_.pop_back();
+    return true;
 }
 
 void EventSim::dispatch(const Record& ev) {

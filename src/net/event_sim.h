@@ -8,29 +8,30 @@
 // EventSim is the shared clock and event queue those components hang off of.
 // Events at equal times fire in scheduling order, so runs are deterministic.
 //
-// The queue is a time-bucketed calendar: 256 buckets of ~262 ms each cover a
-// sliding ~67 s window; events beyond the window wait in an overflow heap and
-// migrate into the wheel as the cursor advances.  Each bucket is a small
-// binary heap ordered by (time, sequence), which preserves the global
-// deterministic ordering while keeping per-operation cost near O(1) at
-// full-SCAN queue depths.
+// The queue is one binary min-heap ordered by (time, sequence), because the
+// measured queues are short: the deepest any default-size event loop
+// reaches is 2,972 events (nightly's recovery soak), the deepest at --full
+// is 10,967 (the same soak), runtime_e2e peaks at 158 and the 14-day daemon
+// soak at 684, and the full-SCAN world builds no EventSim at all.  At those
+// depths a push or pop is at most 14 sift steps over contiguous records,
+// and a calendar or bucketed queue saves no measurable wall time
+// (DESIGN.md, "POD event records", lists every event loop's depth).
 //
 // There is one scheduling API: a component registers a handler once, then
 // posts events to it.  Events are 40-byte POD records — a handler id plus
-// three integer operands — so scheduling never allocates once the buckets
-// have warmed up.  A component whose event needs more than three integers
-// keeps that payload itself and posts an index to it (runtime::Cluster
-// parks snapshots, evidence and signed notices in a slot table).
+// three integer operands — so scheduling never allocates once the heap has
+// grown to the run's depth.  A component whose event needs more than three
+// integers keeps that payload itself and posts an index to it
+// (runtime::Cluster parks snapshots, evidence and signed notices in a slot
+// table).
 //
-// Determinism contract: for any sequence of post calls, dispatch order is a
-// pure function of the (time, sequence) pairs — bucket placement and
-// overflow migration are invisible to observers.  Equal-time events fire in
-// post order regardless of which side of the wheel horizon they were
-// inserted on.
+// Determinism contract: dispatch order is a pure function of the (time,
+// sequence) pairs, sequence being the global post order.  A post for a
+// time before now() is clamped to now() and so fires after every event
+// already queued for now().
 
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -58,9 +59,9 @@ class EventSim {
     /// Registers a dispatch target; call once per component at setup.
     HandlerId register_handler(void* ctx, HandlerFn fn);
 
-    /// Schedules a POD event for `handler` at absolute time t (>= now, else
-    /// it fires immediately at the current time).  Never allocates once the
-    /// target bucket has warmed up.
+    /// Schedules a POD event for `handler` at absolute time t.  A t before
+    /// now() is clamped to now(): the event fires at the current time,
+    /// after the events already queued for it.
     void post_at(util::SimTime t, HandlerId handler, std::uint32_t a = 0,
                  std::uint64_t b = 0, std::uint64_t c = 0);
 
@@ -77,10 +78,8 @@ class EventSim {
     /// Fires the next event; returns false when the queue is empty.
     bool step();
 
-    [[nodiscard]] std::size_t pending() const noexcept {
-        return wheel_count_ + overflow_.size();
-    }
-    [[nodiscard]] bool empty() const noexcept { return pending() == 0; }
+    [[nodiscard]] std::size_t pending() const noexcept { return queue_.size(); }
+    [[nodiscard]] bool empty() const noexcept { return queue_.empty(); }
 
     /// Adjusts the runaway-queue valve (see kDefaultMaxPending).
     void set_max_pending(std::size_t cap) noexcept { max_pending_ = cap; }
@@ -89,17 +88,6 @@ class EventSim {
     }
 
   private:
-    // 256 buckets x 2^18 us: ~262 ms per bucket, ~67 s wheel span.  Control
-    // latencies and probe intervals in the modelled protocol are
-    // milliseconds to tens of seconds, so nearly all events land in the
-    // wheel; multi-minute timers wait in the overflow heap.
-    static constexpr int kBucketBits = 8;
-    static constexpr std::size_t kBuckets = std::size_t{1} << kBucketBits;
-    static constexpr std::size_t kBucketMask = kBuckets - 1;
-    static constexpr int kWidthShift = 18;
-    static constexpr util::SimTime kBucketWidth = util::SimTime{1}
-                                                  << kWidthShift;
-
     struct Record {
         util::SimTime at;
         std::uint64_t seq;
@@ -122,32 +110,16 @@ class EventSim {
         HandlerFn fn = nullptr;
     };
 
-    [[nodiscard]] util::SimTime wheel_end() const noexcept {
-        return static_cast<util::SimTime>((cur_slot_ + kBuckets))
-               << kWidthShift;
-    }
-
     void insert(Record r);
-    /// Pops the earliest event if its time is <= horizon.  May advance the
-    /// cursor, but never past the horizon's bucket, so later inserts (which
-    /// are clamped to >= now) always map at or ahead of the cursor.
+    /// Pops the earliest event if its time is <= horizon.
     bool pop_next(util::SimTime horizon, Record& out);
-    /// Moves the cursor to at's bucket (forward only) and migrates overflow
-    /// events that entered the wheel window.
-    void advance_cursor_to(util::SimTime at);
-    /// Migrates overflow events with at < wheel_end() into the wheel.
-    void drain_overflow();
     void dispatch(const Record& ev);
     /// Publishes the finished per-minute queue-depth maximum and opens the
     /// window containing now_.  Off the per-event path: dispatch() only
     /// compares against depth_window_end_.
     void flush_depth_window() noexcept;
 
-    std::array<std::vector<Record>, kBuckets> wheel_;  // per-bucket min-heaps
-    std::vector<Record> overflow_;                     // min-heap, at >= wheel_end
-    std::size_t wheel_count_ = 0;
-    std::uint64_t cur_slot_ = 0;  // monotonic bucket number (time >> shift)
-
+    std::vector<Record> queue_;  // min-heap on (at, seq) under Later
     std::vector<Handler> handlers_;
 
     util::SimTime now_ = 0;

@@ -27,9 +27,8 @@ std::pair<util::NodeId, util::NodeId> prefix_bounds(const util::NodeId& p,
 
 }  // namespace
 
-OverlayNetwork::OverlayNetwork(std::vector<Member> members,
-                               OverlayParams params, util::Rng& rng)
-    : params_(params), members_(std::move(members)) {
+OverlayNetwork::OverlayNetwork(std::vector<Member> members, util::Rng& rng)
+    : members_(std::move(members)) {
     if (members_.empty()) {
         throw std::invalid_argument("OverlayNetwork: no members");
     }
@@ -100,15 +99,15 @@ void OverlayNetwork::build_tables(util::Rng& rng) {
     standard_tables_.reserve(n);
     for (MemberIndex i = 0; i < n; ++i) {
         const util::NodeId& self = members_[i].id();
-        JumpTable secure(self, params_.geometry);
-        JumpTable standard(self, params_.geometry);
-        for (int row = 0; row < params_.geometry.rows(); ++row) {
+        JumpTable secure(self, kGeometry);
+        JumpTable standard(self, kGeometry);
+        for (int row = 0; row < kGeometry.rows(); ++row) {
             // Any candidate for this row shares a row-digit prefix with us;
             // once we are alone in that prefix block, all deeper rows are
             // empty too.
             const auto [row_first, row_last] = prefix_range(self, row);
             if (row_last - row_first <= 1) break;
-            for (int col = 0; col < params_.geometry.columns(); ++col) {
+            for (int col = 0; col < kGeometry.columns(); ++col) {
                 const util::NodeId p = self.with_digit(row, col);
                 const auto [first, last] = prefix_range(p, row + 1);
                 if (first == last) continue;
@@ -192,7 +191,7 @@ std::optional<MemberIndex> OverlayNetwork::next_hop(
     if (root_of(key) == i) return std::nullopt;
     const util::NodeId& self = members_[i].id();
     const int row = self.shared_prefix_digits(key);
-    if (row < params_.geometry.rows()) {
+    if (row < kGeometry.rows()) {
         const auto slot = secure_tables_[i].slot(row, key.digit(row));
         if (slot.has_value()) return *slot;
     }
@@ -243,7 +242,7 @@ double OverlayNetwork::estimate_population(MemberIndex i) const {
 
 OverlayNetwork build_overlay_from_hosts(
     const std::vector<net::RouterId>& hosts, std::size_t count,
-    crypto::CertificateAuthority& ca, OverlayParams params, util::Rng& rng) {
+    crypto::CertificateAuthority& ca, util::Rng& rng) {
     if (count > hosts.size()) {
         throw std::invalid_argument(
             "build_overlay_from_hosts: not enough end hosts");
@@ -256,7 +255,7 @@ OverlayNetwork build_overlay_from_hosts(
         members.push_back(
             Member{std::move(admission.certificate), std::move(admission.keys)});
     }
-    return OverlayNetwork(std::move(members), params, rng);
+    return OverlayNetwork(std::move(members), rng);
 }
 
 }  // namespace concilium::overlay

@@ -38,24 +38,20 @@ struct Member {
     [[nodiscard]] net::RouterId ip() const noexcept { return certificate.ip; }
 };
 
-struct OverlayParams {
-    util::OverlayGeometry geometry{.digits = 32};
-};
-
 class OverlayNetwork {
   public:
+    /// Identifier geometry of every jump table: 32 base-16 digits (Pastry's
+    /// 128-bit identifiers with b = 4), so a table has 32 rows of 16 columns.
+    static constexpr util::OverlayGeometry kGeometry{.digits = 32};
+
     /// Builds leaf sets and both jump tables for every member.  Members must
     /// have distinct identifiers.  rng drives the standard tables'
     /// unconstrained entry choice only; the secure tables are deterministic.
-    OverlayNetwork(std::vector<Member> members, OverlayParams params,
-                   util::Rng& rng);
+    OverlayNetwork(std::vector<Member> members, util::Rng& rng);
 
     [[nodiscard]] std::size_t size() const noexcept { return members_.size(); }
     [[nodiscard]] const Member& member(MemberIndex i) const {
         return members_.at(i);
-    }
-    [[nodiscard]] const OverlayParams& params() const noexcept {
-        return params_;
     }
 
     [[nodiscard]] std::optional<MemberIndex> index_of(
@@ -106,7 +102,6 @@ class OverlayNetwork {
     [[nodiscard]] std::pair<std::size_t, std::size_t> prefix_range(
         const util::NodeId& p, int digits) const;
 
-    OverlayParams params_;
     std::vector<Member> members_;
     std::vector<MemberIndex> sorted_;  ///< member indices in id order
     /// NodeId -> member index, the one sanctioned resolution point where
@@ -123,6 +118,6 @@ class OverlayNetwork {
 /// replacement) through the CA and builds the overlay.
 OverlayNetwork build_overlay_from_hosts(
     const std::vector<net::RouterId>& hosts, std::size_t count,
-    crypto::CertificateAuthority& ca, OverlayParams params, util::Rng& rng);
+    crypto::CertificateAuthority& ca, util::Rng& rng);
 
 }  // namespace concilium::overlay

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "core/verdicts.h"
+
 namespace concilium::sim {
 
 namespace {
@@ -10,6 +12,9 @@ namespace {
 /// Attribution experiment: probability of injecting a forwarder drop on an
 /// otherwise healthy route sample.
 constexpr double kForwarderDropProbability = 0.5;
+/// Attribution experiment: the paper's verdict rule (Section 4.3), guilty at
+/// 40% blame or more, for the recursive revision and its baseline alike.
+constexpr core::VerdictParams kVerdicts{};
 
 /// Per-host result of one Figure-4 trial: the coverage / voucher values
 /// for every forest size this host can contribute to.
@@ -251,12 +256,12 @@ AttributionExperimentResult run_attribution_experiment(
             core::AttributionOutcome outcome;
             if (params.enable_revision) {
                 outcome = core::attribute_fault(hops.size(), forwarder_count,
-                                                blame_fn, params.verdicts);
+                                                blame_fn, kVerdicts);
             } else {
                 // Non-recursive baseline: the sender's verdict on its first
                 // hop is final.
                 const double blame = blame_fn(0, 1);
-                if (core::is_guilty_verdict(blame, params.verdicts)) {
+                if (core::is_guilty_verdict(blame, kVerdicts)) {
                     outcome.blamed_hop = 1;
                 } else {
                     outcome.network_blamed = true;

@@ -12,7 +12,6 @@
 
 #include "core/blame.h"
 #include "core/steward.h"
-#include "core/verdicts.h"
 #include "sim/experiment_driver.h"
 #include "sim/scenario.h"
 #include "util/stats.h"
@@ -81,7 +80,6 @@ BlameExperimentResult run_blame_experiment(const Scenario& scenario,
 
 struct AttributionExperimentParams {
     std::size_t samples = 2000;
-    core::VerdictParams verdicts;
     /// When false, skip recursive revision: the sender's own verdict is
     /// final (guilty == blame its first hop).  This is the paper's Section
     /// 3.5 mechanism ablated away.

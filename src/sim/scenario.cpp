@@ -67,7 +67,7 @@ Scenario::Scenario(const ScenarioParams& params)
         const WallSpan span(SpanType::kOverlayBuild, /*causal=*/0,
                             static_cast<std::int64_t>(count));
         overlay_.emplace(overlay::build_overlay_from_hosts(
-            hosts, count, ca_, params_.overlay, rng_root_));
+            hosts, count, ca_, rng_root_));
     }
 
     // Build every member's probe tree; the (host, routing peer) paths seed

@@ -43,7 +43,6 @@ struct ScenarioParams {
     double overlay_fraction = 0.03;
     /// When nonzero, overrides the fraction with an absolute node count.
     std::size_t overlay_nodes_override = 0;
-    overlay::OverlayParams overlay;
     net::FailureModelParams failures;
     util::SimTime duration = 2 * util::kHour;  ///< "two virtual hours"
     core::BlameParams blame;  ///< accuracy 0.9, Delta = 60 s

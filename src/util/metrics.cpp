@@ -124,9 +124,7 @@ constexpr WellKnown kWellKnown[] = {
     // net — event queue and transport.
     {WellKnown::kCounter, "net.events_scheduled"},
     {WellKnown::kCounter, "net.events_executed"},
-    {WellKnown::kGauge, "net.queue_depth_max"},
     {WellKnown::kGauge, "net.eventsim.queue_high_water"},
-    {WellKnown::kGauge, "net.eventsim.overflow_high_water"},
     // crypto — snapshot signature checks, one per seal.
     {WellKnown::kCounter, "crypto.verify.cache_hit"},
     {WellKnown::kCounter, "crypto.verify.cache_miss"},

@@ -16,7 +16,7 @@ TEST(ProbeSharing, GroupsCoLocatedMembersByDomain) {
     const net::Topology topo = net::generate_topology(tp, rng);
     crypto::CertificateAuthority ca(4);
     const auto net = overlay::build_overlay_from_hosts(
-        topo.end_hosts(), 40, ca, overlay::OverlayParams{}, rng);
+        topo.end_hosts(), 40, ca, rng);
     const tomography::OverlayTrees trees(net, topo);
 
     const auto plan = plan_probe_sharing(net, topo, trees);
@@ -46,7 +46,7 @@ TEST(ProbeSharing, SharingAmortizesBandwidth) {
     const net::Topology topo = net::generate_topology(tp, rng);
     crypto::CertificateAuthority ca(6);
     const auto net = overlay::build_overlay_from_hosts(
-        topo.end_hosts(), 45, ca, overlay::OverlayParams{}, rng);
+        topo.end_hosts(), 45, ca, rng);
     const tomography::OverlayTrees trees(net, topo);
 
     const auto plan = plan_probe_sharing(net, topo, trees);

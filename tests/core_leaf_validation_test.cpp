@@ -12,9 +12,8 @@ namespace {
 
 struct LeafValidationFixture : ::testing::Test {
     LeafValidationFixture() : ca(41), rng(42) {
-        overlay::OverlayParams params;
         net.emplace(overlay::OverlayNetwork(
-            concilium::testing::make_members(ca, 200), params, rng));
+            concilium::testing::make_members(ca, 200), rng));
         for (overlay::MemberIndex i = 0; i < net->size(); ++i) {
             keys_by_id.emplace(net->member(i).id(),
                                net->member(i).keys.public_key());

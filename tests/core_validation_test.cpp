@@ -11,10 +11,8 @@ namespace {
 
 struct ValidationFixture : ::testing::Test {
     ValidationFixture() : ca(31), rng(32) {
-        overlay::OverlayParams params;
-        params.geometry.digits = 32;
         net.emplace(overlay::OverlayNetwork(
-            concilium::testing::make_members(ca, 150), params, rng));
+            concilium::testing::make_members(ca, 150), rng));
         for (overlay::MemberIndex i = 0; i < net->size(); ++i) {
             keys_by_id.emplace(net->member(i).id(),
                                net->member(i).keys.public_key());
@@ -41,7 +39,6 @@ struct ValidationFixture : ::testing::Test {
 
     ValidationParams params_with(double gamma = 1.5) {
         ValidationParams p;
-        p.geometry = net->params().geometry;
         p.gamma = gamma;
         return p;
     }

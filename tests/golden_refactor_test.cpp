@@ -1,12 +1,13 @@
 // Golden seams for the memory-layout, event-API and runtime-split
 // refactors.
 //
-// The memory-architecture refactors (flat storage, calendar queue, interned
-// digests, the flat probe tree and bit-packed probe sessions, the CSR
-// oracle and the chunked parallel tree build, shared archives and the
-// digest record that gates the equivocation scan, member-indexed ring
-// archives), the move of every runtime event onto EventSim's POD queue,
-// the one-event snapshot fan-out with its per-seal signature verdict, and
+// The memory-architecture refactors (flat storage, interned digests, the
+// flat probe tree and bit-packed probe sessions, the CSR oracle and the
+// chunked parallel tree build, shared archives and the digest record that
+// gates the equivocation scan, member-indexed ring archives), the move of
+// every runtime event onto EventSim's POD queue and of that queue from a
+// calendar wheel to one (time, sequence) heap, the one-event snapshot
+// fan-out with its per-seal signature verdict, and
 // the split of runtime::Cluster into five state-owning parts (a crash now
 // being each part forgetting its own node state) must be
 // behaviour-preserving: routes, overlay trees, verdicts, generated
@@ -94,7 +95,7 @@ TEST(GoldenRefactor, OverlayTreesAreByteIdentical) {
     const auto topo = net::generate_topology(net::medium_params(), rng);
     crypto::CertificateAuthority ca(22);
     const auto net = overlay::build_overlay_from_hosts(
-        topo.end_hosts(), 600, ca, overlay::OverlayParams{}, rng);
+        topo.end_hosts(), 600, ca, rng);
     ASSERT_GE(net.size() * topo.router_count(), 8'000'000u);
     const tomography::OverlayTrees trees(net, topo);
     ASSERT_EQ(trees.size(), net.size());
@@ -382,7 +383,7 @@ TEST(GoldenRefactor, ClusterRunIsByteIdentical) {
     const auto topo = net::generate_topology(topo_params, rng);
     crypto::CertificateAuthority ca(42);
     const auto members = overlay::build_overlay_from_hosts(
-        topo.end_hosts(), 40, ca, overlay::OverlayParams{}, rng);
+        topo.end_hosts(), 40, ca, rng);
     const tomography::OverlayTrees trees(members, topo);
     net::FailureTimeline timeline;
     timeline.finalize();
@@ -500,7 +501,7 @@ TEST(GoldenRefactor, LosslessGossipIsByteIdentical) {
     const auto topo = net::generate_topology(topo_params, rng);
     crypto::CertificateAuthority ca(62);
     const auto members = overlay::build_overlay_from_hosts(
-        topo.end_hosts(), 40, ca, overlay::OverlayParams{}, rng);
+        topo.end_hosts(), 40, ca, rng);
     const tomography::OverlayTrees trees(members, topo);
     net::FailureTimeline timeline;
     timeline.finalize();
@@ -590,7 +591,7 @@ TEST(GoldenRefactor, EquivocationProofsAreByteIdentical) {
     const auto topo = net::generate_topology(topo_params, rng);
     crypto::CertificateAuthority ca(52);
     const auto members = overlay::build_overlay_from_hosts(
-        topo.end_hosts(), 40, ca, overlay::OverlayParams{}, rng);
+        topo.end_hosts(), 40, ca, rng);
     const tomography::OverlayTrees trees(members, topo);
     net::FailureTimeline timeline;
     timeline.finalize();

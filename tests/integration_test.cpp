@@ -145,7 +145,6 @@ TEST_F(IntegrationFixture, RoutingStateValidationPassesForHonestMembers) {
     const auto& net = scenario.overlay_net();
     const util::SimTime now = 10 * util::kMinute;
     core::ValidationParams params;
-    params.geometry = net.params().geometry;
     params.gamma = 2.0;  // small overlays have high density variance
     crypto::KeyRegistry registry;
     for (MemberIndex i = 0; i < net.size(); ++i) {

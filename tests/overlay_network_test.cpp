@@ -171,13 +171,13 @@ TEST_F(OverlayNetworkTest, PopulationEstimateIsSane) {
 
 TEST(OverlayNetworkConstruction, RejectsEmptyAndDuplicates) {
     util::Rng rng(1);
-    EXPECT_THROW(OverlayNetwork({}, OverlayParams{}, rng),
+    EXPECT_THROW(OverlayNetwork({}, rng),
                  std::invalid_argument);
 
     crypto::CertificateAuthority ca(5);
     auto members = concilium::testing::make_members(ca, 2);
     members[1].certificate.node_id = members[0].certificate.node_id;
-    EXPECT_THROW(OverlayNetwork(std::move(members), OverlayParams{}, rng),
+    EXPECT_THROW(OverlayNetwork(std::move(members), rng),
                  std::invalid_argument);
 }
 
@@ -204,7 +204,7 @@ TEST(Advertisement, CarriesSecureTableWithFreshTimestamps) {
         EXPECT_EQ(e.freshness.signer, e.peer);
         EXPECT_EQ(e.freshness.at, now - 30 * util::kSecond);
     }
-    EXPECT_NEAR(ad.density(net.params().geometry),
+    EXPECT_NEAR(ad.density(OverlayNetwork::kGeometry),
                 net.secure_table(3).density(), 1e-12);
     // Wire size: 144 bytes per entry plus envelope.
     EXPECT_GE(ad.wire_bytes(), ad.entries.size() * 144);

@@ -30,7 +30,7 @@ struct RecoveryWorld {
           topology(net::generate_topology(alter(net::small_params()), rng)),
           ca(seed + 1) {
         overlay.emplace(overlay::build_overlay_from_hosts(
-            topology.end_hosts(), nodes, ca, overlay::OverlayParams{}, rng));
+            topology.end_hosts(), nodes, ca, rng));
         trees.emplace(*overlay, topology);
         timeline.finalize();
     }

@@ -34,13 +34,10 @@ inline std::vector<overlay::Member> make_members(
 }
 
 inline overlay::OverlayNetwork make_overlay(std::size_t count,
-                                            std::uint64_t seed = 42,
-                                            int digits = 32) {
+                                            std::uint64_t seed = 42) {
     crypto::CertificateAuthority ca(seed);
     util::Rng rng(seed + 1);
-    overlay::OverlayParams params;
-    params.geometry.digits = digits;
-    return overlay::OverlayNetwork(make_members(ca, count), params, rng);
+    return overlay::OverlayNetwork(make_members(ca, count), rng);
 }
 
 }  // namespace concilium::testing

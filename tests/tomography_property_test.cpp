@@ -185,7 +185,7 @@ TEST(OverlayTrees, ConsistentWithRoutingState) {
         net::generate_topology(net::small_params(), rng);
     crypto::CertificateAuthority ca(10);
     const auto net = overlay::build_overlay_from_hosts(
-        topo.end_hosts(), 50, ca, overlay::OverlayParams{}, rng);
+        topo.end_hosts(), 50, ca, rng);
     const OverlayTrees trees(net, topo);
 
     ASSERT_EQ(trees.size(), net.size());
@@ -233,7 +233,7 @@ TEST(OverlayTrees, PathLinksThrowsForNonPeer) {
         net::generate_topology(net::small_params(), rng);
     crypto::CertificateAuthority ca(12);
     const auto net = overlay::build_overlay_from_hosts(
-        topo.end_hosts(), 20, ca, overlay::OverlayParams{}, rng);
+        topo.end_hosts(), 20, ca, rng);
     const OverlayTrees trees(net, topo);
     // Find a non-peer pair.
     for (overlay::MemberIndex m = 0; m < net.size(); ++m) {

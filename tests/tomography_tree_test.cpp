@@ -259,8 +259,7 @@ TEST(OverlayTrees, MemberOutsideTheTopologyFailsTheBuild) {
                                           std::move(admission.keys)});
     }
     util::Rng rng(6);
-    const overlay::OverlayNetwork net(std::move(members),
-                                      overlay::OverlayParams{}, rng);
+    const overlay::OverlayNetwork net(std::move(members), rng);
     try {
         const OverlayTrees trees(net, topo);
         ADD_FAILURE() << "built trees for a member outside the topology";
