@@ -27,6 +27,8 @@
 
 #include <stdexcept>
 
+#include <sys/resource.h>
+
 #include "core/trace.h"
 #include "net/chaos.h"
 #include "net/topology_gen.h"
@@ -341,12 +343,12 @@ inline sim::ScenarioParams runtime_scenario(const BenchArgs& args,
 
 /// Perf-trajectory snapshot (the BENCH_<name>.json files).
 ///
-/// Every bench can record its headline throughput numbers -- wall time
-/// plus whichever of events/sec, probes/sec, and bytes/diagnosis apply --
-/// into a small flat JSON file that tools/check_perf.py diffs against the
-/// committed baseline in bench/baselines/.  Construction starts the wall
-/// clock and snapshots the relevant metrics counters, so `rate()` fields
-/// report only work done while the report was live.
+/// Every bench can record its headline throughput numbers -- wall time,
+/// peak RSS, and whichever of events/sec, probes/sec, and bytes/diagnosis
+/// apply -- into a small flat JSON file that tools/check_perf.py diffs
+/// against the committed baseline in bench/baselines/.  Construction
+/// starts the wall clock and snapshots the relevant metrics counters, so
+/// `rate()` fields report only work done while the report was live.
 class BenchReport {
   public:
     explicit BenchReport(std::string name)
@@ -398,12 +400,16 @@ class BenchReport {
             .count();
     }
 
-    /// Fills wall_seconds plus events/probes counts and rates from the
-    /// process metrics registry (deltas since construction).  Call once,
-    /// after the measured work.
+    /// Fills wall_seconds, the process's peak RSS so far, and
+    /// events/probes counts and rates from the process metrics registry
+    /// (deltas since construction).  Call once, after the measured work.
     void finish() {
         finished_ = true;
         set("wall_seconds", wall_seconds());
+        rusage usage{};
+        getrusage(RUSAGE_SELF, &usage);
+        // ru_maxrss is in KiB on Linux.
+        set("peak_rss_mb", static_cast<double>(usage.ru_maxrss) / 1024.0);
         const double events = static_cast<double>(
             counter_value("net.events_executed") - events_at_start_);
         const double probes = static_cast<double>(

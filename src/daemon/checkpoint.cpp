@@ -6,8 +6,8 @@
 #include <stdexcept>
 #include <utility>
 
-#include "daemon/workload.h"
-#include "runtime/journal.h"
+#include "util/fnv.h"
+#include "util/rate_spec.h"
 
 namespace concilium::daemon {
 
@@ -24,36 +24,7 @@ void append_hex64(std::string& out, std::uint64_t v) {
     out += buf;
 }
 
-std::uint64_t fold_u64(std::uint64_t h, std::uint64_t v) {
-    unsigned char bytes[8];
-    for (int i = 0; i < 8; ++i) {
-        bytes[i] = static_cast<unsigned char>(v >> (8 * i));
-    }
-    return fnv1a(h, bytes, sizeof bytes);
-}
-
 }  // namespace
-
-std::uint64_t journal_fnv(const runtime::NodeJournal& journal) {
-    std::uint64_t h = kFnvOffset;
-    for (const auto& e : journal.entries()) {
-        h = fold_u64(h, static_cast<std::uint64_t>(e.kind));
-        h = fold_u64(h, e.value);
-        h = fold_u64(h, e.hop);
-        h = fnv1a(h, e.peer.bytes().data(), e.peer.bytes().size());
-        h = fold_u64(h, e.guilty ? 1 : 0);
-        h = fold_u64(h, static_cast<std::uint64_t>(e.at));
-        h = fold_u64(h, static_cast<std::uint64_t>(e.until));
-        h = fold_u64(h, e.commitment.has_value() ? 1 : 0);
-        if (e.commitment.has_value()) {
-            h = fold_u64(h, e.commitment->message_id);
-            h = fold_u64(h, static_cast<std::uint64_t>(e.commitment->at));
-            h = fnv1a(h, e.commitment->forwarder.bytes().data(),
-                      e.commitment->forwarder.bytes().size());
-        }
-    }
-    return h;
-}
 
 std::string Checkpoint::to_text() const {
     std::string out = "concilium-checkpoint v1\n";
@@ -88,7 +59,7 @@ std::string Checkpoint::to_text() const {
         out += '\n';
     }
     out += "digest ";
-    append_hex64(out, fnv1a(kFnvOffset, out.data(), out.size()));
+    append_hex64(out, util::fnv1a(util::kFnvOffset, out.data(), out.size()));
     out += "\nend\n";
     return out;
 }
@@ -167,6 +138,10 @@ Checkpoint Checkpoint::parse(std::string_view text, std::string_view origin) {
             }
             return v;
         };
+        const auto count = [&](std::string_view token) {
+            return util::parse_number<std::uint64_t>(where, token, 0,
+                                                     UINT64_MAX);
+        };
 
         if (kind == "trace-fnv") {
             want(2);
@@ -174,38 +149,36 @@ Checkpoint Checkpoint::parse(std::string_view text, std::string_view origin) {
             have[0] = true;
         } else if (kind == "sim-clock-us") {
             want(2);
-            ck.sim_clock = static_cast<util::SimTime>(
-                parse_uint(fields[1], where));
+            ck.sim_clock = static_cast<util::SimTime>(count(fields[1]));
             have[1] = true;
         } else if (kind == "tick-us") {
             want(2);
-            ck.tick = static_cast<util::SimTime>(parse_uint(fields[1], where));
+            ck.tick = static_cast<util::SimTime>(count(fields[1]));
             have[2] = true;
         } else if (kind == "checkpoint-every-us") {
             want(2);
             ck.checkpoint_every =
-                static_cast<util::SimTime>(parse_uint(fields[1], where));
+                static_cast<util::SimTime>(count(fields[1]));
             have[3] = true;
         } else if (kind == "messages-fed") {
             want(2);
-            ck.messages_fed = parse_uint(fields[1], where);
+            ck.messages_fed = count(fields[1]);
             have[4] = true;
         } else if (kind == "checkpoints-written") {
             want(2);
-            ck.checkpoints_written = parse_uint(fields[1], where);
+            ck.checkpoints_written = count(fields[1]);
             have[5] = true;
         } else if (kind == "stat") {
             want(3);
-            ck.stats.emplace_back(std::string(fields[1]),
-                                  parse_uint(fields[2], where));
+            ck.stats.emplace_back(std::string(fields[1]), count(fields[2]));
         } else if (kind == "journal") {
             want(4);
-            const std::uint64_t m = parse_uint(fields[1], where);
+            const std::uint64_t m = count(fields[1]);
             if (m != ck.journals.size()) {
                 fail(where, "journal lines out of order");
             }
             Checkpoint::JournalDigest jd;
-            jd.entries = parse_uint(fields[2], where);
+            jd.entries = count(fields[2]);
             jd.fnv = hex(fields[3]);
             ck.journals.push_back(jd);
         } else if (kind == "digest") {
@@ -231,16 +204,12 @@ Checkpoint Checkpoint::parse(std::string_view text, std::string_view origin) {
         }
     }
     const std::uint64_t actual =
-        fnv1a(kFnvOffset, text.data(), digest_covers);
+        util::fnv1a(util::kFnvOffset, text.data(), digest_covers);
     if (actual != claimed_digest) {
         fail(std::string(origin),
              "self-digest mismatch (torn or tampered checkpoint)");
     }
     return ck;
-}
-
-Checkpoint Checkpoint::parse_file(const std::string& path) {
-    return parse_file(path, util::FaultFs::system());
 }
 
 Checkpoint Checkpoint::parse_file(const std::string& path,
@@ -274,10 +243,6 @@ void write_atomic(const std::string& path, const std::string& text,
     const std::string parent =
         std::filesystem::path(path).parent_path().string();
     fs.fsync_dir(parent.empty() ? "." : parent);
-}
-
-void write_atomic(const std::string& path, const std::string& text) {
-    write_atomic(path, text, util::FaultFs::system());
 }
 
 namespace {

@@ -40,10 +40,6 @@
 #include "util/faultfs.h"
 #include "util/time.h"
 
-namespace concilium::runtime {
-class NodeJournal;
-}  // namespace concilium::runtime
-
 namespace concilium::daemon {
 
 struct Checkpoint {
@@ -62,8 +58,7 @@ struct Checkpoint {
     /// declaration order.
     std::vector<std::pair<std::string, std::uint64_t>> stats;
 
-    /// Per-node durable state: entry count + FNV-1a over a canonical
-    /// encoding of each NodeJournal.
+    /// Per-node durable state: each NodeJournal's size() and fnv().
     struct JournalDigest {
         std::uint64_t entries = 0;
         std::uint64_t fnv = 0;
@@ -78,14 +73,11 @@ struct Checkpoint {
     [[nodiscard]] static Checkpoint parse(std::string_view text,
                                           std::string_view origin);
 
-    [[nodiscard]] static Checkpoint parse_file(const std::string& path);
-    /// Same, reading through a FaultFs seam (and its fault schedule).
+    /// parse() over a file's bytes, read through a FaultFs seam (and its
+    /// fault schedule).
     [[nodiscard]] static Checkpoint parse_file(const std::string& path,
                                                util::FaultFs& fs);
 };
-
-/// FNV-1a over a canonical byte encoding of the journal's entries.
-[[nodiscard]] std::uint64_t journal_fnv(const runtime::NodeJournal& journal);
 
 /// Writes `text` to `path` atomically and durably: `path.tmp`, fsync of
 /// the temp file *before* rename, fsync of the containing directory
@@ -96,8 +88,6 @@ struct Checkpoint {
 /// cleaned up on every failure path.
 void write_atomic(const std::string& path, const std::string& text,
                   util::FaultFs& fs);
-/// Convenience overload through the process-wide passthrough seam.
-void write_atomic(const std::string& path, const std::string& text);
 
 /// Every resume candidate `checkpoint-<sim_clock_us>.ckpt` in `dir`,
 /// newest (highest clock) first.  Leftover `*.tmp` files from interrupted

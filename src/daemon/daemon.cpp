@@ -420,7 +420,7 @@ Checkpoint Daemon::build_checkpoint() const {
     for (std::size_t m = 0; m < n; ++m) {
         const runtime::NodeJournal& j =
             cluster_->journal(static_cast<overlay::MemberIndex>(m));
-        ck.journals.push_back({j.size(), journal_fnv(j)});
+        ck.journals.push_back({j.size(), j.fnv()});
     }
     return ck;
 }

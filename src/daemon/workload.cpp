@@ -3,17 +3,9 @@
 #include <cstdio>
 #include <stdexcept>
 
-namespace concilium::daemon {
+#include "util/rate_spec.h"
 
-std::uint64_t fnv1a(std::uint64_t h, const void* data,
-                    std::size_t n) noexcept {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-        h ^= p[i];
-        h *= 1099511628211ULL;
-    }
-    return h;
-}
+namespace concilium::daemon {
 
 std::string_view to_string(RecordKind kind) {
     switch (kind) {
@@ -94,7 +86,8 @@ AttackRole parse_role(std::string_view token, const std::string& where) {
 
 std::uint32_t parse_member(std::string_view token, const std::string& where,
                            std::size_t overlay_nodes) {
-    const std::uint64_t value = parse_uint(token, where);
+    const std::uint64_t value =
+        util::parse_number<std::uint64_t>(where, token, 0, UINT64_MAX);
     if (value >= overlay_nodes) {
         fail(where, "member " + std::to_string(value) +
                         " out of range (overlay has " +
@@ -104,22 +97,6 @@ std::uint32_t parse_member(std::string_view token, const std::string& where,
 }
 
 }  // namespace
-
-std::uint64_t parse_uint(std::string_view token, const std::string& where) {
-    if (token.empty() || token.size() > 19) {
-        fail(where, "expected a non-negative integer, got '" +
-                        std::string(token) + "'");
-    }
-    std::uint64_t value = 0;
-    for (const char c : token) {
-        if (c < '0' || c > '9') {
-            fail(where, "expected a non-negative integer, got '" +
-                            std::string(token) + "'");
-        }
-        value = value * 10 + static_cast<std::uint64_t>(c - '0');
-    }
-    return value;
-}
 
 util::SimTime parse_time(std::string_view token, const std::string& where) {
     std::size_t digits = 0;
@@ -143,7 +120,8 @@ util::SimTime parse_time(std::string_view token, const std::string& where) {
         fail(where, "expected a time like 90s / 250ms / 2h, got '" +
                         std::string(token) + "'");
     }
-    const std::uint64_t value = parse_uint(token.substr(0, digits), where);
+    const std::uint64_t value = util::parse_number<std::uint64_t>(
+        where, token.substr(0, digits), 0, UINT64_MAX);
     if (value > static_cast<std::uint64_t>(INT64_MAX) / scale) {
         fail(where, "time overflows: '" + std::string(token) + "'");
     }
@@ -152,7 +130,7 @@ util::SimTime parse_time(std::string_view token, const std::string& where) {
 
 Workload Workload::parse(std::string_view text, std::string_view origin) {
     Workload wl;
-    wl.content_fnv = fnv1a(kFnvOffset, text.data(), text.size());
+    wl.content_fnv = util::fnv1a(util::kFnvOffset, text.data(), text.size());
 
     bool saw_header = false;
     bool saw_records = false;
@@ -194,7 +172,8 @@ Workload Workload::parse(std::string_view text, std::string_view origin) {
         // --- trailer ---------------------------------------------------
         if (kind == "end") {
             if (fields.size() != 2) fail(where, "'end' takes the record count");
-            const std::uint64_t count = parse_uint(fields[1], where);
+            const std::uint64_t count = util::parse_number<std::uint64_t>(
+                where, fields[1], 0, UINT64_MAX);
             if (count != wl.records.size()) {
                 fail(where, "end trailer says " + std::to_string(count) +
                                 " records but " +
@@ -222,12 +201,14 @@ Workload Workload::parse(std::string_view text, std::string_view origin) {
         };
         if (kind == "seed") {
             directive(0);
-            wl.seed = parse_uint(fields[1], where);
+            wl.seed = util::parse_number<std::uint64_t>(
+                where, fields[1], 0, UINT64_MAX);
             continue;
         }
         if (kind == "nodes") {
             directive(1);
-            wl.overlay_nodes = parse_uint(fields[1], where);
+            wl.overlay_nodes = util::parse_number<std::uint64_t>(
+                where, fields[1], 0, UINT64_MAX);
             if (wl.overlay_nodes < 8 || wl.overlay_nodes > 100000) {
                 fail(where, "nodes must be in [8, 100000]");
             }
@@ -235,13 +216,15 @@ Workload Workload::parse(std::string_view text, std::string_view origin) {
         }
         if (kind == "hosts") {
             directive(2);
-            wl.end_hosts = parse_uint(fields[1], where);
+            wl.end_hosts = util::parse_number<std::uint64_t>(
+                where, fields[1], 0, UINT64_MAX);
             if (wl.end_hosts < 16) fail(where, "hosts must be >= 16");
             continue;
         }
         if (kind == "stubs") {
             directive(3);
-            wl.stub_domains = parse_uint(fields[1], where);
+            wl.stub_domains = util::parse_number<std::uint64_t>(
+                where, fields[1], 0, UINT64_MAX);
             if (wl.stub_domains < 2) fail(where, "stubs must be >= 2");
             continue;
         }

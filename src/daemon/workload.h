@@ -45,21 +45,15 @@
 #include <vector>
 
 #include "util/faultfs.h"
+#include "util/fnv.h"
 #include "util/time.h"
 
 namespace concilium::daemon {
 
-/// FNV-1a offset basis; checkpoints bind to a trace by this digest.
-inline constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-
-/// Incremental FNV-1a fold over raw bytes.
-[[nodiscard]] std::uint64_t fnv1a(std::uint64_t h, const void* data,
-                                  std::size_t n) noexcept;
-
 enum class RecordKind : std::uint8_t {
     kMessage,  ///< application message send
     kChurn,    ///< graceful leave + rejoin
-    kCrash,    ///< crash-stop (amnesia) + journal-replay restart
+    kCrash,    ///< crash-stop (amnesia) + restart from the journal
     kFault,    ///< IP-level down interval on the a->b path
     kAttack,   ///< node adopts a misbehavior role
 };
@@ -109,7 +103,7 @@ struct Workload {
 
     /// FNV-1a over the raw trace text; checkpoints refuse to resume a run
     /// whose trace bytes changed underneath them.
-    std::uint64_t content_fnv = kFnvOffset;
+    std::uint64_t content_fnv = util::kFnvOffset;
 
     /// Timestamp of the last record (0 when the trace has none).
     [[nodiscard]] util::SimTime last_record_at() const noexcept {
@@ -130,13 +124,9 @@ struct Workload {
                                              util::FaultFs& fs);
 };
 
-/// Strict `<uint><unit>` simulation-time parse shared with the checkpoint
-/// reader; throws std::invalid_argument on anything else.
+/// Strict `<uint><unit>` simulation-time parse; throws
+/// std::invalid_argument on anything else.
 [[nodiscard]] util::SimTime parse_time(std::string_view token,
-                                       const std::string& where);
-
-/// Strict non-negative integer parse; throws std::invalid_argument.
-[[nodiscard]] std::uint64_t parse_uint(std::string_view token,
                                        const std::string& where);
 
 }  // namespace concilium::daemon

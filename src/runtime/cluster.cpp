@@ -39,7 +39,8 @@ Shared::Shared(net::EventSim& sim, const net::FailureTimeline& timeline,
     : sim(&sim), net(&net), trees(&trees), params(params),
       behaviors(std::move(behaviors)), rng(rng),
       transport(timeline, this->rng.fork(), params.transport),
-      online(net.size(), true), journals(net.size()),
+      online(net.size(), true),
+      journals(net.size(), NodeJournal(kVerdicts.window)),
       dht(net, kDhtReplication, params.dht_per_writer_quota) {
     if (!this->behaviors.empty() && this->behaviors.size() != net.size()) {
         throw std::invalid_argument(

@@ -93,8 +93,9 @@ void FaultDriver::restart(overlay::MemberIndex m) {
     s_.online[m] = true;
     s_.count<&Stats::restarts>();
     s_.count<&Stats::journal_replays>();
-    const NodeJournal::RecoveredState recovered =
-        s_.journals[m].replay(kVerdicts.window);
+    // A copy: resuming closes stewardships, which edits the journal's
+    // open list while resume() walks this one.
+    const NodeJournal::RecoveredState recovered = s_.journals[m].state();
     // Without the journaled epoch floor the restarted node would re-issue
     // epochs its peers already archived -- and read as an equivocator.
     gossip_.resume_epochs(m, recovered.next_epoch);

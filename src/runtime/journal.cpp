@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "util/fnv.h"
 #include "util/serialize.h"
 
 namespace concilium::runtime {
@@ -81,150 +82,131 @@ bool verify_steward_handoff(const StewardHandoff& handoff,
                            handoff.signature);
 }
 
+// The canonical encoding fnv() folds, one per record: every field, in this
+// order, whatever the kind (fields a kind does not use stay zero).
+// Checkpoints carry the digest, so neither the fields nor the kind codes
+// may change.
+struct NodeJournal::Encoding {
+    enum Kind : std::uint64_t {
+        kEpoch, kVerdict, kRetraction, kStewardOpen, kStewardClose, kVote,
+        kRestart
+    };
+    Kind kind;
+    std::uint64_t value = 0;  ///< epoch / message id
+    std::uint64_t hop = 0;
+    util::NodeId peer{};  ///< suspect / vote subject
+    bool guilty = false;
+    util::SimTime at = 0;
+    util::SimTime until = 0;  ///< retraction interval end
+    const core::ForwardingCommitment* commitment = nullptr;
+};
+
+namespace {
+
+std::uint64_t fold_u64(std::uint64_t h, std::uint64_t v) {
+    unsigned char bytes[8];
+    for (int i = 0; i < 8; ++i) {
+        bytes[i] = static_cast<unsigned char>(v >> (8 * i));
+    }
+    return util::fnv1a(h, bytes, sizeof bytes);
+}
+
+}  // namespace
+
+NodeJournal::NodeJournal(int verdict_window)
+    : verdict_window_(static_cast<std::size_t>(std::max(verdict_window, 1))),
+      fnv_(util::kFnvOffset) {}
+
+void NodeJournal::digest(const Encoding& r) {
+    ++size_;
+    std::uint64_t h = fnv_;
+    h = fold_u64(h, r.kind);
+    h = fold_u64(h, r.value);
+    h = fold_u64(h, r.hop);
+    h = util::fnv1a(h, r.peer.bytes().data(), r.peer.bytes().size());
+    h = fold_u64(h, r.guilty ? 1 : 0);
+    h = fold_u64(h, static_cast<std::uint64_t>(r.at));
+    h = fold_u64(h, static_cast<std::uint64_t>(r.until));
+    h = fold_u64(h, r.commitment != nullptr ? 1 : 0);
+    if (r.commitment != nullptr) {
+        h = fold_u64(h, r.commitment->message_id);
+        h = fold_u64(h, static_cast<std::uint64_t>(r.commitment->at));
+        h = util::fnv1a(h, r.commitment->forwarder.bytes().data(),
+                        r.commitment->forwarder.bytes().size());
+    }
+    fnv_ = h;
+}
+
+// Suspects and commitment issuers stay in first-seen order: the state
+// never depends on a hash map's iteration order, so two journals fed the
+// same records -- in any process, at any worker count -- agree bytewise.
+core::VerdictLedger::WindowSnapshot& NodeJournal::window_of(
+    const util::NodeId& suspect) {
+    for (auto& w : state_.windows) {
+        if (w.suspect == suspect) return w;
+    }
+    state_.windows.push_back({suspect, {}});
+    return state_.windows.back();
+}
+
 void NodeJournal::record_epoch(std::uint64_t next_epoch) {
-    Entry e;
-    e.kind = EntryKind::kEpoch;
-    e.value = next_epoch;
-    entries_.push_back(std::move(e));
+    digest({.kind = Encoding::kEpoch, .value = next_epoch});
+    state_.next_epoch = std::max(state_.next_epoch, next_epoch);
 }
 
 void NodeJournal::record_verdict(const util::NodeId& suspect, bool guilty,
                                  util::SimTime at) {
-    Entry e;
-    e.kind = EntryKind::kVerdict;
-    e.peer = suspect;
-    e.guilty = guilty;
-    e.at = at;
-    entries_.push_back(std::move(e));
+    digest({.kind = Encoding::kVerdict, .peer = suspect, .guilty = guilty,
+            .at = at});
+    auto& entries = window_of(suspect).entries;
+    entries.push_back({guilty, at});
+    if (entries.size() > verdict_window_) entries.erase(entries.begin());
 }
 
 void NodeJournal::record_retraction(const util::NodeId& suspect,
                                     util::SimTime from, util::SimTime to) {
-    Entry e;
-    e.kind = EntryKind::kRetraction;
-    e.peer = suspect;
-    e.at = from;
-    e.until = to;
-    entries_.push_back(std::move(e));
+    digest({.kind = Encoding::kRetraction, .peer = suspect, .at = from,
+            .until = to});
+    for (auto& v : window_of(suspect).entries) {
+        if (v.guilty && v.at >= from && v.at <= to) v.guilty = false;
+    }
 }
 
 void NodeJournal::record_steward_open(
     std::uint64_t message_id, std::uint64_t hop, util::SimTime at,
     std::optional<core::ForwardingCommitment> commitment) {
-    Entry e;
-    e.kind = EntryKind::kStewardOpen;
-    e.value = message_id;
-    e.hop = hop;
-    e.at = at;
-    e.commitment = std::move(commitment);
-    entries_.push_back(std::move(e));
+    digest({.kind = Encoding::kStewardOpen, .value = message_id, .hop = hop,
+            .at = at, .commitment = commitment ? &*commitment : nullptr});
+    if (commitment.has_value()) {
+        const auto it = std::find_if(
+            state_.collected.begin(), state_.collected.end(),
+            [&](const auto& c) { return c.first == commitment->forwarder; });
+        if (it != state_.collected.end()) {
+            it->second = *commitment;
+        } else {
+            state_.collected.emplace_back(commitment->forwarder, *commitment);
+        }
+    }
+    state_.open_stewardships.push_back(
+        {message_id, hop, at, std::move(commitment)});
 }
 
 void NodeJournal::record_steward_close(std::uint64_t message_id,
                                        std::uint64_t hop) {
-    Entry e;
-    e.kind = EntryKind::kStewardClose;
-    e.value = message_id;
-    e.hop = hop;
-    entries_.push_back(std::move(e));
+    digest({.kind = Encoding::kStewardClose, .value = message_id, .hop = hop});
+    std::erase_if(state_.open_stewardships,
+                  [&](const JournaledStewardship& s) {
+                      return s.message_id == message_id && s.hop == hop;
+                  });
 }
 
 void NodeJournal::record_vote(const util::NodeId& subject, util::SimTime at) {
-    Entry e;
-    e.kind = EntryKind::kVote;
-    e.peer = subject;
-    e.at = at;
-    entries_.push_back(std::move(e));
+    digest({.kind = Encoding::kVote, .peer = subject, .at = at});
 }
 
 void NodeJournal::record_restart(util::SimTime at) {
-    Entry e;
-    e.kind = EntryKind::kRestart;
-    e.at = at;
-    entries_.push_back(std::move(e));
-}
-
-NodeJournal::RecoveredState NodeJournal::replay(int verdict_window) const {
-    RecoveredState state;
-    const auto cap = static_cast<std::size_t>(std::max(verdict_window, 1));
-
-    // Suspects and commitment issuers stay in first-seen order: the fold
-    // never consults a hash map's iteration order, so two replays of the
-    // same log -- in any process, at any worker count -- agree bytewise.
-    const auto window_of = [&](const util::NodeId& suspect)
-        -> core::VerdictLedger::WindowSnapshot& {
-        for (auto& w : state.windows) {
-            if (w.suspect == suspect) return w;
-        }
-        state.windows.push_back({suspect, {}});
-        return state.windows.back();
-    };
-
-    for (const Entry& e : entries_) {
-        switch (e.kind) {
-            case EntryKind::kEpoch:
-                state.next_epoch = std::max(state.next_epoch, e.value);
-                break;
-            case EntryKind::kVerdict: {
-                auto& win = window_of(e.peer);
-                win.entries.push_back({e.guilty, e.at});
-                if (win.entries.size() > cap) {
-                    win.entries.erase(win.entries.begin());
-                }
-                break;
-            }
-            case EntryKind::kRetraction: {
-                auto& win = window_of(e.peer);
-                for (auto& v : win.entries) {
-                    if (v.guilty && v.at >= e.at && v.at <= e.until) {
-                        v.guilty = false;
-                    }
-                }
-                break;
-            }
-            case EntryKind::kStewardOpen: {
-                JournaledStewardship s;
-                s.message_id = e.value;
-                s.hop = e.hop;
-                s.forwarded_at = e.at;
-                s.commitment = e.commitment;
-                state.open_stewardships.push_back(std::move(s));
-                if (e.commitment.has_value()) {
-                    const util::NodeId& issuer = e.commitment->forwarder;
-                    bool replaced = false;
-                    for (auto& [id, c] : state.collected) {
-                        if (id == issuer) {
-                            c = *e.commitment;
-                            replaced = true;
-                            break;
-                        }
-                    }
-                    if (!replaced) {
-                        state.collected.emplace_back(issuer, *e.commitment);
-                    }
-                }
-                break;
-            }
-            case EntryKind::kStewardClose: {
-                auto& open = state.open_stewardships;
-                open.erase(std::remove_if(
-                               open.begin(), open.end(),
-                               [&](const JournaledStewardship& s) {
-                                   return s.message_id == e.value &&
-                                          s.hop == e.hop;
-                               }),
-                           open.end());
-                break;
-            }
-            case EntryKind::kVote:
-                state.votes.emplace_back(e.peer, e.at);
-                break;
-            case EntryKind::kRestart:
-                ++state.incarnations;
-                break;
-        }
-    }
-    return state;
+    digest({.kind = Encoding::kRestart, .at = at});
+    ++state_.incarnations;
 }
 
 }  // namespace concilium::runtime

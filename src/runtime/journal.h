@@ -9,13 +9,13 @@
 // every message it had committed to steward.
 //
 // NodeJournal is the deterministic in-memory "disk" that prevents all
-// three: an append-only entry log written at each state transition, folded
-// back into a RecoveredState by replay() on restart.  Alongside it live
-// the two signed recovery artifacts: the RecoveryAnnouncement a restarted
-// node disseminates ("I was provably down in [crashed_at, restarted_at]"
-// -- the statement that turns degraded-mode guilty presumptions into
-// retractions), and the StewardHandoff it pushes upstream when an
-// in-flight stewardship is too stale to resume.
+// three: it keeps exactly the state a restarted node resumes from, folding
+// each durable state transition into it as the transition happens.
+// Alongside it live the two signed recovery artifacts: the
+// RecoveryAnnouncement a restarted node disseminates ("I was provably down
+// in [crashed_at, restarted_at]" -- the statement that turns degraded-mode
+// guilty presumptions into retractions), and the StewardHandoff it pushes
+// upstream when an in-flight stewardship is too stale to resume.
 
 #pragma once
 
@@ -98,69 +98,25 @@ struct JournaledStewardship {
     std::optional<core::ForwardingCommitment> commitment;
 };
 
-/// Append-only, deterministic, in-memory: the node's "disk".  The runtime
-/// appends an entry at each durable state transition; replay() folds the
-/// log into the state a restarted node resumes from.  No entry is ever
-/// rewritten -- recovery correctness is an invariant of the fold, not of
-/// the writer.
+/// Deterministic and in-memory: the node's "disk".  The runtime records
+/// each durable state transition, and the journal folds it into the
+/// RecoveredState at once; it keeps no record.  A restarted node resumes
+/// from state().  size() and fnv() digest every record received, in
+/// order, for the daemon's checkpoints.
 class NodeJournal {
   public:
-    enum class EntryKind : std::uint8_t {
-        kEpoch,         ///< snapshot epoch advanced; value = next unused
-        kVerdict,       ///< verdict appended (peer = suspect)
-        kRetraction,    ///< guilty verdicts withdrawn for peer in [at, until]
-        kStewardOpen,   ///< forwarding stewardship went in flight
-        kStewardClose,  ///< acked or judged: stewardship retired
-        kVote,          ///< no-confidence vote cast (peer = subject)
-        kRestart,       ///< one completed crash/restart cycle
-    };
-
-    struct Entry {
-        EntryKind kind = EntryKind::kEpoch;
-        std::uint64_t value = 0;  ///< epoch / message id
-        std::uint64_t hop = 0;
-        util::NodeId peer;  ///< suspect / vote subject
-        bool guilty = false;
-        util::SimTime at = 0;
-        util::SimTime until = 0;  ///< kRetraction interval end
-        std::optional<core::ForwardingCommitment> commitment;
-    };
-
-    void record_epoch(std::uint64_t next_epoch);
-    void record_verdict(const util::NodeId& suspect, bool guilty,
-                        util::SimTime at);
-    void record_retraction(const util::NodeId& suspect, util::SimTime from,
-                           util::SimTime to);
-    void record_steward_open(std::uint64_t message_id, std::uint64_t hop,
-                             util::SimTime at,
-                             std::optional<core::ForwardingCommitment>
-                                 commitment);
-    void record_steward_close(std::uint64_t message_id, std::uint64_t hop);
-    void record_vote(const util::NodeId& subject, util::SimTime at);
-    void record_restart(util::SimTime at);
-
-    [[nodiscard]] std::size_t size() const noexcept {
-        return entries_.size();
-    }
-    [[nodiscard]] const std::vector<Entry>& entries() const noexcept {
-        return entries_;
-    }
-
-    /// Everything replay() can put back.
+    /// Everything a restarted node gets back.
     struct RecoveredState {
         /// Highest journaled epoch counter (1 when never advanced): the
         /// critical checkpoint -- restarting below it would re-issue
         /// epochs peers already archived, indistinguishable from
         /// equivocation.
         std::uint64_t next_epoch = 1;
-        /// Completed crash/restart cycles before this replay.
+        /// Completed crash/restart cycles so far.
         std::uint64_t incarnations = 0;
-        /// Verdict windows, trimmed to `verdict_window`, suspects in
-        /// first-verdict order with retractions applied.
+        /// Verdict windows, trimmed to the journal's verdict window,
+        /// suspects in first-verdict order with retractions applied.
         std::vector<core::VerdictLedger::WindowSnapshot> windows;
-        /// No-confidence votes in cast order (already shared with the
-        /// reputation book; recovered for audit, not re-cast).
-        std::vector<std::pair<util::NodeId, util::SimTime>> votes;
         /// Stewardships opened but never closed, in open order: the
         /// restarted node resumes or abandons each.
         std::vector<JournaledStewardship> open_stewardships;
@@ -170,12 +126,49 @@ class NodeJournal {
             collected;
     };
 
-    /// Folds the log, oldest entry first.  Pure function of the entries;
-    /// deterministic across runs and worker counts.
-    [[nodiscard]] RecoveredState replay(int verdict_window) const;
+    /// `verdict_window` is how many verdicts per suspect state() keeps
+    /// (at least one).
+    explicit NodeJournal(int verdict_window);
+
+    /// The snapshot epoch advanced; `next_epoch` is the next unused one.
+    void record_epoch(std::uint64_t next_epoch);
+    void record_verdict(const util::NodeId& suspect, bool guilty,
+                        util::SimTime at);
+    /// Guilty verdicts against `suspect` issued in [from, to] withdrawn.
+    void record_retraction(const util::NodeId& suspect, util::SimTime from,
+                           util::SimTime to);
+    /// A forwarding stewardship went in flight.
+    void record_steward_open(std::uint64_t message_id, std::uint64_t hop,
+                             util::SimTime at,
+                             std::optional<core::ForwardingCommitment>
+                                 commitment);
+    /// Acked or judged: the stewardship is retired.
+    void record_steward_close(std::uint64_t message_id, std::uint64_t hop);
+    /// A no-confidence vote: it counts in size() and fnv() but changes no
+    /// state (the reputation book already holds it, so a restarted node
+    /// must not cast it again).
+    void record_vote(const util::NodeId& subject, util::SimTime at);
+    /// One crash/restart cycle completed.
+    void record_restart(util::SimTime at);
+
+    [[nodiscard]] const RecoveredState& state() const noexcept {
+        return state_;
+    }
+    /// Records received so far, votes included.
+    [[nodiscard]] std::size_t size() const noexcept { return size_; }
+    /// FNV-1a over each record's canonical encoding, in arrival order.
+    [[nodiscard]] std::uint64_t fnv() const noexcept { return fnv_; }
 
   private:
-    std::vector<Entry> entries_;
+    struct Encoding;
+    void digest(const Encoding& record);
+    core::VerdictLedger::WindowSnapshot& window_of(
+        const util::NodeId& suspect);
+
+    std::size_t verdict_window_;
+    RecoveredState state_;
+    std::size_t size_ = 0;
+    std::uint64_t fnv_;
 };
 
 }  // namespace concilium::runtime

@@ -588,9 +588,9 @@ void Stewardship::restore(overlay::MemberIndex m,
                           const NodeJournal::RecoveredState& recovered) {
     Node& node = nodes_[m];
     node.ledger.restore_windows(recovered.windows);
-    // Collected commitments come back too (recovered.votes stay advisory:
-    // the reputation book models durable DHT-backed state, so re-casting
-    // would double-count).
+    // Collected commitments come back too.  Votes do not: the reputation
+    // book models durable DHT-backed state, so re-casting would
+    // double-count.
     for (const auto& [issuer, commitment] : recovered.collected) {
         // The journal keys by durable NodeId; resolve to the dense member
         // index once, here at the replay boundary.

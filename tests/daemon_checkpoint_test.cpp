@@ -18,6 +18,7 @@
 #include "daemon/daemon.h"
 #include "daemon/workload.h"
 #include "scratch_root.h"
+#include "util/fnv.h"
 #include "util/time.h"
 
 namespace concilium::daemon {
@@ -81,7 +82,7 @@ Checkpoint sample_checkpoint() {
     ck.checkpoints_written = 2;
     ck.stats = {{"messages_sent", 42}, {"messages_delivered", 40},
                 {"accusations", 1}};
-    ck.journals = {{7, 0xdeadbeefull}, {0, kFnvOffset}, {3, 0x42ull}};
+    ck.journals = {{7, 0xdeadbeefull}, {0, util::kFnvOffset}, {3, 0x42ull}};
     return ck;
 }
 
@@ -148,10 +149,11 @@ TEST(Checkpoint, LatestCheckpointFilePicksTheHighestClock) {
                        ".ckpt"))
             .string();
     };
-    write_atomic(name(early), early.to_text());
-    write_atomic(name(late), late.to_text());
+    util::FaultFs& io = util::FaultFs::system();
+    write_atomic(name(early), early.to_text(), io);
+    write_atomic(name(late), late.to_text(), io);
     // An unrelated file must not confuse the scan.
-    write_atomic((dir / "notes.txt").string(), "not a checkpoint\n");
+    write_atomic((dir / "notes.txt").string(), "not a checkpoint\n", io);
 
     EXPECT_EQ(latest_checkpoint_file(dir.string()), name(late));
     fs::remove_all(dir);
@@ -278,7 +280,7 @@ TEST(CheckpointChain, SkipsTmpQuarantinedAndForeignFiles) {
         const std::string path =
             (dir / ("checkpoint-" + std::to_string(clock) + ".ckpt"))
                 .string();
-        write_atomic(path, ck.to_text());
+        write_atomic(path, ck.to_text(), util::FaultFs::system());
         return path;
     };
     const std::string oldest = write_at(2 * kMinute);
@@ -307,7 +309,7 @@ TEST(CheckpointChain, PruneKeepsTheNewestAndSparesQuarantine) {
         write_atomic((dir / ("checkpoint-" + std::to_string(ck.sim_clock) +
                              ".ckpt"))
                          .string(),
-                     ck.to_text());
+                     ck.to_text(), util::FaultFs::system());
     }
     std::ofstream(dir / "checkpoint-7.ckpt.quarantined-truncated") << "bad";
 

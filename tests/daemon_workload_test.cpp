@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 
@@ -172,15 +173,18 @@ TEST(Workload, ParseTimeUnitsAndErrors) {
     EXPECT_THROW((void)parse_time("-5s", "w"), std::invalid_argument);
 }
 
-TEST(Workload, ParseUintRejectsJunk) {
-    EXPECT_EQ(parse_uint("0", "w"), 0u);
-    EXPECT_EQ(parse_uint("12345", "w"), 12345u);
-    EXPECT_THROW((void)parse_uint("", "w"), std::invalid_argument);
-    EXPECT_THROW((void)parse_uint("12x", "w"), std::invalid_argument);
-    EXPECT_THROW((void)parse_uint("-1", "w"), std::invalid_argument);
-    // 20 digits overflow uint64; the parser bounds length up front.
-    EXPECT_THROW((void)parse_uint("99999999999999999999", "w"),
-                 std::invalid_argument);
+// gen_workload.py takes any 64-bit seed, so the trace parser must too: the
+// largest one has 20 digits.  One more is out of range, refused with the
+// line named.
+TEST(Workload, SeedTakesTheWholeUint64Range) {
+    const auto wl = Workload::parse(
+        "concilium-trace v1\n# generated\nseed 18446744073709551615\nend 0\n",
+        "t");
+    EXPECT_EQ(wl.seed, UINT64_MAX);
+    expect_rejects(
+        "concilium-trace v1\n# generated\nseed 18446744073709551616\nend 0\n",
+        "t:3: expected a count in [0, 18446744073709551615], got "
+        "'18446744073709551616'");
 }
 
 TEST(Workload, ParseFileRejectsMissingFile) {

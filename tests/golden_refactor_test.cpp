@@ -31,7 +31,6 @@
 #include "core/trace.h"
 #include "core/verdicts.h"
 #include "crypto/certificates.h"
-#include "daemon/checkpoint.h"
 #include "net/chaos.h"
 #include "net/event_sim.h"
 #include "net/link_state.h"
@@ -480,7 +479,7 @@ TEST(GoldenRefactor, ClusterRunIsByteIdentical) {
         h = fnv(h, static_cast<unsigned char>(c));
     }
     for (overlay::MemberIndex m = 0; m < members.size(); ++m) {
-        h = fnv(h, daemon::journal_fnv(cluster.journal(m)));
+        h = fnv(h, cluster.journal(m).fnv());
         h = fnv(h, cluster.accusations_against(m).size());
         h = fnv(h, cluster.equivocation_proofs_against(m).size());
     }
@@ -559,7 +558,7 @@ TEST(GoldenRefactor, LosslessGossipIsByteIdentical) {
         h = fnv(h, static_cast<unsigned char>(c));
     }
     for (overlay::MemberIndex m = 0; m < members.size(); ++m) {
-        h = fnv(h, daemon::journal_fnv(cluster.journal(m)));
+        h = fnv(h, cluster.journal(m).fnv());
         const crypto::PublicKey& key = members.member(m).keys.public_key();
         for (const util::NodeId& dht_key :
              {core::FaultAccusation::dht_key(key),

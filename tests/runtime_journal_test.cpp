@@ -1,11 +1,12 @@
-// Durable node state for crash recovery (runtime/journal.h): the journal
-// fold, and the two signed recovery artifacts.
+// Durable node state for crash recovery (runtime/journal.h): the journal's
+// on-arrival fold and digest, and the two signed recovery artifacts.
 
 #include "runtime/journal.h"
 
 #include <gtest/gtest.h>
 
 #include "crypto/keys.h"
+#include "util/fnv.h"
 #include "util/time.h"
 
 namespace concilium::runtime {
@@ -19,36 +20,40 @@ const util::NodeId kPeerB = util::NodeId::from_hex("bb");
 const util::NodeId kSelf = util::NodeId::from_hex("0f");
 
 TEST(NodeJournal, EmptyJournalRecoversTheInitialState) {
-    const NodeJournal journal;
-    const auto state = journal.replay(100);
+    const NodeJournal journal(100);
+    const auto& state = journal.state();
     EXPECT_EQ(state.next_epoch, 1u);
     EXPECT_EQ(state.incarnations, 0u);
     EXPECT_TRUE(state.windows.empty());
-    EXPECT_TRUE(state.votes.empty());
     EXPECT_TRUE(state.open_stewardships.empty());
     EXPECT_TRUE(state.collected.empty());
+    EXPECT_EQ(journal.size(), 0u);
+    EXPECT_EQ(journal.fnv(), util::kFnvOffset);
 }
 
 TEST(NodeJournal, EpochCheckpointIsTheHighestRecorded) {
-    NodeJournal journal;
+    NodeJournal journal(100);
     journal.record_epoch(2);
     journal.record_epoch(3);
     journal.record_epoch(4);
-    // The fold keeps the maximum, so an out-of-order replayed entry (which
-    // the append-only writer never produces, but the fold must not trust)
-    // cannot roll the epoch counter backwards into equivocation territory.
+    // The fold keeps the maximum, so an out-of-order record (which the
+    // runtime never writes, but the fold must not trust) cannot roll the
+    // epoch counter backwards into equivocation territory.
     journal.record_epoch(3);
-    EXPECT_EQ(journal.replay(100).next_epoch, 4u);
+    EXPECT_EQ(journal.state().next_epoch, 4u);
 }
 
 TEST(NodeJournal, VerdictWindowsFoldInFirstVerdictOrderAndTrim) {
-    NodeJournal journal;
-    journal.record_verdict(kPeerB, true, 1 * kSecond);
-    journal.record_verdict(kPeerA, false, 2 * kSecond);
-    journal.record_verdict(kPeerB, false, 3 * kSecond);
-    journal.record_verdict(kPeerB, true, 4 * kSecond);
+    NodeJournal journal(100);
+    NodeJournal narrow(2);
+    for (NodeJournal* j : {&journal, &narrow}) {
+        j->record_verdict(kPeerB, true, 1 * kSecond);
+        j->record_verdict(kPeerA, false, 2 * kSecond);
+        j->record_verdict(kPeerB, false, 3 * kSecond);
+        j->record_verdict(kPeerB, true, 4 * kSecond);
+    }
 
-    const auto state = journal.replay(100);
+    const auto& state = journal.state();
     ASSERT_EQ(state.windows.size(), 2u);
     EXPECT_EQ(state.windows[0].suspect, kPeerB);  // first seen first
     EXPECT_EQ(state.windows[1].suspect, kPeerA);
@@ -58,20 +63,23 @@ TEST(NodeJournal, VerdictWindowsFoldInFirstVerdictOrderAndTrim) {
     EXPECT_TRUE(state.windows[0].entries[2].guilty);
 
     // A window of 2 keeps only the newest two verdicts per suspect.
-    const auto trimmed = journal.replay(2);
+    const auto& trimmed = narrow.state();
     ASSERT_EQ(trimmed.windows[0].entries.size(), 2u);
     EXPECT_EQ(trimmed.windows[0].entries[0].at, 3 * kSecond);
     EXPECT_EQ(trimmed.windows[0].entries[1].at, 4 * kSecond);
+    // The window trims the state, not the digest.
+    EXPECT_EQ(narrow.size(), journal.size());
+    EXPECT_EQ(narrow.fnv(), journal.fnv());
 }
 
 TEST(NodeJournal, RetractionEntriesClearGuiltInsideTheInterval) {
-    NodeJournal journal;
+    NodeJournal journal(100);
     journal.record_verdict(kPeerA, true, 10 * kSecond);
     journal.record_verdict(kPeerA, true, 20 * kSecond);
     journal.record_verdict(kPeerA, true, 30 * kSecond);
     journal.record_retraction(kPeerA, 15 * kSecond, 25 * kSecond);
 
-    const auto state = journal.replay(100);
+    const auto& state = journal.state();
     ASSERT_EQ(state.windows.size(), 1u);
     ASSERT_EQ(state.windows[0].entries.size(), 3u);
     EXPECT_TRUE(state.windows[0].entries[0].guilty);   // before interval
@@ -80,13 +88,13 @@ TEST(NodeJournal, RetractionEntriesClearGuiltInsideTheInterval) {
 }
 
 TEST(NodeJournal, OpenStewardshipsAreOpensWithoutACloses) {
-    NodeJournal journal;
+    NodeJournal journal(100);
     journal.record_steward_open(7, 1, 1 * kMinute, std::nullopt);
     journal.record_steward_open(8, 0, 2 * kMinute, std::nullopt);
     journal.record_steward_open(9, 2, 3 * kMinute, std::nullopt);
     journal.record_steward_close(8, 0);
 
-    const auto state = journal.replay(100);
+    const auto& state = journal.state();
     ASSERT_EQ(state.open_stewardships.size(), 2u);
     EXPECT_EQ(state.open_stewardships[0].message_id, 7u);
     EXPECT_EQ(state.open_stewardships[0].hop, 1u);
@@ -99,9 +107,9 @@ TEST(NodeJournal, StewardCommitmentSurvivesReplay) {
     const auto commitment = core::make_forwarding_commitment(
         kSelf, kPeerA, kPeerB, 11, 5 * kSecond, forwarder_keys);
 
-    NodeJournal journal;
+    NodeJournal journal(100);
     journal.record_steward_open(11, 1, 5 * kSecond, commitment);
-    const auto state = journal.replay(100);
+    const auto& state = journal.state();
     ASSERT_EQ(state.open_stewardships.size(), 1u);
     ASSERT_TRUE(state.open_stewardships[0].commitment.has_value());
     EXPECT_EQ(state.open_stewardships[0].commitment->message_id, 11u);
@@ -110,35 +118,66 @@ TEST(NodeJournal, StewardCommitmentSurvivesReplay) {
 }
 
 TEST(NodeJournal, IncarnationsCountRestartEntries) {
-    NodeJournal journal;
-    EXPECT_EQ(journal.replay(100).incarnations, 0u);
+    NodeJournal journal(100);
+    EXPECT_EQ(journal.state().incarnations, 0u);
     journal.record_restart(4 * kMinute);
     journal.record_restart(9 * kMinute);
-    EXPECT_EQ(journal.replay(100).incarnations, 2u);
+    EXPECT_EQ(journal.state().incarnations, 2u);
 }
 
-TEST(NodeJournal, VotesRecoverInCastOrder) {
-    NodeJournal journal;
+TEST(NodeJournal, VotesCountInTheDigestButChangeNoState) {
+    NodeJournal journal(100);
+    journal.record_epoch(3);
+    const std::uint64_t before = journal.fnv();
     journal.record_vote(kPeerB, 1 * kSecond);
     journal.record_vote(kPeerA, 2 * kSecond);
-    const auto state = journal.replay(100);
-    ASSERT_EQ(state.votes.size(), 2u);
-    EXPECT_EQ(state.votes[0].first, kPeerB);
-    EXPECT_EQ(state.votes[1].first, kPeerA);
-    EXPECT_EQ(state.votes[1].second, 2 * kSecond);
+    EXPECT_EQ(journal.size(), 3u);
+    EXPECT_NE(journal.fnv(), before);
+    const auto& state = journal.state();
+    EXPECT_EQ(state.next_epoch, 3u);
+    EXPECT_TRUE(state.windows.empty());
+    EXPECT_TRUE(state.open_stewardships.empty());
+    EXPECT_TRUE(state.collected.empty());
 }
 
-TEST(NodeJournal, ReplayIsAPureFunctionOfTheEntries) {
-    NodeJournal journal;
+// One journal receives every record kind.  Checkpoints carry size() and
+// fnv(), and a resumed run verifies against a checkpoint an earlier build
+// may have written, so neither value may move.  The constants were
+// recorded before the digest became a running value.
+TEST(NodeJournal, DigestMatchesTheEntryWalk) {
+    const crypto::KeyPair forwarder_keys = crypto::KeyPair::from_seed(41);
+    const auto commitment = core::make_forwarding_commitment(
+        kSelf, kPeerA, kPeerB, 11, 5 * kSecond, forwarder_keys);
+
+    NodeJournal journal(100);
+    journal.record_epoch(2);
     journal.record_epoch(5);
-    journal.record_verdict(kPeerA, true, kSecond);
-    journal.record_steward_open(3, 1, kMinute, std::nullopt);
-    const auto once = journal.replay(100);
-    const auto twice = journal.replay(100);
-    EXPECT_EQ(once.next_epoch, twice.next_epoch);
-    ASSERT_EQ(once.windows.size(), twice.windows.size());
-    EXPECT_EQ(once.windows[0].suspect, twice.windows[0].suspect);
-    EXPECT_EQ(once.open_stewardships.size(), twice.open_stewardships.size());
+    journal.record_epoch(3);  // below the maximum
+    journal.record_verdict(kPeerA, true, 1 * kSecond);
+    journal.record_verdict(kPeerB, false, 2 * kSecond);
+    journal.record_verdict(kPeerA, false, 3 * kSecond);
+    journal.record_verdict(kPeerB, true, 4 * kSecond);
+    journal.record_retraction(kPeerA, 0, 2 * kSecond);
+    journal.record_steward_open(11, 1, 5 * kSecond, commitment);
+    journal.record_steward_open(12, 0, 6 * kSecond, std::nullopt);
+    journal.record_steward_close(12, 0);
+    journal.record_vote(kPeerB, 7 * kSecond);
+    journal.record_restart(8 * kMinute);
+
+    EXPECT_EQ(journal.size(), 13u);
+    EXPECT_EQ(journal.fnv(), 0xebb30a45b6b827f6ULL) << std::hex
+                                                    << journal.fnv();
+
+    const auto& state = journal.state();
+    EXPECT_EQ(state.next_epoch, 5u);
+    EXPECT_EQ(state.incarnations, 1u);
+    ASSERT_EQ(state.windows.size(), 2u);
+    EXPECT_FALSE(state.windows[0].entries[0].guilty);  // retracted
+    EXPECT_TRUE(state.windows[1].entries[1].guilty);
+    ASSERT_EQ(state.open_stewardships.size(), 1u);
+    EXPECT_EQ(state.open_stewardships[0].message_id, 11u);
+    ASSERT_EQ(state.collected.size(), 1u);
+    EXPECT_EQ(state.collected[0].first, kPeerA);
 }
 
 // --------------------------------------------- signed recovery artifacts

@@ -2,13 +2,14 @@
 """Perf-trajectory gate over BENCH_<name>.json snapshots.
 
 Benches emit a flat JSON perf snapshot via --bench-out (see
-bench_common.h's BenchReport): wall time plus whichever of events/sec,
-probes/sec, hosts/sec, and bytes/diagnosis apply.  Committed baselines
-live in bench/baselines/.  This tool diffs a fresh snapshot against a
-baseline:
+bench_common.h's BenchReport): wall time, peak RSS, and whichever of
+events/sec, probes/sec, hosts/sec, and bytes/diagnosis apply.  Committed
+baselines live in bench/baselines/.  This tool diffs a fresh snapshot
+against a baseline:
 
     check_perf.py report  NEW BASELINE   # print the deltas, always exit 0
-    check_perf.py enforce NEW BASELINE   # fail on >10% rate regression
+    check_perf.py enforce NEW BASELINE   # fail on >10% regression of any
+                                         # scored key
     check_perf.py improved NEW BASELINE --min-speedup 2.0
                                          # fail unless every rate improved
                                          # by the given factor
@@ -19,9 +20,11 @@ block merges); `enforce` runs nightly where the runners are quieter;
 pre-refactor baseline.
 
 Higher-is-better keys: *_per_sec.  Lower-is-better keys: wall_seconds,
-build_seconds, bytes_per_diagnosis.  Counts (events, probes, hosts) are
-workload descriptors, not scores; they are reported but never gated.  A
-rate `<count>_per_sec` is scored only when both snapshots carry the same
+build_seconds, bytes_per_diagnosis, peak_rss_mb.  A key is scored only
+when both snapshots carry it, so a baseline cut before peak_rss_mb
+existed leaves it unscored.  Counts (events, probes, hosts) are workload
+descriptors, not scores; they are reported but never gated.  A rate
+`<count>_per_sec` is scored only when both snapshots carry the same
 `<count>`: a change that does the same simulation in fewer events would
 otherwise read as an events/sec regression.  Such a rate is printed as
 unscored, with both counts.
@@ -37,7 +40,8 @@ die = make_die("check_perf")
 
 RATE_SUFFIX = "_per_sec"
 HIGHER_IS_BETTER = lambda k: k.endswith(RATE_SUFFIX)  # noqa: E731
-LOWER_IS_BETTER = ("wall_seconds", "build_seconds", "bytes_per_diagnosis")
+LOWER_IS_BETTER = ("wall_seconds", "build_seconds", "bytes_per_diagnosis",
+                   "peak_rss_mb")
 
 
 def load(path):
