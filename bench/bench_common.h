@@ -30,9 +30,7 @@
 #include <sys/resource.h>
 
 #include "core/trace.h"
-#include "net/chaos.h"
 #include "net/topology_gen.h"
-#include "runtime/attack.h"
 #include "sim/experiment_driver.h"
 #include "sim/scenario.h"
 #include "util/json.h"
@@ -58,36 +56,11 @@ struct BenchArgs {
     std::string spans_out;
     /// Empty = no DiagnosisTrace JSON dump; see trace_sink_add below.
     std::string trace_out;
-    /// Parsed --chaos spec (see net/chaos.h); empty = no fault injection.
-    net::FaultSpec chaos;
-    /// Parsed --attack spec (see runtime/attack.h); empty = all honest.
-    runtime::AttackCampaign attack;
 };
-
-[[noreturn]] inline void usage(const char* argv0) {
-    std::fprintf(stderr,
-                 "usage: %s [--full] [--seed N] [--samples N] [--jobs N] "
-                 "[--metrics-out FILE] [--bench-out FILE] [--spans-out FILE] "
-                 "[--trace-out FILE] [--chaos SPEC] "
-                 "[--attack SPEC]\n"
-                 "  --spans-out FILE: arm the span recorder and dump Chrome "
-                 "trace-event JSON at exit\n"
-                 "  --trace-out FILE: dump the merged DiagnosisTrace blame "
-                 "journal as JSON at exit\n"
-                 "  --chaos SPEC: comma-separated kind:rate pairs, e.g. "
-                 "flap:0.02,churn:0.01\n"
-                 "    kinds: flap corr loss reorder dup churn ackdrop "
-                 "ackdelay crash partition; rates in [0, 1]\n"
-                 "  --attack SPEC: comma-separated kind:rate pairs, e.g. "
-                 "equivocate:0.05,replay:0.1\n"
-                 "    kinds: equivocate replay slander spam collude; "
-                 "rates in [0, 1]\n",
-                 argv0);
-    std::exit(2);
-}
 
 namespace detail {
 
+inline const char* g_own_usage = "";  // NOLINT: set once by parse_args
 inline std::string g_metrics_out;  // NOLINT: set once in main, read at exit
 inline std::string g_spans_out;    // NOLINT: same lifecycle
 inline std::string g_trace_out;    // NOLINT: same lifecycle
@@ -138,6 +111,21 @@ inline void write_trace_file() {
 }
 
 }  // namespace detail
+
+/// Prints the shared usage text, then the bench's own flags as given to
+/// parse_args, and exits 2.
+[[noreturn]] inline void usage(const char* argv0) {
+    std::fprintf(stderr,
+                 "usage: %s [--full] [--seed N] [--samples N] [--jobs N] "
+                 "[--metrics-out FILE] [--bench-out FILE] [--spans-out FILE] "
+                 "[--trace-out FILE]\n"
+                 "  --spans-out FILE: arm the span recorder and dump Chrome "
+                 "trace-event JSON at exit\n"
+                 "  --trace-out FILE: dump the merged DiagnosisTrace blame "
+                 "journal as JSON at exit\n%s",
+                 argv0, detail::g_own_usage);
+    std::exit(2);
+}
 
 /// Arms the at-exit metrics dump.  The registry is snapshotted after main
 /// returns, so every metric the bench touched is included; Registry::global()
@@ -224,11 +212,15 @@ inline std::uint64_t parse_u64(const char* argv0, const char* flag,
 
 /// Bench-specific flag hook for parse_args: called with the current argv
 /// index when no shared flag matched; returns true after consuming it
-/// (advancing `i` over any value), false to fall through to usage().
+/// (advancing `i` over any value), false to refuse it as unknown.
 using ExtraArgFn = std::function<bool(int& i, int argc, char** argv)>;
 
+/// Parses the shared flags, handing any other to `extra`.  `own_usage`
+/// describes the hook's flags; usage() prints it after the shared text.
 inline BenchArgs parse_args(int argc, char** argv,
-                            const ExtraArgFn& extra = {}) {
+                            const ExtraArgFn& extra = {},
+                            const char* own_usage = "") {
+    detail::g_own_usage = own_usage;
     BenchArgs args;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--full") == 0) {
@@ -251,25 +243,10 @@ inline BenchArgs parse_args(int argc, char** argv,
         } else if (std::strcmp(argv[i], "--trace-out") == 0 &&
                    i + 1 < argc) {
             args.trace_out = argv[++i];
-        } else if (std::strcmp(argv[i], "--chaos") == 0 && i + 1 < argc) {
-            // Strict: unknown fault kinds and out-of-range rates are
-            // rejected here, not at scenario-construction time.
-            try {
-                args.chaos = net::FaultSpec::parse(argv[++i]);
-            } catch (const std::invalid_argument& e) {
-                std::fprintf(stderr, "%s\n", e.what());
-                usage(argv[0]);
-            }
-        } else if (std::strcmp(argv[i], "--attack") == 0 && i + 1 < argc) {
-            try {
-                args.attack = runtime::AttackCampaign::parse(argv[++i]);
-            } catch (const std::invalid_argument& e) {
-                std::fprintf(stderr, "%s\n", e.what());
-                usage(argv[0]);
-            }
         } else if (extra && extra(i, argc, argv)) {
             // consumed by the bench's own flag hook
         } else {
+            std::fprintf(stderr, "%s: unknown flag '%s'\n", argv[0], argv[i]);
             usage(argv[0]);
         }
     }
@@ -316,7 +293,6 @@ inline sim::ScenarioParams paper_scenario(const BenchArgs& args,
     p.overlay_fraction = 0.03;
     p.duration = 2 * util::kHour;
     p.malicious_fraction = malicious_fraction;
-    p.chaos = args.chaos;
     p.seed = args.seed;
     return p;
 }

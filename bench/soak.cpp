@@ -23,12 +23,16 @@
 // section are byte-identical at any --jobs count.
 
 #include <cstdio>
+#include <cstring>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
 #include "core/trace.h"
+#include "net/chaos.h"
+#include "runtime/attack.h"
 #include "runtime/cluster.h"
 #include "util/metrics.h"
 
@@ -295,10 +299,26 @@ constexpr Soak kAttacks{
     .score = &score_attacks,
 };
 
+constexpr const char* kSpecUsage =
+    "  --chaos SPEC: comma-separated kind:rate pairs, e.g. "
+    "flap:0.02,churn:0.01\n"
+    "    kinds: flap corr loss reorder dup churn ackdrop ackdelay crash "
+    "partition; rates in [0, 1]\n"
+    "  --attack SPEC: comma-separated kind:rate pairs, e.g. "
+    "equivocate:0.05,replay:0.1\n"
+    "    kinds: equivocate replay slander spam collude; rates in [0, 1]\n"
+    "  give exactly one of --chaos and --attack\n";
+
+/// The parsed spec flags; exactly one must be non-empty.
+struct Specs {
+    net::FaultSpec chaos;
+    runtime::AttackCampaign attack;
+};
+
 /// The sweep the spec flags ask for; exits 2 unless exactly one is given.
-const Soak& pick_soak(const char* argv0, const bench::BenchArgs& args) {
-    if (args.chaos.empty() == args.attack.empty()) {
-        std::fputs(args.chaos.empty()
+const Soak& pick_soak(const char* argv0, const Specs& specs) {
+    if (specs.chaos.empty() == specs.attack.empty()) {
+        std::fputs(specs.chaos.empty()
                        ? "soak: no --chaos or --attack spec given (or every "
                          "rate is zero); pick one sweep\n"
                        : "soak: both --chaos and --attack given; they are "
@@ -306,9 +326,9 @@ const Soak& pick_soak(const char* argv0, const bench::BenchArgs& args) {
                    stderr);
         bench::usage(argv0);
     }
-    if (!args.attack.empty()) return kAttacks;
-    const bool recovery = args.chaos.rate(net::FaultKind::kCrash) > 0.0 ||
-                          args.chaos.rate(net::FaultKind::kPartition) > 0.0;
+    if (!specs.attack.empty()) return kAttacks;
+    const bool recovery = specs.chaos.rate(net::FaultKind::kCrash) > 0.0 ||
+                          specs.chaos.rate(net::FaultKind::kPartition) > 0.0;
     return recovery ? kRecovery : kChaos;
 }
 
@@ -316,9 +336,33 @@ const Soak& pick_soak(const char* argv0, const bench::BenchArgs& args) {
 
 int main(int argc, char** argv) {
     using namespace concilium;
-    const auto args = bench::parse_args(argc, argv);
-    const Soak& soak = pick_soak(argv[0], args);
-    const bool attack = !args.attack.empty();
+    Specs specs;
+    const auto args = bench::parse_args(
+        argc, argv,
+        [&specs](int& i, int arg_count, char** arg_values) {
+            const bool chaos = std::strcmp(arg_values[i], "--chaos") == 0;
+            if ((!chaos && std::strcmp(arg_values[i], "--attack") != 0) ||
+                i + 1 >= arg_count) {
+                return false;
+            }
+            // Strict: unknown kinds and out-of-range rates are refused
+            // here, before any world is built.
+            try {
+                if (chaos) {
+                    specs.chaos = net::FaultSpec::parse(arg_values[++i]);
+                } else {
+                    specs.attack =
+                        runtime::AttackCampaign::parse(arg_values[++i]);
+                }
+            } catch (const std::invalid_argument& e) {
+                std::fprintf(stderr, "%s\n", e.what());
+                bench::usage(arg_values[0]);
+            }
+            return true;
+        },
+        kSpecUsage);
+    const Soak& soak = pick_soak(argv[0], specs);
+    const bool attack = !specs.attack.empty();
     bench::BenchReport report(soak.figure, args);
 
     const std::size_t message_count =
@@ -329,8 +373,8 @@ int main(int argc, char** argv) {
     const auto& overlay_net = world.overlay_net();
 
     bench::print_header(soak.figure, soak.caption);
-    bench::print_param("base_spec", attack ? args.attack.to_string()
-                                           : args.chaos.to_string());
+    bench::print_param("base_spec", attack ? specs.attack.to_string()
+                                           : specs.chaos.to_string());
     bench::print_param("overlay_nodes",
                        static_cast<double>(overlay_net.size()));
     bench::print_param("messages", static_cast<double>(message_count));
@@ -356,12 +400,12 @@ int main(int argc, char** argv) {
         std::vector<runtime::NodeBehavior> behaviors;
         if (attack) {
             behaviors = runtime::materialize_attackers(
-                args.attack.scaled(intensity), overlay_net.size(),
+                specs.attack.scaled(intensity), overlay_net.size(),
                 setup_rng);
             if (intensity == 0.0) behaviors.clear();  // all honest baseline
         } else {
             plan = net::build_fault_plan(
-                args.chaos.scaled(intensity), world.params().duration,
+                specs.chaos.scaled(intensity), world.params().duration,
                 world.trees().member_peer_paths(), overlay_net.size(),
                 setup_rng);
         }

@@ -1,5 +1,7 @@
 #include "core/reputation.h"
 
+#include <algorithm>
+
 namespace concilium::core {
 
 const ReputationBook::Entry* ReputationBook::entry_of(
@@ -9,26 +11,20 @@ const ReputationBook::Entry* ReputationBook::entry_of(
 }
 
 void ReputationBook::cast_vote(const util::NodeId& voter,
-                               const util::NodeId& subject, util::SimTime at) {
+                               const util::NodeId& subject) {
     Entry* e = nullptr;
     const auto it = slot_of_.find(subject);
     if (it != slot_of_.end()) {
         e = &entries_[it->second];
     } else {
         slot_of_.emplace(subject, static_cast<std::uint32_t>(entries_.size()));
-        entries_.push_back(Entry{subject, {}, 0});
+        entries_.push_back(Entry{subject, {}});
         e = &entries_.back();
     }
-    bool found = false;
-    for (auto& [v, t] : e->voters) {
-        if (v == voter) {
-            if (at > t) t = at;  // re-vote refreshes
-            found = true;
-            break;
-        }
+    if (std::find(e->voters.begin(), e->voters.end(), voter) ==
+        e->voters.end()) {
+        e->voters.push_back(voter);
     }
-    if (!found) e->voters.emplace_back(voter, at);
-    if (at > e->last_vote) e->last_vote = at;
 }
 
 int ReputationBook::votes_against(const util::NodeId& subject) const {
@@ -36,29 +32,9 @@ int ReputationBook::votes_against(const util::NodeId& subject) const {
     return e == nullptr ? 0 : static_cast<int>(e->voters.size());
 }
 
-int ReputationBook::votes_against(const util::NodeId& subject,
-                                  util::SimTime now) const {
-    const Entry* e = entry_of(subject);
-    if (e == nullptr) return 0;
-    if (vote_expiry_ <= 0) {
-        return static_cast<int>(e->voters.size());
-    }
-    const util::SimTime horizon = now - vote_expiry_;
-    int live = 0;
-    for (const auto& [voter, at] : e->voters) {
-        if (at >= horizon) ++live;
-    }
-    return live;
-}
-
 bool ReputationBook::poor_peer(const util::NodeId& subject,
                                int vote_threshold) const {
     return votes_against(subject) >= vote_threshold;
-}
-
-bool ReputationBook::poor_peer(const util::NodeId& subject, int vote_threshold,
-                               util::SimTime now) const {
-    return votes_against(subject, now) >= vote_threshold;
 }
 
 SanctionDecision evaluate_sanction(SanctionPolicy policy,

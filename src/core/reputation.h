@@ -12,61 +12,36 @@
 
 #include <cstdint>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "util/ids.h"
-#include "util/time.h"
 
 namespace concilium::core {
 
-/// A minimal vote-of-no-confidence ledger.  One vote per (voter, subject)
-/// pair counts; re-votes refresh that voter's timestamp.  Votes older than
-/// the expiry window decay: a node that stopped refusing commitments months
-/// ago should not stay a poor peer forever on stale evidence.
+/// A minimal vote-of-no-confidence ledger: cast and tally, all Section 3.6
+/// needs.  One vote per (voter, subject) pair counts.
 class ReputationBook {
   public:
-    /// vote_expiry: a vote older than now - vote_expiry no longer counts in
-    /// the time-aware queries.  0 = votes never expire.
-    explicit ReputationBook(util::SimTime vote_expiry = 0)
-        : vote_expiry_(vote_expiry) {}
+    void cast_vote(const util::NodeId& voter, const util::NodeId& subject);
 
-    void cast_vote(const util::NodeId& voter, const util::NodeId& subject,
-                   util::SimTime at);
-
-    /// Number of distinct voters against the subject, ever (ignores expiry;
-    /// kept for audit-trail queries).
+    /// Number of distinct voters against the subject.
     [[nodiscard]] int votes_against(const util::NodeId& subject) const;
 
-    /// Distinct voters whose latest vote is still within the expiry window
-    /// at `now`.
-    [[nodiscard]] int votes_against(const util::NodeId& subject,
-                                    util::SimTime now) const;
-
-    /// Lifetime-vote threshold check (ignores expiry).
+    /// True once at least `vote_threshold` distinct voters voted against
+    /// the subject.
     [[nodiscard]] bool poor_peer(const util::NodeId& subject,
                                  int vote_threshold) const;
-
-    /// Expiry-aware threshold check: only unexpired votes count.
-    [[nodiscard]] bool poor_peer(const util::NodeId& subject,
-                                 int vote_threshold, util::SimTime now) const;
-
-    [[nodiscard]] util::SimTime vote_expiry() const noexcept {
-        return vote_expiry_;
-    }
 
   private:
     struct Entry {
         util::NodeId subject;
-        /// Latest vote time per distinct voter.  A subject accumulates at
-        /// most one row per routing peer, so a scanned vector beats a hash
-        /// map on both speed and determinism.
-        std::vector<std::pair<util::NodeId, util::SimTime>> voters;
-        util::SimTime last_vote = 0;
+        /// Distinct voters.  A subject accumulates at most one row per
+        /// routing peer, so a scanned vector beats a hash map on both
+        /// speed and determinism.
+        std::vector<util::NodeId> voters;
     };
     [[nodiscard]] const Entry* entry_of(const util::NodeId& subject) const;
 
-    util::SimTime vote_expiry_;
     /// Dense per-subject entries in first-vote order; subjects resolve to
     /// slots once at the call boundary.
     std::vector<Entry> entries_;

@@ -142,6 +142,12 @@ Checkpoint Checkpoint::parse(std::string_view text, std::string_view origin) {
             return util::parse_number<std::uint64_t>(where, token, 0,
                                                      UINT64_MAX);
         };
+        // Times are signed: a value past INT64_MAX would cast negative.
+        const auto time = [&](std::string_view token) {
+            return static_cast<util::SimTime>(
+                util::parse_number<std::uint64_t>(where, token, 0,
+                                                  INT64_MAX));
+        };
 
         if (kind == "trace-fnv") {
             want(2);
@@ -149,16 +155,15 @@ Checkpoint Checkpoint::parse(std::string_view text, std::string_view origin) {
             have[0] = true;
         } else if (kind == "sim-clock-us") {
             want(2);
-            ck.sim_clock = static_cast<util::SimTime>(count(fields[1]));
+            ck.sim_clock = time(fields[1]);
             have[1] = true;
         } else if (kind == "tick-us") {
             want(2);
-            ck.tick = static_cast<util::SimTime>(count(fields[1]));
+            ck.tick = time(fields[1]);
             have[2] = true;
         } else if (kind == "checkpoint-every-us") {
             want(2);
-            ck.checkpoint_every =
-                static_cast<util::SimTime>(count(fields[1]));
+            ck.checkpoint_every = time(fields[1]);
             have[3] = true;
         } else if (kind == "messages-fed") {
             want(2);

@@ -317,8 +317,10 @@ void Daemon::complete_message(const runtime::Cluster::MessageOutcome& res) {
         return;
     }
     if (res.true_drop_hop.has_value()) {
-        // A forwarder ate it; naming exactly that node is correct, naming
-        // anyone else is a false accusation (the recovery soak's rule).
+        // A forwarder ate it, whatever the network also did; naming exactly
+        // that node is correct, naming anyone else is a false accusation.
+        // The recovery soak judges a message the network also dropped by
+        // the network instead (DAEMON.md).
         const util::NodeId& culprit =
             world_->overlay_net()
                 .member(res.route[*res.true_drop_hop])
@@ -332,9 +334,10 @@ void Daemon::complete_message(const runtime::Cluster::MessageOutcome& res) {
             ins.false_by_hour.observe(sim_.now());
         }
     } else {
-        // The IP network ate the message (or its ack): blaming the network
-        // is right, blaming any node is the failure mode the paper is
-        // engineered to avoid.
+        // The IP network ate the message (or its ack), or no drop was
+        // recorded at all: blaming the network is right, blaming any node
+        // is the failure mode the paper is engineered to avoid.  The soak
+        // ignores a message with no recorded drop.
         if (res.blamed.has_value()) {
             ++score_.false_accusations;
             ins.false_accusations.add(1);

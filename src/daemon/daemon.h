@@ -80,9 +80,14 @@ class Daemon {
     /// Throws std::runtime_error when replay verification fails.
     bool run(const std::atomic<bool>* stop = nullptr, int pace_ms = 0);
 
-    /// Ground-truth scoring of every completed message, as the recovery
-    /// soak scores it.  Orphans are only meaningful after run() returns
-    /// true.
+    /// Ground-truth scoring of every completed message.  Every undelivered
+    /// message counts as diagnosed, abstentions and messages with no
+    /// recorded drop included.  A recorded forwarder drop is judged by the
+    /// forwarder, even when a network drop was recorded too: blaming the
+    /// dropper is correct, blaming anyone else false.  Otherwise a blamed
+    /// node is a false accusation and a network verdict correct.  The
+    /// recovery soak's rule differs (DAEMON.md).  Orphans are only
+    /// meaningful after run() returns true.
     struct Score {
         std::uint64_t fed = 0;
         std::uint64_t completed = 0;

@@ -140,30 +140,6 @@ util::SimTime SnapshotArchive::query_horizon(util::SimTime t,
     return std::max(t - delta, t - retention_);
 }
 
-std::vector<core::ProbeResult> SnapshotArchive::probes_for(
-    std::span<const net::LinkId> links, util::SimTime t, util::SimTime delta,
-    const util::NodeId& exclude) const {
-    const util::SimTime lo = query_horizon(t, delta);
-    std::vector<core::ProbeResult> out;
-    for (const auto& table : origins_) {
-        if (table.origin == exclude) continue;
-        for (std::size_t i = 0; i < table.entries.size(); ++i) {
-            const Entry& e = table.entries[i];
-            const util::SimTime at = e.meta.probed_at;
-            if (at < lo || at > t + delta) continue;
-            for (const auto& obs : e.snap->links) {
-                if (std::find(links.begin(), links.end(), obs.link) ==
-                    links.end()) {
-                    continue;
-                }
-                out.push_back(
-                    core::ProbeResult{table.origin, obs.link, obs.up, at});
-            }
-        }
-    }
-    return out;
-}
-
 std::vector<const tomography::TomographicSnapshot*>
 SnapshotArchive::snapshots_from(const util::NodeId& origin) const {
     std::vector<const tomography::TomographicSnapshot*> out;

@@ -7,8 +7,9 @@
 //
 // The archive keeps every snapshot that is still young enough to matter for
 // blame evaluation (the Delta admission window plus slack) and answers the
-// query the blame engine needs: all probe results covering a set of links
-// around a point in time, with provenance.
+// query the blame engine needs: the signed snapshots covering a set of
+// links around a point in time, which core::probes_from_snapshots turns
+// into probe results with provenance.
 //
 // Admission is the first evidence-integrity defense: a snapshot whose epoch
 // regressed against the origin's newest archived epoch is a replay, and one
@@ -39,7 +40,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/blame.h"
 #include "tomography/snapshot.h"
 #include "util/arena.h"
 #include "util/ids.h"
@@ -106,23 +106,16 @@ class SnapshotArchive {
     [[nodiscard]] DigestId digest_of(const util::NodeId& origin,
                                      std::uint64_t epoch) const;
 
-    /// All archived probe results covering any link in `links`, initiated in
-    /// [t - delta, t + delta] (and never older than t - retention).  Results
-    /// from `exclude` are skipped -- the caller passes the judged node per
-    /// Section 3.4's self-probe rule.
-    [[nodiscard]] std::vector<core::ProbeResult> probes_for(
-        std::span<const net::LinkId> links, util::SimTime t,
-        util::SimTime delta, const util::NodeId& exclude) const;
-
     /// The archived snapshots from one origin, oldest first (used as signed
     /// evidence when building accusations).
     [[nodiscard]] std::vector<const tomography::TomographicSnapshot*>
     snapshots_from(const util::NodeId& origin) const;
 
-    /// Snapshots (from any origin) whose probes fall inside the window and
-    /// touch the given links; this is exactly the evidence bundle a formal
-    /// accusation must carry.  Like probes_for, the retention horizon is
-    /// enforced on this query path too.
+    /// Snapshots (from any origin) probed inside [t - delta, t + delta]
+    /// (and never older than t - retention) that touch any link in
+    /// `links`; this is exactly the evidence bundle a formal accusation
+    /// must carry.  Snapshots from `exclude` are skipped -- the caller
+    /// passes the judged node per Section 3.4's self-probe rule.
     [[nodiscard]] std::vector<tomography::TomographicSnapshot>
     evidence_for(std::span<const net::LinkId> links, util::SimTime t,
                  util::SimTime delta, const util::NodeId& exclude) const;

@@ -74,9 +74,6 @@ inline constexpr core::BlameParams kBlame{};
 inline constexpr core::VerdictParams kVerdicts{};
 /// Control-plane (snapshot / revision) dissemination latency.
 inline constexpr util::SimTime kControlLatency = 200 * util::kMillisecond;
-/// No-confidence votes older than this stop counting in the reputation
-/// book's time-aware queries.
-inline constexpr util::SimTime kReputationVoteExpiry = 30 * util::kMinute;
 /// A snapshot delivered more than this after its probed_at is rejected by
 /// the receiving archive as a replay/stale advertisement.
 inline constexpr util::SimTime kSnapshotMaxTransit = util::kMinute;
@@ -518,8 +515,7 @@ class Stewardship {
                 const FaultDriver& faults)
         : s_(s), prober_(prober), gossip_(gossip), faults_(faults),
           blank_{.ledger = core::VerdictLedger(kVerdicts)},
-          nodes_(s.net->size(), blank_),
-          reputation_(kReputationVoteExpiry) {}
+          nodes_(s.net->size(), blank_) {}
 
     std::uint64_t send(overlay::MemberIndex from, const util::NodeId& dest_key,
                        CompletionFn on_complete);
@@ -574,9 +570,6 @@ class Stewardship {
         std::optional<core::BlameBreakdown> breakdown;
         util::SimTime judged_at = 0;
         bool judgment_guilty = false;
-        /// Revision evidence pushed up from downstream stewards, in chain
-        /// order (next hop's judgment first).
-        std::vector<core::BlameEvidence> pushed;
         bool judged = false;
         /// Degraded mode: the judgment abstained (insufficient evidence)
         /// instead of convicting.
@@ -591,6 +584,8 @@ class Stewardship {
         std::vector<overlay::MemberIndex> route;
         util::SimTime sent_at = 0;
         std::vector<StewardRecord> stewards;
+        /// Revision evidence relayed up to the sender, in arrival order.
+        std::vector<core::BlameEvidence> revisions;
         CompletionFn on_complete;
         bool completed = false;
         // Ground truth for stats.

@@ -122,7 +122,7 @@ void Stewardship::forward_from_hop(std::uint64_t msg_id, std::size_t hop) {
     if (s_.behavior(next).refuse_commitments) {
         s_.count<&Stats::commitments_refused>();
         s_.count<&Stats::reputation_votes>();
-        reputation_.cast_vote(s_.net->member(m).id(), next_id, now);
+        reputation_.cast_vote(s_.net->member(m).id(), next_id);
         s_.journals[m].record_vote(next_id, now);
     } else {
         s_.count<&Stats::commitments_issued>();
@@ -379,9 +379,11 @@ void Stewardship::relay_revision(std::uint64_t msg_id,
                                  core::BlameEvidence evidence,
                                  std::size_t to_hop) {
     auto& ctx = messages_.at(msg_id);
-    ctx.stewards[to_hop].pushed.push_back(evidence);
     s_.count<&Stats::revisions_applied>();
-    if (to_hop == 0) return;
+    if (to_hop == 0) {
+        ctx.revisions.push_back(std::move(evidence));
+        return;
+    }
     if (s_.behavior(ctx.route[to_hop]).refuse_revisions) return;
     s_.post_parked(kControlLatency, Op::kRelayRevision, msg_id,
                    std::move(evidence), to_hop - 1);
@@ -443,7 +445,7 @@ void Stewardship::maybe_complete(std::uint64_t msg_id) {
     bool network = false;
     for (bool advanced = true; advanced;) {
         advanced = false;
-        for (const core::BlameEvidence& ev : sender.pushed) {
+        for (const core::BlameEvidence& ev : ctx.revisions) {
             if (!(ev.judge == accused)) continue;
             const core::AccusationCheck check = auditor.verify_evidence(ev);
             if (check == core::AccusationCheck::kBlameBelowThreshold) {

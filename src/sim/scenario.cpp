@@ -102,15 +102,6 @@ Scenario::Scenario(const ScenarioParams& params)
             }
         }
     }
-
-    // Chaos last, so an empty spec leaves every earlier draw -- and hence
-    // every existing seed's world -- untouched.
-    {
-        const WallSpan span(SpanType::kFaultPlan);
-        fault_plan_ = net::build_fault_plan(params_.chaos, params_.duration,
-                                            trees_->member_peer_paths(), n,
-                                            rng_root_);
-    }
 }
 
 std::span<const overlay::MemberIndex> Scenario::reporters_of_link(

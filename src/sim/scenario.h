@@ -25,7 +25,6 @@
 
 #include "core/blame.h"
 #include "crypto/certificates.h"
-#include "net/chaos.h"
 #include "net/link_state.h"
 #include "net/paths.h"
 #include "net/topology.h"
@@ -48,10 +47,6 @@ struct ScenarioParams {
     core::BlameParams blame;  ///< accuracy 0.9, Delta = 60 s
     /// Fraction of nodes that collude and flip probe reports (Section 4.3).
     double malicious_fraction = 0.0;
-    /// Declarative chaos spec (see net/chaos.h); the scenario materializes
-    /// it into a FaultPlan from its own deterministic stream.  Empty by
-    /// default: no chaos.
-    net::FaultSpec chaos;
     std::uint64_t seed = 1;
 };
 
@@ -76,11 +71,6 @@ class Scenario {
     }
     [[nodiscard]] const net::FailureTimeline& timeline() const noexcept {
         return timeline_;
-    }
-    /// The materialized chaos schedule (empty plan when params().chaos is
-    /// empty).  Runtime clusters attach it with Cluster::set_chaos.
-    [[nodiscard]] const net::FaultPlan& fault_plan() const noexcept {
-        return fault_plan_;
     }
     [[nodiscard]] const tomography::ProbeTree& tree(
         overlay::MemberIndex m) const {
@@ -161,7 +151,6 @@ class Scenario {
     std::optional<overlay::OverlayNetwork> overlay_;
     std::optional<tomography::OverlayTrees> trees_;
     net::FailureTimeline timeline_;
-    net::FaultPlan fault_plan_;
     std::vector<bool> malicious_;
     std::size_t malicious_count_ = 0;
     std::unordered_map<net::LinkId, std::vector<overlay::MemberIndex>>

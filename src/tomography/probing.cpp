@@ -256,8 +256,6 @@ HeavyweightResult run_heavyweight_session(
         "run_heavyweight_session");
     result.started_at = t0;
     result.finished_at = t0 + params.probe_count * params.spacing;
-
-    result.ack_counts = result.probes.ack_counts();
     return result;
 }
 

@@ -162,17 +162,8 @@ struct HeavyweightParams {
 /// A heavyweight probing session: many stripes across a short window.
 struct HeavyweightResult {
     ProbeMatrix probes;
-    std::vector<int> ack_counts;  ///< per leaf slot (nonce-valid acks only)
     util::SimTime started_at = 0;
     util::SimTime finished_at = 0;
-
-    [[nodiscard]] double ack_rate(int leaf_slot) const {
-        return probes.size() == 0
-                   ? 0.0
-                   : static_cast<double>(ack_counts.at(
-                         static_cast<std::size_t>(leaf_slot))) /
-                         static_cast<double>(probes.size());
-    }
 };
 
 /// Runs a full heavyweight session starting at t0 (Duffield's full scheme).

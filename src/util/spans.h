@@ -54,6 +54,7 @@ enum class SpanType : std::uint8_t {
     kTreeBuild,
     kFailureTimeline,
     kScenarioIndex,
+    /// Recorded by nothing; kept because perfbench/main.cpp reads it.
     kFaultPlan,
     // Experiment-driver structure (one per trial / shard execution).
     kTrial,

@@ -13,62 +13,20 @@ const util::NodeId kCarol = util::NodeId::from_hex("0c");
 TEST(ReputationBook, CountsDistinctVoters) {
     ReputationBook book;
     EXPECT_EQ(book.votes_against(kBob), 0);
-    book.cast_vote(kAlice, kBob, 0);
-    book.cast_vote(kAlice, kBob, 5);  // re-vote does not double count
+    book.cast_vote(kAlice, kBob);
+    book.cast_vote(kAlice, kBob);  // re-vote does not double count
     EXPECT_EQ(book.votes_against(kBob), 1);
-    book.cast_vote(kCarol, kBob, 6);
+    book.cast_vote(kCarol, kBob);
     EXPECT_EQ(book.votes_against(kBob), 2);
     EXPECT_EQ(book.votes_against(kAlice), 0);
 }
 
 TEST(ReputationBook, PoorPeerThreshold) {
     ReputationBook book;
-    book.cast_vote(kAlice, kBob, 0);
+    book.cast_vote(kAlice, kBob);
     EXPECT_FALSE(book.poor_peer(kBob, 2));
-    book.cast_vote(kCarol, kBob, 1);
+    book.cast_vote(kCarol, kBob);
     EXPECT_TRUE(book.poor_peer(kBob, 2));
-}
-
-TEST(ReputationBook, VotesExpireAfterWindow) {
-    using util::kMinute;
-    ReputationBook book(/*vote_expiry=*/10 * kMinute);
-    EXPECT_EQ(book.vote_expiry(), 10 * kMinute);
-    book.cast_vote(kAlice, kBob, 0);
-    book.cast_vote(kCarol, kBob, 5 * kMinute);
-    EXPECT_EQ(book.votes_against(kBob, 9 * kMinute), 2);
-    // Alice's vote ages out first, then Carol's.
-    EXPECT_EQ(book.votes_against(kBob, 12 * kMinute), 1);
-    EXPECT_EQ(book.votes_against(kBob, 16 * kMinute), 0);
-    // The lifetime (audit) count never decays.
-    EXPECT_EQ(book.votes_against(kBob), 2);
-}
-
-TEST(ReputationBook, ReVoteRefreshesExpiry) {
-    using util::kMinute;
-    ReputationBook book(/*vote_expiry=*/10 * kMinute);
-    book.cast_vote(kAlice, kBob, 0);
-    book.cast_vote(kAlice, kBob, 8 * kMinute);  // still one distinct voter
-    EXPECT_EQ(book.votes_against(kBob, 15 * kMinute), 1);
-    EXPECT_EQ(book.votes_against(kBob), 1);
-}
-
-TEST(ReputationBook, PoorPeerHonorsExpiry) {
-    using util::kMinute;
-    ReputationBook book(/*vote_expiry=*/10 * kMinute);
-    book.cast_vote(kAlice, kBob, 0);
-    book.cast_vote(kCarol, kBob, kMinute);
-    EXPECT_TRUE(book.poor_peer(kBob, 2, 5 * kMinute));
-    // A node that stopped refusing commitments long ago regains standing...
-    EXPECT_FALSE(book.poor_peer(kBob, 2, 30 * kMinute));
-    // ...though the lifetime check still remembers.
-    EXPECT_TRUE(book.poor_peer(kBob, 2));
-}
-
-TEST(ReputationBook, ZeroExpiryNeverDecays) {
-    ReputationBook book(/*vote_expiry=*/0);
-    book.cast_vote(kAlice, kBob, 0);
-    EXPECT_EQ(book.votes_against(kBob, 400 * util::kHour), 1);
-    EXPECT_TRUE(book.poor_peer(kBob, 1, 400 * util::kHour));
 }
 
 TEST(Sanctions, NoAccusationsNoSanctions) {

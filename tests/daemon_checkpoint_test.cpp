@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
@@ -134,6 +135,35 @@ TEST(Checkpoint, RejectsTruncation) {
         (void)Checkpoint::parse(text.substr(0, text.size() - 4), "mem"),
         std::invalid_argument);
     EXPECT_THROW((void)Checkpoint::parse("", "mem"), std::invalid_argument);
+}
+
+TEST(Checkpoint, RefusesHeaderTimesPastInt64Max) {
+    // to_text writes a negative time as its uint64 bit pattern and digests
+    // that text, so each case is a self-consistent file the parser must
+    // still refuse by line rather than load as a negative time.
+    const struct {
+        util::SimTime Checkpoint::*field;
+        const char* line;
+    } kTimes[] = {{&Checkpoint::sim_clock, "mem:3"},
+                  {&Checkpoint::tick, "mem:4"},
+                  {&Checkpoint::checkpoint_every, "mem:5"}};
+    for (const auto& t : kTimes) {
+        for (const util::SimTime bad : {util::SimTime{-1}, INT64_MIN}) {
+            Checkpoint ck = sample_checkpoint();
+            ck.*t.field = bad;
+            try {
+                (void)Checkpoint::parse(ck.to_text(), "mem");
+                FAIL() << t.line << ": loaded time " << bad;
+            } catch (const std::invalid_argument& e) {
+                EXPECT_EQ(std::string(e.what()).rfind(t.line, 0), 0u)
+                    << "error was: " << e.what();
+            }
+        }
+        // INT64_MAX itself is the largest time that loads.
+        Checkpoint ck = sample_checkpoint();
+        ck.*t.field = INT64_MAX;
+        EXPECT_EQ(Checkpoint::parse(ck.to_text(), "mem").*t.field, INT64_MAX);
+    }
 }
 
 TEST(Checkpoint, LatestCheckpointFilePicksTheHighestClock) {

@@ -266,7 +266,7 @@ TEST(GoldenRefactor, ProbeSessionsAreByteIdentical) {
             tree, pass, t0, tomography::HeavyweightParams{.probe_count = 100},
             behaviors, rng);
         h = fnv(h, static_cast<std::uint64_t>(session.finished_at));
-        for (const int c : session.ack_counts) {
+        for (const int c : session.probes.ack_counts()) {
             h = fnv(h, static_cast<std::uint64_t>(c));
         }
         const auto fabricators = tomography::detect_fabricators(
@@ -356,7 +356,7 @@ TEST(GoldenRefactor, ProbeSessionsAcrossLinkStateChangesAreByteIdentical) {
                 }
             }
         }
-        for (const int c : session.ack_counts) {
+        for (const int c : session.probes.ack_counts()) {
             h = fnv(h, static_cast<std::uint64_t>(c));
         }
         h = fnv_inference(h,

@@ -127,7 +127,7 @@ inline HeavyweightResult expect_runs_match_stripes(
             }
         }
     }
-    EXPECT_EQ(session.ack_counts, acks);
+    EXPECT_EQ(session.probes.ack_counts(), acks);
     EXPECT_EQ(detect_fabricators(leaves, m), fabricators);
     const auto probes = static_cast<std::int64_t>(m.size() * leaves);
     EXPECT_EQ(delta, (std::vector<std::int64_t>{

@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <utility>
 #include <vector>
 
+#include "core/accusation.h"
 #include "crypto/keys.h"
 
 namespace concilium::runtime {
@@ -29,6 +31,20 @@ tomography::TomographicSnapshot snap(const util::NodeId& origin,
 
 const util::NodeId kAlice = util::NodeId::from_hex("0a");
 const util::NodeId kBob = util::NodeId::from_hex("0b");
+
+/// The probe results a judge reads from the archive: the evidence bundle's
+/// observations of the queried links.
+std::vector<core::ProbeResult> probes_on(const SnapshotArchive& archive,
+                                         const std::vector<net::LinkId>& links,
+                                         util::SimTime t, util::SimTime delta,
+                                         const util::NodeId& exclude) {
+    auto probes = core::probes_from_snapshots(
+        archive.evidence_for(links, t, delta, exclude));
+    std::erase_if(probes, [&](const core::ProbeResult& p) {
+        return std::find(links.begin(), links.end(), p.link) == links.end();
+    });
+    return probes;
+}
 
 TEST(SnapshotArchive, StoresAndCounts) {
     SnapshotArchive archive;
@@ -62,20 +78,20 @@ TEST(SnapshotArchive, ProbesForFiltersByLinkWindowAndOrigin) {
 
     const std::vector<net::LinkId> links{1};
     // Window around t=100s: both snapshots at 100s qualify; link 9 excluded.
-    auto probes = archive.probes_for(links, 110 * kSecond, 60 * kSecond,
-                                     util::NodeId::from_hex("ff"));
+    auto probes = probes_on(archive, links, 110 * kSecond, 60 * kSecond,
+                            util::NodeId::from_hex("ff"));
     ASSERT_EQ(probes.size(), 2u);
     for (const auto& p : probes) EXPECT_EQ(p.link, 1u);
 
     // Excluding Bob removes its probe.
-    probes = archive.probes_for(links, 110 * kSecond, 60 * kSecond, kBob);
+    probes = probes_on(archive, links, 110 * kSecond, 60 * kSecond, kBob);
     ASSERT_EQ(probes.size(), 1u);
     EXPECT_EQ(probes[0].reporter, kAlice);
     EXPECT_TRUE(probes[0].link_up);
 
     // A tight window around t=300s sees only the late snapshot.
-    probes = archive.probes_for(links, 300 * kSecond, 10 * kSecond,
-                                util::NodeId::from_hex("ff"));
+    probes = probes_on(archive, links, 300 * kSecond, 10 * kSecond,
+                       util::NodeId::from_hex("ff"));
     EXPECT_EQ(probes.size(), 1u);
 }
 
@@ -238,7 +254,7 @@ TEST(SnapshotArchive, QueriesEnforceRetentionHorizon) {
     const std::vector<net::LinkId> links{1};
     const auto exclude = util::NodeId::from_hex("ff");
     const auto probes =
-        archive.probes_for(links, 300 * kSecond, 300 * kSecond, exclude);
+        probes_on(archive, links, 300 * kSecond, 300 * kSecond, exclude);
     ASSERT_EQ(probes.size(), 1u);
     EXPECT_EQ(probes[0].reporter, kBob);
 
@@ -253,7 +269,7 @@ TEST(SnapshotArchive, QueriesEnforceRetentionHorizon) {
     const SnapshotArchive wrapped = wrapped_archive();
     const std::vector<net::LinkId> both{1, 2};
     const auto wrapped_probes =
-        wrapped.probes_for(both, 310 * kSecond, 300 * kSecond, exclude);
+        probes_on(wrapped, both, 310 * kSecond, 300 * kSecond, exclude);
     std::vector<std::pair<util::NodeId, util::SimTime>> seen;
     for (const auto& p : wrapped_probes) seen.emplace_back(p.reporter, p.at);
     EXPECT_EQ(seen,

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/accusation.h"
 #include "net/topology_gen.h"
 #include "util/metrics.h"
 
@@ -389,10 +390,12 @@ TEST(Cluster, ProbeSuppressorDoesNotPoisonSnapshots) {
     int up_votes = 0;
     for (const auto peer : world.overlay->routing_peers(suppressor)) {
         const std::vector<net::LinkId> links{access};
-        const auto probes = cluster.archive(peer).probes_for(
-            links, 9 * util::kMinute, 10 * util::kMinute,
-            util::NodeId::from_hex("ff"));
+        const auto probes =
+            core::probes_from_snapshots(cluster.archive(peer).evidence_for(
+                links, 9 * util::kMinute, 10 * util::kMinute,
+                util::NodeId::from_hex("ff")));
         for (const auto& p : probes) {
+            if (p.link != access) continue;
             // The suppressor's own (self-serving) snapshots do not count.
             if (p.reporter == world.overlay->member(suppressor).id()) {
                 continue;
@@ -431,11 +434,12 @@ TEST(Cluster, FabricatedAcksCannotFakeALiveLink) {
     int up_votes = 0;
     for (const auto peer : world.overlay->routing_peers(fabricator)) {
         const std::vector<net::LinkId> links{access};
-        const auto probes = cluster.archive(peer).probes_for(
-            links, 9 * util::kMinute, 10 * util::kMinute,
-            world.overlay->member(fabricator).id());
+        const auto probes =
+            core::probes_from_snapshots(cluster.archive(peer).evidence_for(
+                links, 9 * util::kMinute, 10 * util::kMinute,
+                world.overlay->member(fabricator).id()));
         for (const auto& p : probes) {
-            if (p.link_up) ++up_votes;
+            if (p.link == access && p.link_up) ++up_votes;
         }
     }
     EXPECT_EQ(up_votes, 0) << "fabricated acks revived a dead link";

@@ -1,4 +1,4 @@
-// Soak: the chaos, recovery, and attack pipelines -- scenario-built fault
+// Soak: the chaos, recovery, and attack pipelines -- per-trial fault
 // plans, retry/backoff and per-packet effects; journaled restarts, recovery
 // handshakes, degraded-mode judgments and heal-time resync; campaign
 // materialization, the Byzantine roles, proof filing and the defense
@@ -194,32 +194,6 @@ TEST_P(SoakDeterminism, SoakIsByteIdenticalAcrossJobs) {
 
 INSTANTIATE_TEST_SUITE_P(Families, SoakDeterminism,
                          ::testing::ValuesIn(kCases));
-
-TEST(ChaosDeterminism, ScenarioBuildsPlanFromChaosParams) {
-    ScenarioParams params;
-    params.topology = net::small_params();
-    params.topology.end_hosts = 300;
-    params.overlay_nodes_override = 40;
-    params.chaos = net::FaultSpec::parse("churn:0.05,flap:0.2");
-    params.seed = 33;
-    const Scenario with_chaos(params);
-    EXPECT_FALSE(with_chaos.fault_plan().churn.empty());
-
-    // The same seed without chaos builds the identical world: the plan is
-    // drawn after everything else, so enabling chaos never perturbs the
-    // scenario's topology, overlay, or failure ground truth.
-    ScenarioParams quiet = params;
-    quiet.chaos = net::FaultSpec{};
-    const Scenario without_chaos(quiet);
-    EXPECT_TRUE(without_chaos.fault_plan().churn.empty());
-    EXPECT_EQ(with_chaos.overlay_net().size(),
-              without_chaos.overlay_net().size());
-    for (overlay::MemberIndex m = 0; m < with_chaos.overlay_net().size();
-         ++m) {
-        ASSERT_EQ(with_chaos.overlay_net().member(m).id(),
-                  without_chaos.overlay_net().member(m).id());
-    }
-}
 
 }  // namespace
 }  // namespace concilium::sim

@@ -135,9 +135,10 @@ TEST_F(ProbeFixture, HeavyweightSessionCountsAcks) {
     const auto result = run_heavyweight_session(
         *tree, make_pass_fn({{links[3], 0.25}}), 0, params, {}, rng);
     EXPECT_EQ(result.probes.size(), 400u);
-    EXPECT_NEAR(result.ack_rate(0), 0.75, 0.07);
-    EXPECT_NEAR(result.ack_rate(1), 1.0, 1e-12);
-    EXPECT_NEAR(result.ack_rate(2), 1.0, 1e-12);
+    const auto acks = result.probes.ack_counts();
+    EXPECT_NEAR(acks[0] / 400.0, 0.75, 0.07);
+    EXPECT_EQ(acks[1], 400);
+    EXPECT_EQ(acks[2], 400);
     EXPECT_GT(result.finished_at, result.started_at);
     EXPECT_THROW(run_heavyweight_session(*tree, make_pass_fn(), 0,
                                          HeavyweightParams{.probe_count = 0},
@@ -290,7 +291,7 @@ TEST_F(ProbeFixture, WindowedAndPerInstantSourcesSampleIdentically) {
                     << "t0=" << t0 << " stripe " << i;
             }
         }
-        EXPECT_EQ(x.ack_counts, y.ack_counts);
+        EXPECT_EQ(x.probes.ack_counts(), y.probes.ack_counts());
         const auto lx =
             run_lightweight_probe(*tree, per_instant, t0, 2, behaviors, a);
         const auto ly =
@@ -323,8 +324,8 @@ TEST_F(ProbeFixture, WindowedSourceIsAskedAgainOnlyWhenAWindowEnds) {
     const int tree_links = static_cast<int>(tree->links().size());
     EXPECT_EQ(windowed_calls, 4 * tree_links);
     EXPECT_EQ(per_instant_calls, 10 * tree_links);
-    EXPECT_EQ(x.ack_counts, y.ack_counts);
-    EXPECT_EQ(x.ack_counts, std::vector<int>(3, 10));
+    EXPECT_EQ(x.probes.ack_counts(), y.probes.ack_counts());
+    EXPECT_EQ(x.probes.ack_counts(), std::vector<int>(3, 10));
 
     EXPECT_THROW((void)run_heavyweight_session(
                      *tree, windowed, 0,
@@ -355,7 +356,7 @@ TEST_F(ProbeFixture, StableSessionIsOneRun) {
                     << "stripe " << i;
             }
         }
-        EXPECT_EQ(session.ack_counts, std::vector<int>(3, 100));
+        EXPECT_EQ(session.probes.ack_counts(), std::vector<int>(3, 100));
     };
     check(transport);
     check(make_pass_fn());
@@ -399,7 +400,7 @@ TEST_F(ProbeFixture, LinkDownMidSessionMatchesAStripeByStripeReference) {
     EXPECT_EQ(m.run_stripes(2), 20U);
     EXPECT_FALSE(test_bit(m.run_row(kFabricatedAck, 0), 0));
     EXPECT_TRUE(test_bit(m.run_row(kFabricatedAck, 1), 0));
-    EXPECT_EQ(session.ack_counts, (std::vector<int>{70, 70, 100}));
+    EXPECT_EQ(session.probes.ack_counts(), (std::vector<int>{70, 70, 100}));
 }
 
 }  // namespace
