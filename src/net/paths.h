@@ -33,7 +33,10 @@ class PathOracle {
   public:
     /// Copies the topology's adjacency into CSR form -- one flat edge array
     /// plus per-router offsets, each router's edges in adjacency-list order
-    /// -- so the oracle keeps no reference to `topo`.
+    /// -- so the oracle keeps no reference to `topo`.  Then finds the
+    /// bridges, takes the largest 2-edge-connected component as the root
+    /// component (lowest router first on a tie) and runs one BFS from its
+    /// lowest router, the root BFS.
     explicit PathOracle(const Topology& topo);
 
     /// One BFS from src; every extracted path is carved out of `arena`
@@ -41,6 +44,13 @@ class PathOracle {
     /// as spans.  The spans stay valid until the arena is reset or
     /// destroyed.  At full-SCAN scale this is the difference between two
     /// heap allocations per (member, peer) pair and none.
+    ///
+    /// The BFS does not expand a router it reaches over a bridge the root
+    /// BFS crossed away from the root.  The part of the graph below such a
+    /// bridge is entered through it alone, so its BFS tree is the same for
+    /// every source outside it -- the root BFS's -- and leaving it out of
+    /// the queue keeps the FIFO order of everything else.  Paths into it
+    /// continue along the root BFS's parents.
     ///
     /// Shortest paths, deterministic: ties break by adjacency-list order,
     /// which is fixed by construction order.  A destination that is
@@ -52,13 +62,24 @@ class PathOracle {
         util::Arena& arena) const;
 
   private:
+    /// FIFO BFS from src in CSR edge order.  A router reached over an edge
+    /// e with bridge_down_[e] set gets its parent and via link but is not
+    /// queued.  Returns the number of routers queued.
+    std::size_t sweep(RouterId src, std::vector<RouterId>& parent,
+                      std::vector<LinkId>& via) const;
+
     /// Router r's edges are edges_[offsets_[r] .. offsets_[r + 1]).
     std::vector<std::uint32_t> offsets_;
     std::vector<Topology::Edge> edges_;
-    /// Per router: 1 when it has more than one link.  A degree-1 router's
-    /// only link leads back to the router that reached it, so BFS marks it
-    /// but never expands it.
-    std::vector<std::uint8_t> expands_;
+    /// Per CSR edge: 1 when the root BFS discovered the edge's neighbor
+    /// across a bridge, i.e. the bridge's direction away from the root.
+    std::vector<std::uint8_t> bridge_down_;
+    /// The root BFS's source, its parent of each router and the link to
+    /// it; kInvalidRouter / kInvalidLink outside the root's connected
+    /// component.
+    RouterId root_ = kInvalidRouter;
+    std::vector<RouterId> root_parent_;
+    std::vector<LinkId> root_via_;
 };
 
 }  // namespace concilium::net

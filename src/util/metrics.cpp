@@ -125,6 +125,8 @@ constexpr WellKnown kWellKnown[] = {
     {WellKnown::kCounter, "net.events_scheduled"},
     {WellKnown::kCounter, "net.events_executed"},
     {WellKnown::kGauge, "net.eventsim.queue_high_water"},
+    // net — path oracle: routers its per-source BFSs queued.
+    {WellKnown::kCounter, "net.bfs_routers_expanded"},
     // crypto — snapshot signature checks, one per seal.
     {WellKnown::kCounter, "crypto.verify.cache_hit"},
     {WellKnown::kCounter, "crypto.verify.cache_miss"},

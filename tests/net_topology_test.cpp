@@ -2,14 +2,19 @@
 
 #include <algorithm>
 #include <deque>
+#include <initializer_list>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "net/paths.h"
 #include "net/topology.h"
 #include "net/topology_gen.h"
 #include "util/arena.h"
+#include "util/metrics.h"
 #include "util/rng.h"
 
 namespace concilium::net {
@@ -214,11 +219,71 @@ TEST(PathOracle, PathsIntoMatchesSinglePathQueries) {
     }
 }
 
+/// Counts the (source, destination) pairs whose path differs from the
+/// plain BFS's and reports the first.  A path must be empty exactly when
+/// the reference has no via link or the destination is the source;
+/// otherwise it runs from src to dst and each of its links is the
+/// reference's link into the router it enters, from that router's
+/// reference parent.
+std::size_t reference_mismatches(const Topology& topo,
+                                 const PathOracle& oracle,
+                                 std::span<const RouterId> srcs,
+                                 std::span<const RouterId> dsts) {
+    std::size_t mismatches = 0;
+    util::Arena arena;
+    for (const RouterId src : srcs) {
+        const auto via = reference_via(topo, src);
+        const auto views = oracle.paths_into(src, dsts, arena);
+        if (views.size() != dsts.size()) {
+            ADD_FAILURE() << "source " << src << ": " << views.size()
+                          << " paths for " << dsts.size() << " destinations";
+            return mismatches + 1;
+        }
+        for (std::size_t i = 0; i < dsts.size(); ++i) {
+            const PathView& p = views[i];
+            const RouterId dst = dsts[i];
+            bool ok = dst == src || via[dst] == kInvalidLink
+                          ? p.routers.empty() && p.links.empty()
+                          : p.routers.size() == p.links.size() + 1 &&
+                                p.routers.front() == src &&
+                                p.routers.back() == dst;
+            for (std::size_t hop = 0; ok && hop < p.links.size(); ++hop) {
+                const RouterId child = p.routers[hop + 1];
+                ok = p.links[hop] == via[child] &&
+                     topo.link(via[child]).other(child) == p.routers[hop];
+            }
+            if (!ok && mismatches++ == 0) {
+                ADD_FAILURE() << "path " << src << " -> " << dst << " has "
+                              << p.hops() << " hops and differs from the "
+                              << "plain BFS's";
+            }
+        }
+        arena.reset();
+    }
+    return mismatches;
+}
+
+std::vector<RouterId> all_routers(const Topology& topo) {
+    std::vector<RouterId> out(topo.router_count());
+    for (RouterId r = 0; r < out.size(); ++r) out[r] = r;
+    return out;
+}
+
+/// A topology of `routers` routers with `links` added in the order given,
+/// which fixes each router's adjacency order.
+Topology graph(std::size_t routers,
+               std::initializer_list<std::pair<RouterId, RouterId>> links) {
+    Topology topo;
+    for (std::size_t i = 0; i < routers; ++i) {
+        topo.add_router(RouterTier::kCore);
+    }
+    for (const auto& [a, b] : links) topo.add_link(a, b);
+    return topo;
+}
+
 TEST(PathOracle, PathsIntoMatchesReferenceBfs) {
-    // The CSR sweep skips expanding degree-1 routers; every parent link
-    // must still be the one a plain BFS picks.  Sources include end hosts
-    // (degree 1) and core routers; destinations include the source itself
-    // and a router no link reaches.
+    // Sources include end hosts (degree 1) and core routers; destinations
+    // include the source itself and a router no link reaches.
     util::Rng rng(6);
     Topology topo = generate_topology(small_params(), rng);
     const RouterId isolated = topo.add_router(RouterTier::kCore);
@@ -227,28 +292,143 @@ TEST(PathOracle, PathsIntoMatchesReferenceBfs) {
     std::vector<RouterId> dsts;
     for (RouterId r = 0; r < topo.router_count(); r += 3) dsts.push_back(r);
     dsts.push_back(isolated);
-    util::Arena arena;
-    for (const RouterId src : {hosts[0], hosts[7], RouterId{0}, RouterId{5}}) {
-        const auto via = reference_via(topo, src);
-        const auto views = oracle.paths_into(src, dsts, arena);
-        ASSERT_EQ(views.size(), dsts.size());
-        for (std::size_t i = 0; i < dsts.size(); ++i) {
-            const PathView& p = views[i];
-            if (dsts[i] == src || via[dsts[i]] == kInvalidLink) {
-                EXPECT_TRUE(p.empty());
-                EXPECT_TRUE(p.routers.empty());
-                continue;
-            }
-            ASSERT_EQ(p.routers.size(), p.links.size() + 1);
-            EXPECT_EQ(p.routers.front(), src);
-            EXPECT_EQ(p.routers.back(), dsts[i]);
-            for (std::size_t hop = 0; hop < p.links.size(); ++hop) {
-                EXPECT_EQ(p.links[hop], via[p.routers[hop + 1]]);
-            }
-        }
-        EXPECT_TRUE(views.back().empty());
+    const std::vector<RouterId> srcs{hosts[0], hosts[7], 0, 5};
+    EXPECT_EQ(reference_mismatches(topo, oracle, srcs, dsts), 0u);
+}
+
+TEST(PathOracle, BridgePruningMatchesPlainBfsOnHandBuiltGraphs) {
+    // Every source x every destination on graphs built around bridges.
+    // A source's BFS does not expand routers below a bridge that leads
+    // away from the root component; paths into them follow the root BFS.
+    const std::pair<const char*, Topology> cases[] = {
+        {"root 4-cycle, pendant chain three bridges deep, then a triangle",
+         graph(9, {{0, 1}, {1, 2}, {2, 3}, {3, 0},
+                   {2, 4}, {4, 5}, {5, 6},
+                   {6, 7}, {7, 8}, {8, 6}})},
+        {"triangle off a triangle off a root 5-cycle",
+         graph(11, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0},
+                    {3, 5}, {5, 6}, {6, 7}, {7, 5},
+                    {6, 8}, {8, 9}, {9, 10}, {10, 8}})},
+        {"degree-1 leaves on the root and on pendant parts",
+         graph(13, {{0, 1}, {1, 2}, {2, 3}, {3, 0}, {0, 4}, {2, 5},
+                    {1, 6}, {6, 7}, {7, 8}, {8, 6}, {7, 9}, {8, 10},
+                    {3, 11}, {11, 12}})},
+        {"second connected component with its own cycle",
+         graph(12, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}, {4, 11},
+                    {5, 6}, {6, 7}, {7, 8}, {8, 5}, {8, 9}, {9, 10}})},
+        {"tree-only second component",
+         graph(9, {{0, 1}, {1, 2}, {2, 0},
+                   {3, 4}, {3, 5}, {4, 6}, {4, 7}, {7, 8}})},
+        {"isolated router between a cycle and its leaf",
+         graph(6, {{0, 1}, {1, 2}, {2, 3}, {3, 0}, {0, 5}})},
+        {"largest 2-edge-connected component away from router 0",
+         graph(13, {{0, 1}, {1, 2}, {2, 0}, {2, 3},
+                    {4, 5}, {5, 6}, {6, 7}, {7, 8}, {8, 9}, {9, 4},
+                    {9, 10}, {10, 11}, {11, 12}, {12, 10}})},
+        {"tie between equally large 2-edge-connected components",
+         graph(14, {{0, 4}, {2, 4}, {4, 6}, {6, 8}, {8, 2},
+                    {1, 3}, {3, 5}, {5, 7}, {7, 1}, {8, 9}, {9, 1},
+                    {10, 11}, {11, 12}, {12, 13}, {13, 10}})},
+    };
+    for (const auto& [name, topo] : cases) {
+        SCOPED_TRACE(name);
+        const PathOracle oracle(topo);
+        const auto routers = all_routers(topo);
+        EXPECT_EQ(reference_mismatches(topo, oracle, routers, routers), 0u);
     }
-    EXPECT_GT(arena.bytes_used(), 0u);
+}
+
+TEST(PathOracle, BridgePruningMatchesPlainBfsOnRandomGraphs) {
+    // Random trees of 20-80 routers, relabelled, plus up to five chords,
+    // links added in a shuffled order: bridges everywhere, 2-edge-connected
+    // components of every size, and adjacency orders that differ from the
+    // router ids.
+    for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        util::Rng rng(seed);
+        const auto n = static_cast<std::size_t>(rng.uniform_int(20, 80));
+        std::vector<RouterId> label(n);
+        for (RouterId r = 0; r < n; ++r) label[r] = r;
+        rng.shuffle(label);
+        std::vector<std::pair<RouterId, RouterId>> links;
+        for (RouterId v = 1; v < n; ++v) {
+            links.emplace_back(label[v], label[rng.uniform_index(v)]);
+        }
+        const auto chords = rng.uniform_int(0, 5);
+        for (std::int64_t c = 0; c < chords; ++c) {
+            const auto a = static_cast<RouterId>(rng.uniform_index(n));
+            const auto b = static_cast<RouterId>(rng.uniform_index(n));
+            const bool taken = std::ranges::any_of(links, [&](const auto& l) {
+                return (l.first == a && l.second == b) ||
+                       (l.first == b && l.second == a);
+            });
+            if (a != b && !taken) links.emplace_back(a, b);
+        }
+        rng.shuffle(links);
+        Topology topo;
+        for (std::size_t i = 0; i < n; ++i) {
+            topo.add_router(RouterTier::kCore);
+        }
+        for (const auto& [a, b] : links) topo.add_link(a, b);
+        const PathOracle oracle(topo);
+        const auto routers = all_routers(topo);
+        EXPECT_EQ(reference_mismatches(topo, oracle, routers, routers), 0u);
+    }
+}
+
+TEST(PathOracle, BridgePruningMatchesPlainBfsOnGeneratedTopologies) {
+    {
+        SCOPED_TRACE("small preset, every pair");
+        util::Rng rng(9);
+        const Topology topo = generate_topology(small_params(), rng);
+        const PathOracle oracle(topo);
+        const auto routers = all_routers(topo);
+        EXPECT_EQ(reference_mismatches(topo, oracle, routers, routers), 0u);
+    }
+    {
+        SCOPED_TRACE("medium preset, 32 sources x every 11th router");
+        util::Rng rng(10);
+        const Topology topo = generate_topology(medium_params(), rng);
+        const PathOracle oracle(topo);
+        const auto hosts = topo.end_hosts();
+        std::vector<RouterId> srcs;
+        for (std::size_t k = 0; k < 16; ++k) {
+            srcs.push_back(hosts[k * hosts.size() / 16]);
+            srcs.push_back(
+                static_cast<RouterId>(k * topo.router_count() / 16));
+        }
+        std::vector<RouterId> dsts;
+        for (RouterId r = 0; r < topo.router_count(); r += 11) {
+            dsts.push_back(r);
+        }
+        EXPECT_EQ(reference_mismatches(topo, oracle, srcs, dsts), 0u);
+    }
+}
+
+TEST(PathOracle, CountsTheRoutersEachSweepQueues) {
+    // Root 4-cycle 0-1-2-3 (lowest router 0), then bridges 2-4, 4-5, 5-6
+    // down to the triangle 6-7-8.  From 0 the BFS queues the cycle and
+    // stops at the bridge into 4; from 7 it climbs every bridge upward and
+    // queues all nine routers.
+    const Topology topo = graph(9, {{0, 1}, {1, 2}, {2, 3}, {3, 0},
+                                    {2, 4}, {4, 5}, {5, 6},
+                                    {6, 7}, {7, 8}, {8, 6}});
+    const PathOracle oracle(topo);
+    auto& expanded =
+        util::metrics::Registry::global().counter("net.bfs_routers_expanded");
+    util::Arena arena;
+    const std::vector<RouterId> dsts{8};
+    struct Case {
+        RouterId src;
+        std::int64_t queued;
+        std::size_t hops_to_8;
+    };
+    for (const Case& c : {Case{0, 4, 6}, Case{7, 9, 1}}) {
+        const std::int64_t before = expanded.value();
+        EXPECT_EQ(oracle.paths_into(c.src, dsts, arena)[0].hops(),
+                  c.hops_to_8);
+        EXPECT_EQ(expanded.value() - before, c.queued) << "source " << c.src;
+    }
 }
 
 TEST(PathOracle, RejectsOutOfRangeRouters) {
