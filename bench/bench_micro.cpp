@@ -150,10 +150,12 @@ void BM_BfsPathExtraction(benchmark::State& state) {
     const auto hosts = topo.end_hosts();
     std::vector<net::RouterId> dsts(hosts.begin(), hosts.begin() + 64);
     util::Arena arena;
+    // One Sweep across the iterations, as OverlayTrees keeps one per chunk.
+    net::PathOracle::Sweep sweep;
     std::size_t src = 64;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            oracle.paths_into(hosts[src % hosts.size()], dsts, arena));
+        benchmark::DoNotOptimize(oracle.paths_into(
+            hosts[src % hosts.size()], dsts, arena, sweep));
         arena.reset();
         ++src;
     }

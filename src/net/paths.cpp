@@ -1,8 +1,10 @@
 #include "net/paths.h"
 
 #include <algorithm>
+#include <atomic>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "util/metrics.h"
 
@@ -101,9 +103,56 @@ RouterId largest_component_root(std::span<const std::uint32_t> offsets,
     return best;
 }
 
+/// FIFO BFS from src over a CSR, ties broken by edge order.  First clears
+/// the parents of the routers `reached` lists (the previous BFS's), then
+/// lists every router it reaches there in discovery order, src first, and
+/// sets its parent and via link; a router for which `stop` holds is
+/// reached but not expanded.  Returns the number of routers expanded.
+/// Each router is listed before its parent is set, so `reached` names
+/// every parent set even when the list cannot grow and this throws.
+template <typename Stop>
+std::size_t bfs(std::span<const std::uint32_t> offsets,
+                std::span<const Topology::Edge> edges, RouterId src,
+                std::span<RouterId> parent, std::span<LinkId> via,
+                std::vector<RouterId>& reached, Stop stop) {
+    for (const RouterId r : reached) parent[r] = kInvalidRouter;
+    reached.clear();
+    reached.push_back(src);
+    parent[src] = src;
+    std::size_t expanded = 0;
+    for (std::size_t head = 0; head < reached.size(); ++head) {
+        const RouterId r = reached[head];
+        if (stop(r)) continue;
+        ++expanded;
+        for (std::uint32_t e = offsets[r]; e < offsets[r + 1]; ++e) {
+            const Topology::Edge& edge = edges[e];
+            if (parent[edge.neighbor] != kInvalidRouter) continue;
+            reached.push_back(edge.neighbor);
+            parent[edge.neighbor] = r;
+            via[edge.neighbor] = edge.link;
+        }
+    }
+    return expanded;
+}
+
+std::uint64_t next_oracle_id() {
+    static std::atomic<std::uint64_t> next{1};
+    return next.fetch_add(1);
+}
+
+/// Throws the named error for a router id outside an n-router topology.
+void require(RouterId r, std::size_t n, const char* what) {
+    if (r >= n) {
+        throw std::out_of_range("PathOracle::" + std::string(what) +
+                                " router " + std::to_string(r) +
+                                " out of range (" + std::to_string(n) +
+                                " routers)");
+    }
+}
+
 }  // namespace
 
-PathOracle::PathOracle(const Topology& topo) {
+PathOracle::PathOracle(const Topology& topo) : id_(next_oracle_id()) {
     const std::size_t n = topo.router_count();
     offsets_.reserve(n + 1);
     edges_.reserve(2 * topo.link_count());
@@ -113,71 +162,105 @@ PathOracle::PathOracle(const Topology& topo) {
         edges_.insert(edges_.end(), edges.begin(), edges.end());
         offsets_.push_back(static_cast<std::uint32_t>(edges_.size()));
     }
-    bridge_down_.assign(edges_.size(), 0);
     root_parent_.assign(n, kInvalidRouter);
     root_via_.assign(n, kInvalidLink);
+    core_number_.assign(n, kNotCore);
+    core_offsets_.push_back(0);
     if (n == 0) return;
 
     const auto bridge = find_bridges(offsets_, edges_, topo.link_count());
-    root_ = largest_component_root(offsets_, edges_, bridge);
-    // With no edge flagged yet, this is a plain BFS.
-    sweep(root_, root_parent_, root_via_);
-    // No two links join the same pair of routers, so the edge from r to a
-    // router whose root parent is r is the edge that discovered it.
-    for (RouterId r = 0; r < n; ++r) {
-        for (std::uint32_t e = offsets_[r]; e < offsets_[r + 1]; ++e) {
-            bridge_down_[e] = bridge[edges_[e].link] != 0 &&
-                              root_parent_[edges_[e].neighbor] == r;
+    const RouterId root = largest_component_root(offsets_, edges_, bridge);
+    std::vector<RouterId> order;
+    order.reserve(n);
+    bfs(offsets_, edges_, root, root_parent_, root_via_, order,
+        [](RouterId) { return false; });
+    // A core router's root parent is a core router joined to it by a
+    // link that is no bridge, so one pass in root-BFS order finds the core.
+    for (const RouterId r : order) {
+        if (r == root || (core_number_[root_parent_[r]] != kNotCore &&
+                          bridge[root_via_[r]] == 0)) {
+            core_number_[r] = static_cast<std::uint32_t>(core_router_.size());
+            core_router_.push_back(r);
         }
+    }
+    // Every edge that leaves the core is a bridge; the core CSR drops them.
+    for (const RouterId r : core_router_) {
+        for (std::uint32_t e = offsets_[r]; e < offsets_[r + 1]; ++e) {
+            const std::uint32_t k = core_number_[edges_[e].neighbor];
+            if (k != kNotCore) core_edges_.push_back({k, edges_[e].link});
+        }
+        core_offsets_.push_back(static_cast<std::uint32_t>(core_edges_.size()));
     }
 }
 
-std::size_t PathOracle::sweep(RouterId src, std::vector<RouterId>& parent,
-                              std::vector<LinkId>& via) const {
-    std::vector<RouterId> queue;
-    queue.reserve(offsets_.size() - 1);
-    parent[src] = src;
-    queue.push_back(src);
-    for (std::size_t head = 0; head < queue.size(); ++head) {
-        const RouterId r = queue[head];
-        for (std::uint32_t e = offsets_[r]; e < offsets_[r + 1]; ++e) {
-            const Topology::Edge& edge = edges_[e];
-            if (parent[edge.neighbor] != kInvalidRouter) continue;
-            parent[edge.neighbor] = r;
-            via[edge.neighbor] = edge.link;
-            if (bridge_down_[e] == 0) queue.push_back(edge.neighbor);
-        }
-    }
-    return queue.size();
+RouterId PathOracle::entry(RouterId r) const {
+    require(r, offsets_.size() - 1, "entry:");
+    if (root_parent_[r] == kInvalidRouter) return kInvalidRouter;
+    while (core_number_[r] == kNotCore) r = root_parent_[r];
+    return r;
+}
+
+void PathOracle::bind(Sweep& sweep) const {
+    if (sweep.oracle_ == id_) return;
+    sweep.oracle_ = 0;
+    sweep.parent_.assign(offsets_.size() - 1, kInvalidRouter);
+    sweep.via_.assign(offsets_.size() - 1, kInvalidLink);
+    sweep.reached_.clear();
+    sweep.entry_ = kInvalidRouter;
+    sweep.core_parent_.assign(core_router_.size(), kInvalidRouter);
+    sweep.core_via_.assign(core_router_.size(), kInvalidLink);
+    sweep.core_reached_.clear();
+    sweep.oracle_ = id_;
 }
 
 std::vector<PathView> PathOracle::paths_into(RouterId src,
                                              std::span<const RouterId> dsts,
                                              util::Arena& arena) const {
+    Sweep sweep;
+    return paths_into(src, dsts, arena, sweep);
+}
+
+std::vector<PathView> PathOracle::paths_into(RouterId src,
+                                             std::span<const RouterId> dsts,
+                                             util::Arena& arena,
+                                             Sweep& sweep) const {
     const std::size_t n = offsets_.size() - 1;
-    const auto require = [n](RouterId r, const char* role) {
-        if (r >= n) {
-            throw std::out_of_range("PathOracle::paths_into: " +
-                                    std::string(role) + " router " +
-                                    std::to_string(r) + " out of range (" +
-                                    std::to_string(n) + " routers)");
-        }
-    };
-    require(src, "source");
-    for (const RouterId dst : dsts) require(dst, "destination");
+    require(src, n, "paths_into: source");
+    for (const RouterId dst : dsts) require(dst, n, "paths_into: destination");
 
-    std::vector<RouterId> parent(n, kInvalidRouter);
-    std::vector<LinkId> via(n, kInvalidLink);
-    routers_expanded().add(static_cast<std::int64_t>(sweep(src, parent, via)));
+    bind(sweep);
+    const auto& parent = sweep.parent_;
+    std::size_t queued =
+        bfs(offsets_, edges_, src, sweep.parent_, sweep.via_, sweep.reached_,
+            [this](RouterId r) { return core_number_[r] != kNotCore; });
+    // The local sweep reaches the core at entry(src) alone, so the core
+    // routers' FIFO order from src is the entry router's own.
+    const RouterId entry_router = entry(src);
+    const bool src_in_root = entry_router != kInvalidRouter;
+    if (src_in_root && sweep.entry_ != entry_router) {
+        sweep.entry_ = kInvalidRouter;
+        queued += bfs(core_offsets_, core_edges_, core_number_[entry_router],
+                      sweep.core_parent_, sweep.core_via_,
+                      sweep.core_reached_, [](std::uint32_t) { return false; });
+        sweep.entry_ = entry_router;
+    }
+    routers_expanded().add(static_cast<std::int64_t>(queued));
 
-    // Below a router it did not queue this BFS recorded nothing; the root
-    // BFS's parents lead up to that router.  A flagged edge never leads to
-    // the root, so this BFS reaches the root exactly when src shares its
-    // connected component, and then every router of it is reached one way
-    // or the other.
-    const bool src_in_root = parent[root_] != kInvalidRouter;
+    // A router of another pendant part is reached through its part's
+    // bridge alone, and inside that part every outside source sees the BFS
+    // rooted at the bridge: the root BFS's tree there.  So a destination
+    // is reached when the local sweep reached it, or when src shares the
+    // core's connected component and the root BFS reached it.
     const auto up = [&](RouterId r) {
-        return parent[r] != kInvalidRouter ? parent[r] : root_parent_[r];
+        if (parent[r] != kInvalidRouter) {
+            return std::pair{parent[r], sweep.via_[r]};
+        }
+        const std::uint32_t k = core_number_[r];
+        if (k != kNotCore) {
+            return std::pair{core_router_[sweep.core_parent_[k]],
+                             sweep.core_via_[k]};
+        }
+        return std::pair{root_parent_[r], root_via_[r]};
     };
     std::vector<PathView> out;
     out.reserve(dsts.size());
@@ -189,16 +272,26 @@ std::vector<PathView> PathOracle::paths_into(RouterId src,
             out.push_back(PathView{});
             continue;
         }
+        // A path has fewer than n hops; a longer walk means the three
+        // sweeps disagree, which would otherwise loop forever.
         std::size_t hops = 0;
-        for (RouterId r = dst; r != src; r = up(r)) ++hops;
+        for (RouterId r = dst; r != src; r = up(r).first) {
+            if (++hops >= n) {
+                throw std::logic_error(
+                    "PathOracle::paths_into: parents from router " +
+                    std::to_string(dst) + " do not lead to source " +
+                    std::to_string(src));
+            }
+        }
         const auto routers = arena.make_span<RouterId>(hops + 1);
         const auto links = arena.make_span<LinkId>(hops);
         routers[0] = src;
         std::size_t i = hops;
-        for (RouterId r = dst; r != src; r = up(r), --i) {
+        for (RouterId r = dst; r != src; --i) {
+            const auto [next, link] = up(r);
             routers[i] = r;
-            links[i - 1] =
-                parent[r] != kInvalidRouter ? via[r] : root_via_[r];
+            links[i - 1] = link;
+            r = next;
         }
         out.push_back(PathView{routers, links});
     }

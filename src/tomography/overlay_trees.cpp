@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
-#include <iterator>
 #include <stdexcept>
 #include <system_error>
 #include <thread>
@@ -13,60 +12,57 @@ namespace concilium::tomography {
 namespace {
 
 /// Sources per build chunk.  Fixed, so the chunk boundaries -- and with
-/// them every arena's contents and the concatenation order -- never depend
-/// on the worker count.
+/// them every arena's contents and every chunk's sweeps -- never depend on
+/// the worker count.
 constexpr std::size_t kChunkMembers = 64;
 /// A chunk of full-SCAN paths fills a few hundred KiB; small blocks keep
 /// the unused tail of each chunk's arena small.
 constexpr std::size_t kChunkArenaBlockBytes = std::size_t{64} << 10;
-/// BFS router visits (sources x routers) that pay for one more worker.
+/// Sources x routers that pay for one more worker.  Not the routers the
+/// sweeps visit (sources sharing an entry router share a core sweep), but
+/// it gives 4 workers at full SCAN (1,242 sources, 113k routers) and
+/// builds the 90- and 48-member worlds inline.
 constexpr std::size_t kVisitsPerWorker = 4'000'000;
 
-/// One chunk's share of every per-member table, plus the arena its paths
-/// live in.
+/// One chunk's arena, plus each of its members' outputs in chunk order.
 struct Chunk {
     util::Arena arena{kChunkArenaBlockBytes};
     std::vector<ProbeTree> trees;
     std::vector<std::vector<std::pair<overlay::MemberIndex, int>>> leaf_slots;
-    std::vector<net::PathView> paths;
+    std::vector<std::vector<net::PathView>> paths;
     std::vector<std::vector<util::NodeId>> leaf_ids;
     std::vector<std::vector<overlay::MemberIndex>> leaf_members;
 };
 
 void build_chunk(const overlay::OverlayNetwork& net,
-                 const net::PathOracle& oracle, std::size_t begin,
-                 std::size_t end, Chunk& out) {
-    out.trees.reserve(end - begin);
+                 const net::PathOracle& oracle,
+                 std::span<const overlay::MemberIndex> sources, Chunk& out) {
+    out.trees.reserve(sources.size());
+    net::PathOracle::Sweep sweep;
     std::vector<net::RouterId> dsts;
-    for (std::size_t i = begin; i < end; ++i) {
-        const auto m = static_cast<overlay::MemberIndex>(i);
+    for (const overlay::MemberIndex m : sources) {
         const auto& peers = net.routing_peers(m);
         dsts.clear();
         for (const overlay::MemberIndex p : peers) {
             dsts.push_back(net.member(p).ip());
         }
         const std::vector<net::PathView> paths =
-            oracle.paths_into(net.member(m).ip(), dsts, out.arena);
+            oracle.paths_into(net.member(m).ip(), dsts, out.arena, sweep);
         out.trees.emplace_back(net.member(m).ip(), paths);
         auto& slots = out.leaf_slots.emplace_back();
+        auto& kept = out.paths.emplace_back();
         auto& ids = out.leaf_ids.emplace_back();
         auto& members = out.leaf_members.emplace_back();
         int slot = 0;
         for (std::size_t k = 0; k < peers.size(); ++k) {
             if (paths[k].empty()) continue;
             slots.emplace_back(peers[k], slot++);
+            kept.push_back(paths[k]);
             ids.push_back(net.member(peers[k]).id());
             members.push_back(peers[k]);
-            out.paths.push_back(paths[k]);
         }
         std::sort(slots.begin(), slots.end());
     }
-}
-
-template <typename T>
-void append(std::vector<T>& to, std::vector<T>& from) {
-    to.insert(to.end(), std::make_move_iterator(from.begin()),
-              std::make_move_iterator(from.end()));
 }
 
 }  // namespace
@@ -75,6 +71,17 @@ OverlayTrees::OverlayTrees(const overlay::OverlayNetwork& net,
                            const net::Topology& topology) {
     const net::PathOracle oracle(topology);
     const std::size_t n = net.size();
+    // Sources that enter the core at the same router share its sweep.
+    std::vector<net::RouterId> entry(n);
+    std::vector<overlay::MemberIndex> order(n);
+    for (overlay::MemberIndex m = 0; m < n; ++m) {
+        entry[m] = oracle.entry(net.member(m).ip());
+        order[m] = m;
+    }
+    std::ranges::stable_sort(order, {}, [&](overlay::MemberIndex m) {
+        return entry[m];
+    });
+
     const std::size_t chunk_count = (n + kChunkMembers - 1) / kChunkMembers;
     std::vector<Chunk> chunks(chunk_count);
     std::vector<std::exception_ptr> errors(chunk_count);
@@ -82,8 +89,11 @@ OverlayTrees::OverlayTrees(const overlay::OverlayNetwork& net,
     const auto work = [&] {
         for (std::size_t c; (c = next.fetch_add(1)) < chunk_count;) {
             try {
-                build_chunk(net, oracle, c * kChunkMembers,
-                            std::min(n, (c + 1) * kChunkMembers), chunks[c]);
+                const std::size_t begin = c * kChunkMembers;
+                build_chunk(net, oracle,
+                            std::span(order).subspan(
+                                begin, std::min(kChunkMembers, n - begin)),
+                            chunks[c]);
             } catch (...) {
                 errors[c] = std::current_exception();
             }
@@ -108,21 +118,28 @@ OverlayTrees::OverlayTrees(const overlay::OverlayNetwork& net,
         if (e) std::rethrow_exception(e);
     }
 
-    arenas_.reserve(chunk_count);
+    // Every table is member-major, so place each member's outputs by index.
+    std::vector<std::size_t> position(n);
+    for (std::size_t p = 0; p < n; ++p) position[order[p]] = p;
     trees_.reserve(n);
+    leaf_slots_.reserve(n);
+    leaf_ids_.reserve(n);
+    leaf_members_.reserve(n);
     first_path_.reserve(n + 1);
     first_path_.push_back(0);
-    for (Chunk& chunk : chunks) {
-        arenas_.push_back(std::move(chunk.arena));
-        append(trees_, chunk.trees);
-        append(leaf_slots_, chunk.leaf_slots);
-        append(paths_, chunk.paths);
-        append(leaf_ids_, chunk.leaf_ids);
-        for (auto& members : chunk.leaf_members) {
-            first_path_.push_back(first_path_.back() + members.size());
-            leaf_members_.push_back(std::move(members));
-        }
+    for (std::size_t m = 0; m < n; ++m) {
+        Chunk& chunk = chunks[position[m] / kChunkMembers];
+        const std::size_t i = position[m] % kChunkMembers;
+        trees_.push_back(std::move(chunk.trees[i]));
+        leaf_slots_.push_back(std::move(chunk.leaf_slots[i]));
+        paths_.insert(paths_.end(), chunk.paths[i].begin(),
+                      chunk.paths[i].end());
+        first_path_.push_back(paths_.size());
+        leaf_ids_.push_back(std::move(chunk.leaf_ids[i]));
+        leaf_members_.push_back(std::move(chunk.leaf_members[i]));
     }
+    arenas_.reserve(chunk_count);
+    for (Chunk& chunk : chunks) arenas_.push_back(std::move(chunk.arena));
 }
 
 std::optional<int> OverlayTrees::leaf_slot(overlay::MemberIndex m,

@@ -5,16 +5,18 @@
 // and the flat list of (host, routing peer) IP paths -- the candidate set
 // that the failure model of Section 4.2 draws from.
 //
-// Every per-(member, peer) path produced by the per-member BFS is carved out
-// of an arena (PathOracle::paths_into) and served as a view.  The hot query
-// path_links() -- hit once per packet transmission and once per judgment --
-// is therefore a bounds-checked table read with zero allocation, instead of
-// rebuilding a vector by walking tree parents.
+// Every per-(member, peer) path produced by the per-member sweeps is carved
+// out of an arena (PathOracle::paths_into) and served as a view.  The hot
+// query path_links() -- hit once per packet transmission and once per
+// judgment -- is therefore a bounds-checked table read with zero
+// allocation, instead of rebuilding a vector by walking tree parents.
 //
-// The build splits the members into fixed chunks of consecutive sources,
-// each with its own arena and outputs, and concatenates the chunks in
-// order.  Chunks run on as many cores as the world is worth (see the
-// constructor); the result is byte-identical at any worker count.
+// The build orders the members by entry router (PathOracle::entry), then
+// by index, so sources that enter the core at the same router share one
+// core sweep, and cuts that order into fixed chunks, each with its own
+// arena, PathOracle::Sweep and outputs.  Chunks run on as many cores as the
+// world is worth (see the constructor); every member's outputs are placed
+// by member index, so the result is byte-identical at any worker count.
 
 #pragma once
 
@@ -33,11 +35,12 @@ namespace concilium::tomography {
 
 class OverlayTrees {
   public:
-    /// Builds every member's tree.  Members go in chunks of 64 consecutive
-    /// sources to up to min(hardware threads, chunks, BFS router visits /
-    /// 4M) workers, the calling thread being one of them, so a small world
-    /// builds inline without starting a thread.  An exception in a chunk is
-    /// rethrown here, the first in chunk order.
+    /// Builds every member's tree.  Members, in entry-router order, go in
+    /// chunks of 64 sources to up to min(hardware threads, chunks, sources
+    /// x routers / 4M) workers, the calling thread being one of them, so a
+    /// small world builds inline without starting a thread.  An exception
+    /// in a chunk is rethrown here, the first in chunk order; a member
+    /// whose address is no router throws std::out_of_range naming it.
     OverlayTrees(const overlay::OverlayNetwork& net,
                  const net::Topology& topology);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 #include <initializer_list>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -220,20 +221,24 @@ TEST(PathOracle, PathsIntoMatchesSinglePathQueries) {
 }
 
 /// Counts the (source, destination) pairs whose path differs from the
-/// plain BFS's and reports the first.  A path must be empty exactly when
-/// the reference has no via link or the destination is the source;
-/// otherwise it runs from src to dst and each of its links is the
-/// reference's link into the router it enters, from that router's
-/// reference parent.
-std::size_t reference_mismatches(const Topology& topo,
-                                 const PathOracle& oracle,
-                                 std::span<const RouterId> srcs,
-                                 std::span<const RouterId> dsts) {
+/// plain BFS's and reports the first, with every source taken in the order
+/// given.  A path must be empty exactly when the reference has no via link
+/// or the destination is the source; otherwise it runs from src to dst and
+/// each of its links is the reference's link into the router it enters,
+/// from that router's reference parent.  With `sweep`, every source goes
+/// through it; without, through the 3-argument overload.
+std::size_t mismatches_in_order(const Topology& topo,
+                                const PathOracle& oracle,
+                                std::span<const RouterId> srcs,
+                                std::span<const RouterId> dsts,
+                                PathOracle::Sweep* sweep) {
     std::size_t mismatches = 0;
     util::Arena arena;
     for (const RouterId src : srcs) {
         const auto via = reference_via(topo, src);
-        const auto views = oracle.paths_into(src, dsts, arena);
+        const auto views = sweep != nullptr
+                               ? oracle.paths_into(src, dsts, arena, *sweep)
+                               : oracle.paths_into(src, dsts, arena);
         if (views.size() != dsts.size()) {
             ADD_FAILURE() << "source " << src << ": " << views.size()
                           << " paths for " << dsts.size() << " destinations";
@@ -259,6 +264,40 @@ std::size_t reference_mismatches(const Topology& topo,
             }
         }
         arena.reset();
+    }
+    return mismatches;
+}
+
+/// mismatches_in_order over five runs of the sources: one call each
+/// without a Sweep, then one shared Sweep per run with the sources in the
+/// order given, in ascending id order, grouped by entry router (entry(),
+/// then id, so sources with one entry share its core sweep) and in
+/// descending id order.
+std::size_t reference_mismatches(const Topology& topo,
+                                 const PathOracle& oracle,
+                                 std::span<const RouterId> srcs,
+                                 std::span<const RouterId> dsts) {
+    std::vector<RouterId> ascending(srcs.begin(), srcs.end());
+    std::ranges::sort(ascending);
+    std::vector<RouterId> by_entry = ascending;
+    std::ranges::stable_sort(
+        by_entry, {}, [&](RouterId r) { return oracle.entry(r); });
+    std::vector<RouterId> descending(ascending.rbegin(), ascending.rend());
+    const std::pair<const char*, std::span<const RouterId>> runs[] = {
+        {"given order, one Sweep", srcs},
+        {"ascending ids, one Sweep", ascending},
+        {"grouped by entry router, one Sweep", by_entry},
+        {"descending ids, one Sweep", descending},
+    };
+    std::size_t mismatches = 0;
+    {
+        SCOPED_TRACE("given order, no Sweep");
+        mismatches += mismatches_in_order(topo, oracle, srcs, dsts, nullptr);
+    }
+    for (const auto& [name, order] : runs) {
+        SCOPED_TRACE(name);
+        PathOracle::Sweep sweep;
+        mismatches += mismatches_in_order(topo, oracle, order, dsts, &sweep);
     }
     return mismatches;
 }
@@ -297,9 +336,9 @@ TEST(PathOracle, PathsIntoMatchesReferenceBfs) {
 }
 
 TEST(PathOracle, BridgePruningMatchesPlainBfsOnHandBuiltGraphs) {
-    // Every source x every destination on graphs built around bridges.
-    // A source's BFS does not expand routers below a bridge that leads
-    // away from the root component; paths into them follow the root BFS.
+    // Every source x every destination on graphs built around bridges:
+    // a source's own sweep stops at the core, the core sweep is its entry
+    // router's, and paths into other pendant parts follow the root BFS.
     const std::pair<const char*, Topology> cases[] = {
         {"root 4-cycle, pendant chain three bridges deep, then a triangle",
          graph(9, {{0, 1}, {1, 2}, {2, 3}, {3, 0},
@@ -405,11 +444,99 @@ TEST(PathOracle, BridgePruningMatchesPlainBfsOnGeneratedTopologies) {
     }
 }
 
+/// Core 4-cycle 0-1-2-3 (router 0 lowest), a pendant part hanging off 2
+/// by the bridge 2-4 (the chain 4-5-6 into the triangle 6-7-8) and a leaf 9
+/// off 1; then a second component, the triangle 10-11-12 with the chain
+/// 12-13-14, and the isolated router 15.
+Topology core_pendants_and_other_component() {
+    return graph(16, {{0, 1}, {1, 2}, {2, 3}, {3, 0},
+                      {2, 4}, {4, 5}, {5, 6}, {6, 7}, {7, 8}, {8, 6},
+                      {1, 9},
+                      {10, 11}, {11, 12}, {12, 10}, {12, 13}, {13, 14}});
+}
+
+TEST(PathOracle, OneSweepServesSourcesOutsideTheRootComponent) {
+    // Sources of the other component and the isolated router, which sweep
+    // no core, interleaved with core and pendant sources.
+    const Topology topo = core_pendants_and_other_component();
+    const PathOracle oracle(topo);
+    const std::vector<RouterId> srcs{7, 13, 0,  15, 9,  10, 4, 14,
+                                     2, 8,  12, 1,  5,  11, 3, 6, 13, 7};
+    EXPECT_EQ(reference_mismatches(topo, oracle, srcs, all_routers(topo)),
+              0u);
+}
+
+TEST(PathOracle, EntryNamesTheAttachmentRouter) {
+    const Topology topo = core_pendants_and_other_component();
+    const PathOracle oracle(topo);
+    for (const RouterId core : {0u, 1u, 2u, 3u}) {
+        EXPECT_EQ(oracle.entry(core), core);
+    }
+    for (const RouterId pendant : {4u, 5u, 6u, 7u, 8u}) {
+        EXPECT_EQ(oracle.entry(pendant), 2u) << "router " << pendant;
+    }
+    EXPECT_EQ(oracle.entry(9), 1u);
+    for (const RouterId other : {10u, 11u, 12u, 13u, 14u, 15u}) {
+        EXPECT_EQ(oracle.entry(other), kInvalidRouter) << "router " << other;
+    }
+    for (const RouterId bad : {16u, kInvalidRouter}) {
+        try {
+            (void)oracle.entry(bad);
+            ADD_FAILURE() << "entry(" << bad << ") did not throw";
+        } catch (const std::out_of_range& e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "PathOracle::entry: router " + std::to_string(bad)),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
+TEST(PathOracle, SweepHandedToAnotherOracleStartsOver) {
+    // Two topologies with the same routers and entry routers whose cores
+    // are different 4-cycles.  Each order ends (first topology) and starts
+    // (second) with sources of entry router 2, so a Sweep that kept the
+    // first oracle's core sweep would route the second over the first's
+    // core links.
+    const Topology a = graph(8, {{0, 1}, {1, 2}, {2, 3}, {3, 0},
+                                 {2, 4}, {4, 5}, {1, 6}, {6, 7}});
+    const Topology b = graph(8, {{0, 2}, {2, 1}, {1, 3}, {3, 0},
+                                 {2, 4}, {4, 5}, {1, 6}, {6, 7}});
+    const std::vector<RouterId> order_a{0, 1, 2, 3, 6, 7, 4, 5};
+    const std::vector<RouterId> order_b{5, 4, 2, 0, 1, 3, 6, 7};
+    const auto routers = all_routers(a);
+    PathOracle::Sweep sweep;
+    {
+        SCOPED_TRACE("two live oracles, taking turns");
+        const PathOracle first(a);
+        const PathOracle second(b);
+        for (int round = 0; round < 2; ++round) {
+            EXPECT_EQ(
+                mismatches_in_order(a, first, order_a, routers, &sweep), 0u);
+            EXPECT_EQ(
+                mismatches_in_order(b, second, order_b, routers, &sweep), 0u);
+        }
+    }
+    {
+        SCOPED_TRACE("second oracle built where the first was destroyed");
+        std::optional<PathOracle> slot;
+        slot.emplace(a);
+        const PathOracle* first = &*slot;
+        EXPECT_EQ(mismatches_in_order(a, *slot, order_a, routers, &sweep), 0u);
+        slot.emplace(b);
+        ASSERT_EQ(&*slot, first);
+        EXPECT_EQ(mismatches_in_order(b, *slot, order_b, routers, &sweep), 0u);
+    }
+}
+
 TEST(PathOracle, CountsTheRoutersEachSweepQueues) {
-    // Root 4-cycle 0-1-2-3 (lowest router 0), then bridges 2-4, 4-5, 5-6
-    // down to the triangle 6-7-8.  From 0 the BFS queues the cycle and
-    // stops at the bridge into 4; from 7 it climbs every bridge upward and
-    // queues all nine routers.
+    // Core 4-cycle 0-1-2-3 (lowest router 0), then bridges 2-4, 4-5, 5-6
+    // down to the triangle 6-7-8: one pendant part of five routers, entry
+    // router 2.  A call counts the routers its own sweep expands (src's
+    // pendant part; none from a core router), plus the four of the core
+    // sweep when it runs one.  Without a Sweep every call sweeps the core:
+    // 0 + 4 from 0, 5 + 4 from 7.  One Sweep carries entry 2's core sweep
+    // from 7 to 4, and entry 0's from 0 to 0.
     const Topology topo = graph(9, {{0, 1}, {1, 2}, {2, 3}, {3, 0},
                                     {2, 4}, {4, 5}, {5, 6},
                                     {6, 7}, {7, 8}, {8, 6}});
@@ -428,6 +555,15 @@ TEST(PathOracle, CountsTheRoutersEachSweepQueues) {
         EXPECT_EQ(oracle.paths_into(c.src, dsts, arena)[0].hops(),
                   c.hops_to_8);
         EXPECT_EQ(expanded.value() - before, c.queued) << "source " << c.src;
+    }
+    PathOracle::Sweep sweep;
+    for (const Case& c : {Case{7, 9, 1}, Case{4, 5, 3}, Case{0, 4, 6},
+                          Case{0, 0, 6}}) {
+        const std::int64_t before = expanded.value();
+        EXPECT_EQ(oracle.paths_into(c.src, dsts, arena, sweep)[0].hops(),
+                  c.hops_to_8);
+        EXPECT_EQ(expanded.value() - before, c.queued)
+            << "source " << c.src << ", one Sweep";
     }
 }
 

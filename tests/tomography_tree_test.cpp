@@ -270,5 +270,81 @@ TEST(OverlayTrees, MemberOutsideTheTopologyFailsTheBuild) {
     }
 }
 
+TEST(OverlayTrees, MatchesOneOracleCallPerMember) {
+    // The build sweeps members in entry-router order, sharing core sweeps
+    // within a chunk; every table must equal one 3-argument paths_into
+    // call per member in index order.  600 medium-preset members make ten
+    // chunks and enough work for two workers.
+    struct World {
+        const char* name;
+        net::TopologyParams params;
+        std::uint64_t seed;
+        std::size_t members;
+    };
+    for (const World& w : {World{"small preset", net::small_params(), 31, 100},
+                           World{"medium preset", net::medium_params(), 33,
+                                 600}}) {
+        SCOPED_TRACE(w.name);
+        util::Rng rng(w.seed);
+        const auto topo = net::generate_topology(w.params, rng);
+        crypto::CertificateAuthority ca(w.seed + 1);
+        const auto net = overlay::build_overlay_from_hosts(
+            topo.end_hosts(), w.members, ca, rng);
+        const OverlayTrees trees(net, topo);
+        ASSERT_EQ(trees.size(), net.size());
+
+        const net::PathOracle oracle(topo);
+        util::Arena arena;
+        std::size_t next_path = 0;
+        std::size_t mismatches = 0;
+        for (overlay::MemberIndex m = 0; m < net.size(); ++m) {
+            const auto& peers = net.routing_peers(m);
+            std::vector<net::RouterId> dsts;
+            for (const overlay::MemberIndex p : peers) {
+                dsts.push_back(net.member(p).ip());
+            }
+            const auto paths =
+                oracle.paths_into(net.member(m).ip(), dsts, arena);
+            const ProbeTree expected(net.member(m).ip(), paths);
+            const ProbeTree& tree = trees.tree(m);
+            bool ok = std::ranges::equal(tree.links(), expected.links()) &&
+                      tree.leaves() == expected.leaves() &&
+                      std::ranges::equal(tree.parent(), expected.parent()) &&
+                      std::ranges::equal(tree.via(), expected.via()) &&
+                      std::ranges::equal(tree.leaf_slot(),
+                                         expected.leaf_slot());
+            std::vector<util::NodeId> ids;
+            std::vector<overlay::MemberIndex> members;
+            for (std::size_t k = 0; k < peers.size(); ++k) {
+                const auto slot = trees.leaf_slot(m, peers[k]);
+                if (paths[k].empty()) {
+                    ok = ok && !slot.has_value();
+                    continue;
+                }
+                ok = ok && slot == static_cast<int>(ids.size()) &&
+                     next_path < trees.member_peer_paths().size();
+                if (ok) {
+                    const net::PathView& got =
+                        trees.member_peer_paths()[next_path];
+                    ok = std::ranges::equal(got.routers, paths[k].routers) &&
+                         std::ranges::equal(got.links, paths[k].links);
+                }
+                ++next_path;
+                ids.push_back(net.member(peers[k]).id());
+                members.push_back(peers[k]);
+            }
+            ok = ok && trees.leaf_ids(m) == ids &&
+                 trees.leaf_members(m) == members;
+            if (!ok && mismatches++ == 0) {
+                ADD_FAILURE() << "member " << m << "'s tables differ from "
+                              << "its own paths_into call";
+            }
+        }
+        EXPECT_EQ(mismatches, 0u);
+        EXPECT_EQ(next_path, trees.member_peer_paths().size());
+        EXPECT_EQ(trees.path_bytes(), arena.bytes_used());
+    }
+}
+
 }  // namespace
 }  // namespace concilium::tomography
