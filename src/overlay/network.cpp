@@ -96,11 +96,9 @@ std::pair<std::size_t, std::size_t> OverlayNetwork::prefix_range(
 void OverlayNetwork::build_tables(util::Rng& rng) {
     const std::size_t n = members_.size();
     secure_tables_.reserve(n);
-    standard_tables_.reserve(n);
     for (MemberIndex i = 0; i < n; ++i) {
         const util::NodeId& self = members_[i].id();
         JumpTable secure(self, kGeometry);
-        JumpTable standard(self, kGeometry);
         for (int row = 0; row < kGeometry.rows(); ++row) {
             // Any candidate for this row shares a row-digit prefix with us;
             // once we are alone in that prefix block, all deeper rows are
@@ -136,8 +134,11 @@ void OverlayNetwork::build_tables(util::Rng& rng) {
                 }
                 if (best) secure.set_slot(row, col, *best);
 
-                // Standard entry: an unconstrained choice within the block
-                // (proximity selection is modelled as a seeded random pick).
+                // The standard table's entry, an unconstrained choice within
+                // the block (proximity selection as a seeded random pick), is
+                // drawn, rejection included, and kept nowhere: every later
+                // draw of the world, and every digest pinned on one, follows
+                // from these draws.
                 const std::size_t block = last - first;
                 const bool self_in_block = col == self.digit(row);
                 if (block > (self_in_block ? 1u : 0u)) {
@@ -145,12 +146,10 @@ void OverlayNetwork::build_tables(util::Rng& rng) {
                     while (choice == i) {
                         choice = sorted_[first + rng.uniform_index(block)];
                     }
-                    standard.set_slot(row, col, choice);
                 }
             }
         }
         secure_tables_.push_back(std::move(secure));
-        standard_tables_.push_back(std::move(standard));
     }
 }
 

@@ -1,13 +1,13 @@
 // A secure Pastry overlay instance.
 //
 // OverlayNetwork holds the global membership (certificates issued by the CA)
-// and constructs, for every member, a leaf set plus two jump tables:
-//
-//   * the *secure* table, whose (i, j) entry is the live host closest to the
-//     point p = local id with digit i replaced by j (Castro's constrained
-//     routing, Section 2) -- Concilium messages always travel on these; and
-//   * a *standard* table, with an unconstrained (proximity-style) choice
-//     among all hosts matching the (prefix, digit) rule.
+// and constructs, for every member, a leaf set plus the *secure* jump table,
+// whose (i, j) entry is the live host closest to the point p = local id with
+// digit i replaced by j (Castro's constrained routing, Section 2) --
+// Concilium messages always travel on these.  The *standard* table's
+// unconstrained (proximity-style) choices among all hosts matching the
+// (prefix, digit) rule are drawn but not kept: nothing reads them, and the
+// draws fix the rest of the world's random stream.
 //
 // The evaluation does not model churn ("We did not model fluctuating machine
 // availability", Section 4.2), so tables are built once from the global view;
@@ -44,9 +44,10 @@ class OverlayNetwork {
     /// 128-bit identifiers with b = 4), so a table has 32 rows of 16 columns.
     static constexpr util::OverlayGeometry kGeometry{.digits = 32};
 
-    /// Builds leaf sets and both jump tables for every member.  Members must
-    /// have distinct identifiers.  rng drives the standard tables'
-    /// unconstrained entry choice only; the secure tables are deterministic.
+    /// Builds leaf sets and secure jump tables for every member.  Members
+    /// must have distinct identifiers.  rng draws the standard tables'
+    /// unconstrained entry choices only, which no table keeps; the secure
+    /// tables are deterministic.
     OverlayNetwork(std::vector<Member> members, util::Rng& rng);
 
     [[nodiscard]] std::size_t size() const noexcept { return members_.size(); }
@@ -62,9 +63,6 @@ class OverlayNetwork {
     }
     [[nodiscard]] const JumpTable& secure_table(MemberIndex i) const {
         return secure_tables_.at(i);
-    }
-    [[nodiscard]] const JumpTable& standard_table(MemberIndex i) const {
-        return standard_tables_.at(i);
     }
 
     /// All distinct routing peers of member i: secure-table entries plus the
@@ -110,7 +108,6 @@ class OverlayNetwork {
         by_id_;  // hot-path-lint: boundary
     std::vector<LeafSet> leaf_sets_;
     std::vector<JumpTable> secure_tables_;
-    std::vector<JumpTable> standard_tables_;
     std::vector<std::vector<MemberIndex>> routing_peers_;
 };
 

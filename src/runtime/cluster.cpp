@@ -145,11 +145,8 @@ void Cluster::run_event(Op op, std::uint64_t b, std::uint64_t c) {
                 b, hi, s_.unpark<StewardHandoff>(c));
         case Op::kFanOutSnapshot:
             return gossip_.deliver_fan_out(m, s_.unpark<FanOut>(c));
-        case Op::kDeliverSnapshot:
-            return gossip_.deliver(m, s_.unpark<SnapshotRef>(c));
         case Op::kSnapshotRetry:
-            return gossip_.send(m, s_.unpark<SnapshotRef>(c),
-                                static_cast<int>(hi));
+            return gossip_.send(m, s_.unpark<FanOut>(c), static_cast<int>(hi));
         case Op::kAnnouncement:
             return stewardship_.accept_recovery_announcement(
                 m, s_.unpark<RecoveryAnnouncement>(c));

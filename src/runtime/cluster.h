@@ -57,11 +57,13 @@ class Cluster {
     /// Attaches a chaos plan (see net/chaos.h).  Link flaps, correlated
     /// outages, and loss spikes fold into every packet via the transport;
     /// the churn schedule drives set_online(); snapshot dissemination
-    /// becomes lossy (sampled over the member-to-peer IP path, retried per
-    /// kSnapshotRetryPolicy in evidence_gossip.cpp); probe acknowledgments
-    /// drop at ack_drop_rate; and forwarded packets may be reordered or
-    /// duplicated.  Call before start().  The plan must outlive the
-    /// cluster; nullptr detaches.
+    /// becomes lossy (each copy sampled over its member-to-peer IP path, a
+    /// lost one retried alone per kSnapshotRetryPolicy in
+    /// evidence_gossip.cpp, and none sent by an offline origin); probe
+    /// acknowledgments drop at ack_drop_rate; and forwarded packets may be
+    /// reordered or duplicated.  Without a plan every snapshot copy lands.
+    /// Call before start().  The plan must outlive the cluster; nullptr
+    /// detaches.
     void set_chaos(const net::FaultPlan* plan) {
         s_.chaos = plan;
         s_.transport.set_chaos(plan);

@@ -1,5 +1,7 @@
 #include "runtime/owners.h"
 
+#include <numeric>
+
 #include "util/spans.h"
 
 namespace concilium::runtime {
@@ -48,6 +50,9 @@ void EvidenceGossip::publish(overlay::MemberIndex m,
                              tomography::TomographicSnapshot snapshot) {
     const NodeBehavior& b = s_.behavior(m);
     Node& node = nodes_[m];
+    // Every publication is bound for all of m's routing peers.
+    std::vector<std::uint32_t> ranks(s_.net->routing_peers(m).size());
+    std::iota(ranks.begin(), ranks.end(), 0u);
     if (b.replay_snapshots && node.replay_stash != nullptr) {
         // Replayer: instead of publishing fresh results (which would reveal
         // the paths it is breaking), re-advertise its first, favorable
@@ -55,7 +60,7 @@ void EvidenceGossip::publish(overlay::MemberIndex m,
         // archives reject it on the transit-time check (and, were the
         // timestamp forged, on the epoch floor).
         s_.count<&Stats::replays_published>();
-        fan_out(m, FanOut{node.replay_stash, nullptr});
+        send(m, FanOut{node.replay_stash, nullptr, std::move(ranks)}, 1);
         return;
     }
     if (b.flip_probe_reports) {
@@ -77,7 +82,7 @@ void EvidenceGossip::publish(overlay::MemberIndex m,
                           static_cast<std::int64_t>(snapshot.epoch));
     // Sign, serialize and digest exactly once; every per-peer delivery
     // (and the node's own archive) reuses the sealed slab.
-    FanOut fan{seal(m, std::move(snapshot)), nullptr};
+    FanOut fan{seal(m, std::move(snapshot)), nullptr, std::move(ranks)};
     if (b.replay_snapshots) node.replay_stash = fan.seal;
     if (node.archive.add(archived(fan.seal), m, now, fan.seal->digest_id) ==
         ArchiveAdd::kArchived) {
@@ -92,27 +97,69 @@ void EvidenceGossip::publish(overlay::MemberIndex m,
         invert_report(twin);
         fan.twin = seal(m, std::move(twin));
     }
-    fan_out(m, std::move(fan));
+    send(m, std::move(fan), 1);
 }
 
-void EvidenceGossip::fan_out(overlay::MemberIndex m, FanOut fan) {
-    if (s_.chaos == nullptr) {
-        // Lossless control plane (the paper's assumption): every copy lands
-        // kControlLatency from now.
-        s_.post_parked(kControlLatency, Op::kFanOutSnapshot, m, std::move(fan));
-        return;
+void EvidenceGossip::send(overlay::MemberIndex origin, FanOut fan,
+                          int attempt) {
+    // On a lossless control plane (the paper's assumption) every copy
+    // passes.  Under chaos the control plane shares the faulty IP network:
+    // each copy is one packet over the member-to-peer path, retried alone
+    // with exponential backoff, and abandoned once the budget is spent --
+    // the peer then simply lacks this snapshot, so the blame evidence it
+    // can contribute degrades instead of the diagnosis wedging on it.
+    if (s_.chaos != nullptr) {
+        if (!s_.online[origin]) return;  // an offline origin stops retrying
+        static auto& snapshot_attempts =
+            util::metrics::Registry::global().counter(
+                "runtime.retry.snapshot_attempts");
+        static auto& snapshots_blocked =
+            util::metrics::Registry::global().counter(
+                "partition.snapshots_blocked");
+        const auto& peers = s_.net->routing_peers(origin);
+        std::size_t passed = 0;
+        for (const std::uint32_t rank : fan.ranks) {
+            const overlay::MemberIndex peer = peers[rank];
+            snapshot_attempts.add(1);
+            bool crossed = true;
+            if (s_.partition_blocks(origin, peer)) {
+                // The cut swallows this copy; a retry may land after the heal.
+                crossed = false;
+                snapshots_blocked.add(1);
+            } else if (s_.trees->leaf_slot(origin, peer).has_value()) {
+                crossed = s_.transport.sample_traversal(
+                    s_.trees->path_links(origin, peer), s_.sim->now());
+            }
+            if (crossed) {
+                fan.ranks[passed++] = rank;
+                continue;
+            }
+            const int next = attempt + 1;
+            if (!kSnapshotRetryPolicy.allows(next)) {
+                s_.count<&Stats::snapshot_deliveries_failed>();
+                continue;
+            }
+            s_.count<&Stats::snapshot_retries>();
+            s_.post_parked(kSnapshotRetryPolicy.delay_before(next, s_.rng),
+                           Op::kSnapshotRetry, origin,
+                           FanOut{fan.copy_for(rank), nullptr, {rank}},
+                           static_cast<std::uint64_t>(next));
+        }
+        fan.ranks.resize(passed);
     }
-    std::size_t rank = 0;
-    for (const overlay::MemberIndex peer : s_.net->routing_peers(m)) {
-        send(peer, fan.copy_for(rank++), 1);
+    // The copies that pass land together; a retry waits 270 ms or more, so
+    // it never lands at their instant.
+    if (!fan.ranks.empty()) {
+        s_.post_parked(kControlLatency, Op::kFanOutSnapshot, origin,
+                       std::move(fan));
     }
 }
 
 void EvidenceGossip::deliver_fan_out(overlay::MemberIndex origin,
                                      const FanOut& fan) {
-    std::size_t rank = 0;
-    for (const overlay::MemberIndex peer : s_.net->routing_peers(origin)) {
-        deliver(peer, fan.copy_for(rank++));
+    const auto& peers = s_.net->routing_peers(origin);
+    for (const std::uint32_t rank : fan.ranks) {
+        deliver(peers[rank], fan.copy_for(rank));
     }
 }
 
@@ -175,48 +222,6 @@ void EvidenceGossip::detect_equivocation(overlay::MemberIndex holder,
         s_.count<&Stats::equivocation_proofs_filed>();
         return;
     }
-}
-
-void EvidenceGossip::send(overlay::MemberIndex peer, SnapshotRef snapshot,
-                          int attempt) {
-    // Under chaos the control plane shares the faulty IP network: the
-    // snapshot is one packet over the member-to-peer path, retried with
-    // exponential backoff, and abandoned once the budget is spent -- the
-    // peer then simply lacks this snapshot, so the blame evidence it can
-    // contribute degrades instead of the diagnosis wedging on it.
-    const overlay::MemberIndex m = snapshot->origin_m;
-    if (!s_.online[m]) return;  // an offline origin stops retrying
-    static auto& snapshot_attempts = util::metrics::Registry::global().counter(
-        "runtime.retry.snapshot_attempts");
-    snapshot_attempts.add(1);
-    util::SimTime latency = kControlLatency;
-    bool delivered = true;
-    if (s_.partition_blocks(m, peer)) {
-        // The cut swallows this copy; the retry arm below may land a later
-        // one after the heal.
-        delivered = false;
-        static auto& snapshots_blocked =
-            util::metrics::Registry::global().counter(
-                "partition.snapshots_blocked");
-        snapshots_blocked.add(1);
-    } else if (s_.trees->leaf_slot(m, peer).has_value()) {
-        const auto path = s_.trees->path_links(m, peer);
-        delivered = s_.transport.sample_traversal(path, s_.sim->now());
-        latency = std::max(latency, s_.transport.latency(path.size()));
-    }
-    if (delivered) {
-        s_.post_parked(latency, Op::kDeliverSnapshot, peer, std::move(snapshot));
-        return;
-    }
-    const int next = attempt + 1;
-    if (!kSnapshotRetryPolicy.allows(next)) {
-        s_.count<&Stats::snapshot_deliveries_failed>();
-        return;
-    }
-    s_.count<&Stats::snapshot_retries>();
-    const auto backoff = kSnapshotRetryPolicy.delay_before(next, s_.rng);
-    s_.post_parked(backoff, Op::kSnapshotRetry, peer, std::move(snapshot),
-                   static_cast<std::uint64_t>(next));
 }
 
 void EvidenceGossip::deliver(overlay::MemberIndex peer,

@@ -248,11 +248,13 @@ struct PublishedSnapshot {
     mutable std::optional<bool> signature_ok;
 };
 using SnapshotRef = std::shared_ptr<const PublishedSnapshot>;
-/// One publication on its way to the origin's routing peers: the seal, and
-/// an equivocator's twin (null for everyone else).
+/// Copies of one publication on their way to the origin's routing peers:
+/// the seal, an equivocator's twin (null for everyone else), and the ranks,
+/// in routing_peers order, of the peers they are bound for.
 struct FanOut {
     SnapshotRef seal;
     SnapshotRef twin;
+    std::vector<std::uint32_t> ranks;
     /// The copy for the peer at this rank of routing_peers: odd ranks get
     /// the twin when there is one.
     [[nodiscard]] const SnapshotRef& copy_for(std::size_t rank) const {
@@ -278,8 +280,7 @@ enum class Op : std::uint32_t {
     kRelayRevision,       ///< Stewardship: b = message, c = hop << 32 | slot
     kHandoff,             ///< Stewardship: b = message, c = hop << 32 | slot
     kFanOutSnapshot,      ///< EvidenceGossip: b = origin, c = slot
-    kDeliverSnapshot,     ///< EvidenceGossip: b = peer, c = slot
-    kSnapshotRetry,       ///< EvidenceGossip: b = peer, c = try << 32 | slot
+    kSnapshotRetry,       ///< EvidenceGossip: b = origin, c = try << 32 | slot
     kAnnouncement,        ///< Stewardship: b = peer, c = slot
     kResync,              ///< Prober: b = member (heal-time anti-entropy)
     kChurnLeave,          ///< FaultDriver: b = member
@@ -313,7 +314,7 @@ struct Shared {
     Stats stats;
     const net::FaultPlan* chaos = nullptr;
     net::EventSim::HandlerId handler = 0;
-    using Parked = std::variant<SnapshotRef, FanOut, core::BlameEvidence,
+    using Parked = std::variant<FanOut, core::BlameEvidence,
                                 RecoveryAnnouncement, StewardHandoff>;
     std::vector<Parked> parked;
     std::vector<std::uint32_t> free_parked;
@@ -398,13 +399,14 @@ class EvidenceGossip {
     /// an equivocator adds a twin for its odd-ranked peers.
     void publish(overlay::MemberIndex m,
                  tomography::TomographicSnapshot snapshot);
-    /// kFanOutSnapshot: a lossless publication reaches its origin's routing
-    /// peers in routing_peers order, as separate same-time posts would.
+    /// kSnapshotRetry, and every first attempt: one attempt of each of fan's
+    /// copies.  On a lossless control plane every copy passes; under chaos
+    /// each crosses its own path, and a lost copy retries alone or gives
+    /// up.  The copies that pass land in one kFanOutSnapshot event.
+    void send(overlay::MemberIndex origin, FanOut fan, int attempt);
+    /// kFanOutSnapshot: fan's copies reach their peers in rank order, as
+    /// separate same-time posts would.
     void deliver_fan_out(overlay::MemberIndex origin, const FanOut& fan);
-    /// kSnapshotRetry: one delivery attempt over a lossy control plane.
-    void send(overlay::MemberIndex peer, SnapshotRef snapshot, int attempt);
-    /// kDeliverSnapshot: signature check, archive, equivocation scan.
-    void deliver(overlay::MemberIndex peer, const SnapshotRef& published);
 
     [[nodiscard]] const SnapshotArchive& archive(overlay::MemberIndex m) const {
         return nodes_.at(m).archive;
@@ -429,9 +431,8 @@ class EvidenceGossip {
     /// published snapshot is signed.
     [[nodiscard]] SnapshotRef seal(overlay::MemberIndex m,
                                    tomography::TomographicSnapshot snapshot);
-    /// One kFanOutSnapshot event on a lossless control plane, one send per
-    /// routing peer of m under chaos.
-    void fan_out(overlay::MemberIndex m, FanOut fan);
+    /// One copy's receipt: signature check, archive, equivocation scan.
+    void deliver(overlay::MemberIndex peer, const SnapshotRef& published);
     /// Updates the digest record after some archive admitted `published`.
     void note_admitted(const PublishedSnapshot& published);
     /// Cross-peer digest exchange after `holder` archived `published`.

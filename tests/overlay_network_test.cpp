@@ -83,16 +83,6 @@ TEST_F(OverlayNetworkTest, SecureEntryIsClosestToConstraintPoint) {
     }
 }
 
-TEST_F(OverlayNetworkTest, StandardTableFilledWhereSecureIs) {
-    // The unconstrained table draws from a superset of candidates, so every
-    // occupied secure slot must be occupied in the standard table too.
-    for (MemberIndex i = 0; i < net_.size(); ++i) {
-        for (const JumpTable::Entry& e : net_.secure_table(i).entries()) {
-            EXPECT_TRUE(net_.standard_table(i).slot(e.row, e.col).has_value());
-        }
-    }
-}
-
 TEST_F(OverlayNetworkTest, RoutingPeersAreDeduplicated) {
     for (MemberIndex i = 0; i < net_.size(); ++i) {
         const auto& peers = net_.routing_peers(i);

@@ -11,6 +11,7 @@
 #include "net/chaos.h"
 #include "net/topology_gen.h"
 #include "runtime/cluster.h"
+#include "util/metrics.h"
 
 namespace concilium::runtime {
 namespace {
@@ -298,6 +299,42 @@ TEST(ClusterChaos, SnapshotRetryExhaustionDegradesGracefully) {
     ASSERT_TRUE(outcome.has_value());
     EXPECT_FALSE(outcome->delivered);
     EXPECT_EQ(cluster.stats().accusations_filed, 0u);
+}
+
+TEST(ClusterChaos, EmptyFaultPlanIsTheLosslessPlane) {
+    // A plan with no faults loses no snapshot copy, so each publication's
+    // copies land in the one event they share without a plan: the same
+    // protocol, event for event.
+    const auto run = [](bool attach_plan) {
+        ChaosWorld world;
+        net::FaultPlan plan;
+        plan.downs.finalize();
+        Cluster cluster = world.make_cluster();
+        if (attach_plan) cluster.set_chaos(&plan);
+        const auto& executed =
+            util::metrics::Registry::global().counter("net.events_executed");
+        const std::int64_t before = executed.value();
+        cluster.start();
+        world.sim.run_until(3 * kMinute);
+        util::Rng pick(17);
+        for (int i = 0; i < 15; ++i) {
+            const auto from = static_cast<MemberIndex>(
+                pick.uniform_index(world.overlay->size()));
+            cluster.send(from, util::NodeId::random(pick),
+                         [](const Cluster::MessageOutcome&) {});
+            world.sim.run_until(world.sim.now() + 30 * kSecond);
+        }
+        world.sim.run_until(world.sim.now() + 2 * kMinute);
+        return std::make_pair(cluster.stats(), executed.value() - before);
+    };
+
+    const auto [lossless, lossless_events] = run(false);
+    const auto [planned, planned_events] = run(true);
+    EXPECT_GT(lossless.snapshots_published, 0u);
+    for (const StatRow& row : kStatTable) {
+        EXPECT_EQ(lossless.*row.field, planned.*row.field) << row.name;
+    }
+    EXPECT_EQ(lossless_events, planned_events);
 }
 
 }  // namespace
