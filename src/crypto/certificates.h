@@ -57,9 +57,6 @@ class CertificateAuthority {
     [[nodiscard]] const KeyRegistry& registry() const noexcept {
         return registry_;
     }
-    [[nodiscard]] const PublicKey& ca_public_key() const noexcept {
-        return ca_keys_.public_key();
-    }
 
   private:
     util::Rng rng_;

@@ -289,11 +289,10 @@ void Daemon::feed_event(void* ctx, std::uint32_t, std::uint64_t record,
     // incarnation routes the message identically.
     util::Rng key_rng(rec.key);
     const util::NodeId dest = util::NodeId::random(key_rng);
-    ++self->messages_fed_;
     ++self->score_.fed;
     ins.messages_fed.add(1);
     ins.fed_by_hour.observe(self->sim_.now());
-    self->health_fed_.store(self->messages_fed_, std::memory_order_relaxed);
+    self->health_fed_.store(self->score_.fed, std::memory_order_relaxed);
     self->cluster_->send(static_cast<overlay::MemberIndex>(rec.a), dest,
                          [self](const runtime::Cluster::MessageOutcome& o) {
                              self->complete_message(o);
@@ -413,7 +412,7 @@ Checkpoint Daemon::build_checkpoint() const {
     ck.sim_clock = clock_;
     ck.tick = opts_.tick;
     ck.checkpoint_every = opts_.checkpoint_every;
-    ck.messages_fed = messages_fed_;
+    ck.messages_fed = score_.fed;
     ck.checkpoints_written = checkpoints_written_;
     for (const runtime::StatRow& row : runtime::kStatTable) {
         ck.stats.emplace_back(row.name, cluster_->stats().*row.field);

@@ -159,7 +159,6 @@ class Daemon {
     util::SimTime end_ = 0;          ///< duration + settle
     util::SimTime clock_ = 0;        ///< sim time the loop has reached
     std::size_t next_record_ = 0;    ///< feed cursor into wl_.records
-    std::uint64_t messages_fed_ = 0;
     std::uint64_t checkpoints_written_ = 0;  ///< cadence checkpoints only
     util::SimTime next_checkpoint_ = 0;      ///< 0 = checkpointing off
     Score score_;

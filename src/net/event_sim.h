@@ -83,9 +83,6 @@ class EventSim {
 
     /// Adjusts the runaway-queue valve (see kDefaultMaxPending).
     void set_max_pending(std::size_t cap) noexcept { max_pending_ = cap; }
-    [[nodiscard]] std::size_t max_pending() const noexcept {
-        return max_pending_;
-    }
 
   private:
     struct Record {

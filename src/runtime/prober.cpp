@@ -25,15 +25,9 @@ std::vector<tomography::LeafBehavior> Prober::leaf_behaviors(
     std::vector<tomography::LeafBehavior> out;
     const net::FaultPlan* chaos = s_.chaos;
     const double chaos_ack_drop = chaos != nullptr ? chaos->ack_drop_rate : 0.0;
-    bool all_online = true;
-    for (const bool b : s_.online) all_online = all_online && b;
     const bool partition_now = chaos != nullptr &&
                                !chaos->partitions.empty() &&
                                chaos->partition_active(s_.sim->now());
-    if (s_.behaviors.empty() && all_online && chaos_ack_drop == 0.0 &&
-        !partition_now) {
-        return out;  // all honest + online, no injected ack loss
-    }
     for (const overlay::MemberIndex leaf : s_.trees->leaf_members(m)) {
         tomography::LeafBehavior b;
         b.suppress_ack_probability = s_.behavior(leaf).suppress_probe_acks;

@@ -1,5 +1,7 @@
 #include "sim/experiment_driver.h"
 
+#include <thread>
+
 namespace concilium::sim {
 
 std::size_t ExperimentDriver::jobs() const noexcept {
@@ -24,6 +26,9 @@ util::metrics::HistogramMetric& driver_trial_seconds() {
 
 }  // namespace detail
 
+namespace {
+
+/// Publishes one run's stats to the global metrics registry.
 void report_run(const RunStats& stats) {
     using util::metrics::Registry;
     Registry& reg = Registry::global();
@@ -41,6 +46,21 @@ void report_run(const RunStats& stats) {
     utilization.set(stats.utilization());
     busy.add(stats.busy_seconds);
     run_seconds.observe(stats.wall_seconds);
+}
+
+}  // namespace
+
+RunStats ExperimentDriver::timed(
+    util::FunctionRef<void(RunStats&)> body) const {
+    const auto start = std::chrono::steady_clock::now();
+    RunStats stats;
+    stats.jobs = jobs();
+    body(stats);
+    stats.wall_seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+            .count();
+    report_run(stats);
+    return stats;
 }
 
 }  // namespace concilium::sim

@@ -3,18 +3,19 @@
 // Every figure of the evaluation is a Monte-Carlo aggregate over thousands
 // of independent trials, and trials share no state: each one reads the
 // (const, immutable-after-construction) Scenario and draws from its own RNG.
-// ExperimentDriver owns the fan-out of those trials over a fixed-size
-// worker pool and the ordered merge of their results, with two guarantees:
+// ExperimentDriver fans those trials out over `jobs` workers through
+// util::parallel_for (at one worker every trial runs inline on the calling
+// thread) and merges their results in order, with two guarantees:
 //
 //   1. Determinism: trial i always runs with util::Rng::substream(seed, i),
 //      a pure function of (seed, i), and results are merged strictly in
 //      trial-index order.  The merged output is therefore byte-identical
 //      for any worker count, including jobs = 1.  This extends to metric
 //      counters incremented inside trials: every issued trial index is
-//      fully computed on every path (results past an early merge stop are
-//      discarded, not skipped), so the set of computed trials — and hence
-//      every deterministic counter — is also independent of the worker
-//      count.
+//      fully computed at any worker count (results past an early merge
+//      stop are discarded, not skipped), so the set of computed trials —
+//      and hence every deterministic counter — is also independent of the
+//      worker count.
 //   2. Safety: trial callbacks run concurrently and must only read shared
 //      state; the merge callback runs on the calling thread only, so
 //      accumulators (util::Histogram, util::OnlineMoments, counters) need
@@ -40,18 +41,16 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <exception>
-#include <mutex>
 #include <optional>
-#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "util/function_ref.h"
 #include "util/metrics.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 #include "util/spans.h"
 
@@ -82,9 +81,6 @@ struct RunStats {
         return capacity > 0.0 ? busy_seconds / capacity : 0.0;
     }
 };
-
-/// Publishes one run's stats to the global metrics registry.
-void report_run(const RunStats& stats);
 
 namespace detail {
 util::metrics::Counter& driver_wave_counter();
@@ -131,24 +127,17 @@ class ExperimentDriver {
     /// calls `merge(i, result)` on this thread in increasing i.
     template <typename TrialFn, typename MergeFn>
     RunStats run(std::size_t trials, TrialFn&& trial, MergeFn&& merge) const {
-        const auto start = std::chrono::steady_clock::now();
-        RunStats stats;
-        stats.jobs = jobs();
-        stats.busy_seconds = run_range(
-            0, trials, [this](std::uint64_t i) { return trial_rng(i); },
-            trial, [&](std::uint64_t i, auto&& r) {
-                merge(i, std::forward<decltype(r)>(r));
-                return true;
-            },
-            util::spans::SpanType::kTrial, scope_block());
-        stats.trials = trials;
-        stats.accepted = trials;
-        stats.wall_seconds =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          start)
-                .count();
-        report_run(stats);
-        return stats;
+        return timed([&](RunStats& stats) {
+            stats.busy_seconds = run_range(
+                0, trials, [this](std::uint64_t i) { return trial_rng(i); },
+                trial, [&](std::uint64_t i, auto&& r) {
+                    merge(i, std::forward<decltype(r)>(r));
+                    return true;
+                },
+                util::spans::SpanType::kTrial, scope_block());
+            stats.trials = trials;
+            stats.accepted = trials;
+        });
     }
 
     /// Issues attempts 0, 1, 2, ... in waves until `merge` has returned
@@ -159,48 +148,41 @@ class ExperimentDriver {
     template <typename TrialFn, typename MergeFn>
     RunStats run_until(std::size_t target, TrialFn&& trial,
                        MergeFn&& merge) const {
-        const auto start = std::chrono::steady_clock::now();
-        RunStats stats;
-        stats.jobs = jobs();
-        const std::uint64_t scopes = scope_block();
-        std::uint64_t next_attempt = 0;
-        std::size_t accepted = 0;
-        while (accepted < target) {
-            // Wave sizing depends only on already-merged history, so the
-            // attempt schedule is itself deterministic.  Overshoot the
-            // observed acceptance rate slightly to usually finish in one
-            // extra wave.
-            const std::size_t remaining = target - accepted;
-            double rate = next_attempt == 0
-                              ? 1.0
-                              : static_cast<double>(accepted) /
-                                    static_cast<double>(next_attempt);
-            if (rate < 0.05) rate = 0.05;
-            std::size_t wave = static_cast<std::size_t>(
-                static_cast<double>(remaining) / rate * 1.1);
-            wave = std::max(wave, std::max<std::size_t>(64, 4 * jobs()));
-            detail::driver_wave_counter().add(1);
-            stats.busy_seconds += run_range(
-                next_attempt, wave,
-                [this](std::uint64_t i) { return trial_rng(i); }, trial,
-                [&](std::uint64_t i, auto&& r) {
-                    if (accepted >= target) return false;
-                    if (merge(i, std::forward<decltype(r)>(r))) {
-                        ++accepted;
-                    }
-                    return accepted < target;
-                },
-                util::spans::SpanType::kTrial, scopes);
-            next_attempt += wave;
-        }
-        stats.trials = next_attempt;
-        stats.accepted = accepted;
-        stats.wall_seconds =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          start)
-                .count();
-        report_run(stats);
-        return stats;
+        return timed([&](RunStats& stats) {
+            const std::uint64_t scopes = scope_block();
+            std::uint64_t next_attempt = 0;
+            std::size_t accepted = 0;
+            while (accepted < target) {
+                // Wave sizing depends only on already-merged history, so
+                // the attempt schedule is itself deterministic.  Overshoot
+                // the observed acceptance rate slightly to usually finish
+                // in one extra wave.
+                const std::size_t remaining = target - accepted;
+                double rate = next_attempt == 0
+                                  ? 1.0
+                                  : static_cast<double>(accepted) /
+                                        static_cast<double>(next_attempt);
+                if (rate < 0.05) rate = 0.05;
+                std::size_t wave = static_cast<std::size_t>(
+                    static_cast<double>(remaining) / rate * 1.1);
+                wave = std::max(wave, std::max<std::size_t>(64, 4 * jobs()));
+                detail::driver_wave_counter().add(1);
+                stats.busy_seconds += run_range(
+                    next_attempt, wave,
+                    [this](std::uint64_t i) { return trial_rng(i); }, trial,
+                    [&](std::uint64_t i, auto&& r) {
+                        if (accepted >= target) return false;
+                        if (merge(i, std::forward<decltype(r)>(r))) {
+                            ++accepted;
+                        }
+                        return accepted < target;
+                    },
+                    util::spans::SpanType::kTrial, scopes);
+                next_attempt += wave;
+            }
+            stats.trials = next_attempt;
+            stats.accepted = accepted;
+        });
     }
 
     /// Intra-trial sharding: splits the *inside* of one heavy trial into
@@ -214,25 +196,18 @@ class ExperimentDriver {
     template <typename ShardFn, typename MergeFn>
     RunStats run_shards(std::uint64_t trial, std::size_t shards,
                         ShardFn&& shard, MergeFn&& merge) const {
-        const auto start = std::chrono::steady_clock::now();
-        RunStats stats;
-        stats.jobs = jobs();
-        stats.busy_seconds = run_range(
-            0, shards,
-            [this, trial](std::uint64_t s) { return shard_rng(trial, s); },
-            shard, [&](std::uint64_t s, auto&& r) {
-                merge(s, std::forward<decltype(r)>(r));
-                return true;
-            },
-            util::spans::SpanType::kShard, scope_block());
-        stats.trials = shards;
-        stats.accepted = shards;
-        stats.wall_seconds =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          start)
-                .count();
-        report_run(stats);
-        return stats;
+        return timed([&](RunStats& stats) {
+            stats.busy_seconds = run_range(
+                0, shards,
+                [this, trial](std::uint64_t s) { return shard_rng(trial, s); },
+                shard, [&](std::uint64_t s, auto&& r) {
+                    merge(s, std::forward<decltype(r)>(r));
+                    return true;
+                },
+                util::spans::SpanType::kShard, scope_block());
+            stats.trials = shards;
+            stats.accepted = shards;
+        });
     }
 
   private:
@@ -251,10 +226,16 @@ class ExperimentDriver {
                    : 0;
     }
 
-    /// Runs trial indices [base, base + count) on the pool and consumes
-    /// results in index order; `consume` returns false to stop consuming
-    /// (remaining computed results are dropped).  Every index in the range
-    /// is computed regardless — see determinism guarantee 1 above.
+    /// One run's stats: `body` fills in the trial counts and busy seconds,
+    /// this adds the worker count and the wall seconds around `body`, then
+    /// reports the stats.
+    RunStats timed(util::FunctionRef<void(RunStats&)> body) const;
+
+    /// Runs trial indices [base, base + count) through util::parallel_for,
+    /// each into its own result slot, then consumes the slots in index
+    /// order; `consume` returns false to stop consuming (the remaining
+    /// results are dropped).  Every index in the range is computed
+    /// regardless -- see determinism guarantee 1 above.
     /// `rng_of(i)` supplies the generator for index i (trial substreams for
     /// run/run_until, shard substreams for run_shards).
     /// Each trial executes inside a spans::TrialScope (scope = the run's
@@ -273,91 +254,32 @@ class ExperimentDriver {
             std::invoke_result_t<TrialFn&, std::uint64_t, util::Rng&>;
         static_assert(!std::is_void_v<Result>,
                       "trial functions must return their result");
-        if (count == 0) return 0.0;
         auto& trial_seconds = detail::driver_trial_seconds();
-        const auto run_one = [&trial, span_type,
-                              scope_base](std::uint64_t i, util::Rng& rng) {
-            const util::spans::TrialScope scope(scope_base | (i + 1));
-            const util::spans::WallSpan span(span_type, /*causal=*/i);
-            return trial(i, rng);
-        };
-
-        const std::size_t workers = std::min(jobs(), count);
-        if (workers <= 1) {
-            double busy = 0.0;
-            bool consuming = true;
-            for (std::uint64_t i = base; i < base + count; ++i) {
-                util::Rng rng = rng_of(i);
-                const auto t0 = std::chrono::steady_clock::now();
-                Result r = run_one(i, rng);
-                const double sec = std::chrono::duration<double>(
-                                       std::chrono::steady_clock::now() - t0)
-                                       .count();
-                trial_seconds.observe(sec);
-                busy += sec;
-                if (consuming) consuming = consume(i, std::move(r));
-            }
-            return busy;
-        }
-
         std::vector<std::optional<Result>> results(count);
-        std::atomic<std::size_t> next{0};
-        std::atomic<bool> stop{false};
-        std::atomic<double> busy{0.0};
-        std::exception_ptr failure;
-        std::mutex failure_mutex;
-        {
-            std::vector<std::jthread> pool;
-            pool.reserve(workers);
-            for (std::size_t w = 0; w < workers; ++w) {
-                pool.emplace_back([&] {
-                    double local_busy = 0.0;
-                    const auto flush_busy = [&] {
-                        double cur = busy.load(std::memory_order_relaxed);
-                        while (!busy.compare_exchange_weak(
-                            cur, cur + local_busy,
-                            std::memory_order_relaxed)) {
-                        }
-                    };
-                    for (;;) {
-                        const std::size_t slot =
-                            next.fetch_add(1, std::memory_order_relaxed);
-                        if (slot >= count ||
-                            stop.load(std::memory_order_relaxed)) {
-                            flush_busy();
-                            return;
-                        }
-                        const std::uint64_t i = base + slot;
-                        try {
-                            util::Rng rng = rng_of(i);
-                            const auto t0 = std::chrono::steady_clock::now();
-                            results[slot].emplace(run_one(i, rng));
-                            const double sec =
-                                std::chrono::duration<double>(
-                                    std::chrono::steady_clock::now() - t0)
-                                    .count();
-                            trial_seconds.observe(sec);
-                            local_busy += sec;
-                        } catch (...) {
-                            const std::lock_guard<std::mutex> lock(
-                                failure_mutex);
-                            if (!failure) {
-                                failure = std::current_exception();
-                            }
-                            stop.store(true, std::memory_order_relaxed);
-                            flush_busy();
-                            return;
-                        }
-                    }
-                });
+        std::vector<double> seconds(count);
+        util::parallel_for(count, jobs(), [&](std::size_t slot) {
+            const std::uint64_t i = base + slot;
+            util::Rng rng = rng_of(i);
+            const auto t0 = std::chrono::steady_clock::now();
+            {
+                const util::spans::TrialScope scope(scope_base | (i + 1));
+                const util::spans::WallSpan span(span_type, /*causal=*/i);
+                results[slot].emplace(trial(i, rng));
             }
-        }  // jthreads join here
-        if (failure) std::rethrow_exception(failure);
+            seconds[slot] = std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - t0)
+                                .count();
+            trial_seconds.observe(seconds[slot]);
+        });
+        double busy = 0.0;
         bool consuming = true;
-        for (std::size_t slot = 0; slot < count && consuming; ++slot) {
-            consuming = consume(base + slot, std::move(*results[slot]));
+        for (std::size_t slot = 0; slot < count; ++slot) {
+            busy += seconds[slot];
+            if (consuming) {
+                consuming = consume(base + slot, std::move(*results[slot]));
+            }
         }
-        return busy.load(std::memory_order_relaxed);
+        return busy;
     }
 
     DriverOptions options_;

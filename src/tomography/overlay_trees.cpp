@@ -1,11 +1,10 @@
 #include "tomography/overlay_trees.h"
 
 #include <algorithm>
-#include <atomic>
-#include <exception>
 #include <stdexcept>
-#include <system_error>
 #include <thread>
+
+#include "util/parallel.h"
 
 namespace concilium::tomography {
 
@@ -84,39 +83,17 @@ OverlayTrees::OverlayTrees(const overlay::OverlayNetwork& net,
 
     const std::size_t chunk_count = (n + kChunkMembers - 1) / kChunkMembers;
     std::vector<Chunk> chunks(chunk_count);
-    std::vector<std::exception_ptr> errors(chunk_count);
-    std::atomic<std::size_t> next{0};
-    const auto work = [&] {
-        for (std::size_t c; (c = next.fetch_add(1)) < chunk_count;) {
-            try {
-                const std::size_t begin = c * kChunkMembers;
-                build_chunk(net, oracle,
-                            std::span(order).subspan(
-                                begin, std::min(kChunkMembers, n - begin)),
-                            chunks[c]);
-            } catch (...) {
-                errors[c] = std::current_exception();
-            }
-        }
-    };
-    const std::size_t workers = std::min<std::size_t>(
-        {std::max(1u, std::thread::hardware_concurrency()), chunk_count,
-         std::max<std::size_t>(1, n * topology.router_count() /
-                                      kVisitsPerWorker)});
-    {
-        std::vector<std::jthread> helpers;
-        try {
-            for (std::size_t w = 1; w < workers; ++w) {
-                helpers.emplace_back(work);
-            }
-        } catch (const std::system_error&) {
-            // Out of threads: the workers already running take every chunk.
-        }
-        work();
-    }
-    for (const std::exception_ptr& e : errors) {
-        if (e) std::rethrow_exception(e);
-    }
+    util::parallel_for(
+        chunk_count,
+        std::min<std::size_t>(std::thread::hardware_concurrency(),
+                              n * topology.router_count() / kVisitsPerWorker),
+        [&](std::size_t c) {
+            const std::size_t begin = c * kChunkMembers;
+            build_chunk(net, oracle,
+                        std::span(order).subspan(
+                            begin, std::min(kChunkMembers, n - begin)),
+                        chunks[c]);
+        });
 
     // Every table is member-major, so place each member's outputs by index.
     std::vector<std::size_t> position(n);

@@ -14,9 +14,10 @@
 // The build orders the members by entry router (PathOracle::entry), then
 // by index, so sources that enter the core at the same router share one
 // core sweep, and cuts that order into fixed chunks, each with its own
-// arena, PathOracle::Sweep and outputs.  Chunks run on as many cores as the
-// world is worth (see the constructor); every member's outputs are placed
-// by member index, so the result is byte-identical at any worker count.
+// arena, PathOracle::Sweep and outputs.  Chunks run through
+// util::parallel_for on as many cores as the world is worth (see the
+// constructor); every member's outputs are placed by member index, so the
+// result is byte-identical at any worker count.
 
 #pragma once
 
@@ -36,11 +37,13 @@ namespace concilium::tomography {
 class OverlayTrees {
   public:
     /// Builds every member's tree.  Members, in entry-router order, go in
-    /// chunks of 64 sources to up to min(hardware threads, chunks, sources
-    /// x routers / 4M) workers, the calling thread being one of them, so a
-    /// small world builds inline without starting a thread.  An exception
-    /// in a chunk is rethrown here, the first in chunk order; a member
-    /// whose address is no router throws std::out_of_range naming it.
+    /// chunks of 64 sources through util::parallel_for on up to
+    /// min(hardware threads, sources x routers / 4M) workers, the calling
+    /// thread being one of them, so a small world builds inline without
+    /// starting a thread.  Once a chunk throws no new chunk starts, and the
+    /// exception of the first failing chunk in chunk order is rethrown
+    /// here; a member whose address is no router throws std::out_of_range
+    /// naming it.
     OverlayTrees(const overlay::OverlayNetwork& net,
                  const net::Topology& topology);
 

@@ -36,9 +36,6 @@ class ByteWriter {
         return buffer_;
     }
     [[nodiscard]] std::size_t size() const noexcept { return buffer_.size(); }
-    [[nodiscard]] std::string as_string() const {
-        return std::string(buffer_.begin(), buffer_.end());
-    }
 
   private:
     std::vector<std::uint8_t> buffer_;

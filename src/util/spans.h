@@ -223,7 +223,6 @@ class WallSpan {
         sim_begin_ = begin;
         sim_end_ = end;
     }
-    void set_arg(std::int64_t arg) noexcept { arg_ = arg; }
 
   private:
     bool armed_ = false;

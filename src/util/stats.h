@@ -129,7 +129,6 @@ class Histogram {
     }
     /// Center of bin i.
     [[nodiscard]] double bin_center(std::size_t bin) const;
-    [[nodiscard]] double bin_width() const noexcept { return width_; }
     /// Empirical density for bin i (integrates to 1 over the range).
     [[nodiscard]] double density(std::size_t bin) const;
     /// Fraction of samples below x, linearly interpolating within the bin
